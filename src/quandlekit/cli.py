@@ -15,31 +15,23 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .diagrams import (
-    CORPUS_NAMES,
-    PDStructureError,
-    PDSyntaxError,
-    checkerboard,
-    load_diagram,
-    signs,
-)
+from .diagrams import CORPUS_NAMES, PDStructureError, PDSyntaxError, load_diagram
 from .homology import (
     ZZ,
     Cochain2,
     CoefficientGroup,
+    coboundary_of,
     cocycle_basis,
     cohomology_group,
 )
 from .invariants import (
+    DiagramEngine,
     GroupRingValue,
     check_eps_alternation,
-    check_lemma_4_1,
-    check_lemma_4_2,
-    contribution,
-    enumerate_colorings,
-    eps_psi_zero_sum,
+    coloring_table,
     is_trivial,
-    theorem_sweep,
+    sweep_entries,
+    translation_lemmas,
 )
 from .quandles import (
     MalformedTableError,
@@ -210,12 +202,10 @@ def cmd_invariant(args):
     if phi.n != X.n:
         raise ValueError("cocycle is for order %d, quandle has order %d" % (phi.n, X.n))
     mode = MODE_OF[args.mode]
-    sh = checkerboard(d, outer_face=args.outer_face)
-    sg = signs(d, sh)
+    table = coloring_table(DiagramEngine(d, outer_face=args.outer_face), X)
+    value = GroupRingValue.from_values(phi.coeff, table.weights(phi, mode))
     if not phi.is_cocycle(X, mode):
         _note("warning: the cochain is not a %s-cocycle; the sum is not an invariant" % args.mode)
-    values = [contribution(d, rho, phi, mode, crossing_signs=sg) for rho in enumerate_colorings(d, X)]
-    value = GroupRingValue.from_values(phi.coeff, values)
     _emit(
         {
             "quandle": [list(r) for r in X.table],
@@ -259,19 +249,42 @@ def _eps_identity_report(diagrams, quandles, rng):
     small = [X for X in quandles if X.n <= 3][:5]
     bad = []
     for name, d in diagrams:
-        if not check_eps_alternation(d):
+        engine = DiagramEngine(d)
+        if not check_eps_alternation(d, engine.crossing_signs):
             bad.append({"diagram": name, "check": "alternation"})
-        sg = signs(d, checkerboard(d))
-        if d.alternating and len(set(sg.eps)) > 1:
+        if d.alternating and len(set(engine.crossing_signs.eps)) > 1:
             bad.append({"diagram": name, "check": "constant-on-alternating"})
         for X in small:
-            cols = enumerate_colorings(d, X)
+            table = coloring_table(engine, X)
             for _ in range(5):
                 psi = [rng.randrange(-9, 10) for _ in range(X.n)]
-                if any(eps_psi_zero_sum(d, rho, psi, sg) for rho in cols):
+                # eps * (psi(source) + psi(target) - 2 psi(over)) summed over
+                # the crossings is the plus weight of the coboundary of psi
+                if any(table.weights(coboundary_of(X, psi, "plus"), "plus")):
                     bad.append({"diagram": name, "check": "psi-zero-sum"})
                     break
     return bad
+
+
+def _lemma_failures(X, basis, tables):
+    """The first failure of each translation lemma that fails, per cell."""
+    out = []
+    for phi in basis:
+        for name, table in tables:
+            for rep in translation_lemmas(table, phi):
+                if not rep.ok:
+                    rho, a, u, v = rep.failures[0]
+                    out.append(
+                        {
+                            "lemma": rep.name,
+                            "quandle": [list(r) for r in X.table],
+                            "diagram": name,
+                            "coloring": list(rho),
+                            "element": a,
+                            "values": [str(u), str(v)],
+                        }
+                    )
+    return out
 
 
 def cmd_verify(args):
@@ -287,45 +300,38 @@ def cmd_verify(args):
     else:
         diagrams = [(name, load_diagram(name)) for name in KNOT_NAMES]
 
+    # Quandle-major: one cocycle basis per mode, one coloring table per diagram.
+    engines = [(name, DiagramEngine(d)) for name, d in diagrams]
+    scan_lemmas = not args.expect_nontrivial and coeff == ZZ and "pos" in mode_names
+    cells = {mode_name: [] for mode_name in mode_names}
+    lemma_failures = []
+    for X in quandles:
+        tables = [(name, coloring_table(engine, X)) for name, engine in engines]
+        for mode_name in mode_names:
+            mode = MODE_OF[mode_name]
+            basis = cocycle_basis(X, mode, coeff)
+            for name, table in tables:
+                cells[mode_name] += sweep_entries(table, name, basis, mode)
+            if scan_lemmas and mode == "plus":
+                lemma_failures += _lemma_failures(X, basis, tables)
+
     mode_docs = []
     witnesses = []
-    failed = False
+    failed = bool(lemma_failures)
     for mode_name in mode_names:
-        mode = MODE_OF[mode_name]
-        report = theorem_sweep(quandles, diagrams, coeff, mode)
-        bad = report.nontrivial()
-        required = _triviality_required(mode, coeff) and not args.expect_nontrivial
+        bad = [e for e in cells[mode_name] if not e.trivial]
+        required = _triviality_required(MODE_OF[mode_name], coeff) and not args.expect_nontrivial
         if required and bad:
             failed = True
         mode_docs.append(
             {
                 "mode": mode_name,
-                "cells": len(report.entries),
+                "cells": len(cells[mode_name]),
                 "nontrivial": len(bad),
                 "triviality_required": required,
             }
         )
         witnesses.extend(_entry_doc(e, mode_name, coeff) for e in bad[:20])
-
-    lemma_failures = []
-    if not args.expect_nontrivial and coeff == ZZ and "pos" in mode_names:
-        for X in quandles:
-            for phi in cocycle_basis(X, "plus", ZZ):
-                for name, d in diagrams:
-                    for rep in (check_lemma_4_1(d, X, phi), check_lemma_4_2(d, X, phi)):
-                        if not rep.ok:
-                            failed = True
-                            rho, a, u, v = rep.failures[0]
-                            lemma_failures.append(
-                                {
-                                    "lemma": rep.name,
-                                    "quandle": [list(r) for r in X.table],
-                                    "diagram": name,
-                                    "coloring": list(rho),
-                                    "element": a,
-                                    "values": [str(u), str(v)],
-                                }
-                            )
 
     eps_failures = []
     if not args.expect_nontrivial:
@@ -433,6 +439,8 @@ def main(argv=None):
         ValueError,
         KeyError,
         OSError,
+        RecursionError,
+        ArithmeticError,
     ) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         _note("error: %s" % msg)

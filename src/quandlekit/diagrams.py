@@ -114,12 +114,6 @@ class PDDiagram:
         q = 3 if p == 1 else 1
         return self.crossings[i][q]
 
-    def component_of(self, e):
-        for cyc in self.components:
-            if e in cyc:
-                return cyc
-        raise KeyError(e)
-
     def writhe_sign(self, i):
         """+1 when the over-strand runs d -> b, else -1."""
         return 1 if self.incoming[i][3] else -1

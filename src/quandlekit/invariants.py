@@ -6,13 +6,16 @@ outgoing one when it is -1; the other under-arc must carry source * over.
 Each crossing then contributes s(tau) * phi(source, over) to its coloring's
 weight, where s is the writhe sign w in minus mode and the shading sign
 eps in plus mode, and the invariant is the multiset of weights.
+
+State sums, sweeps, the lemma scans and the CLI share one engine:
+DiagramEngine and coloring_table().  ``contribution``, ``is_valid_coloring``
+and ``act_coloring`` work one coloring at a time as the tests' oracles.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 from .diagrams import arcs, checkerboard, load_diagram, signs
 from .homology import ZZ, cocycle_basis
@@ -46,8 +49,8 @@ def crossing_roles(d, arcset):
     return out
 
 
-def is_valid_coloring(d, X, rho, arcset=None):
-    ar = arcset or arcs(d)
+def is_valid_coloring(d, X, rho):
+    ar = arcs(d)
     if len(rho) != len(ar):
         return False
     for src, over, tgt, _ in crossing_roles(d, ar):
@@ -56,16 +59,85 @@ def is_valid_coloring(d, X, rho, arcset=None):
     return True
 
 
-def enumerate_colorings(d, X):
-    """All valid colorings, by backtracking with constraint propagation."""
-    ar = arcs(d)
-    roles = crossing_roles(d, ar)
-    k = len(ar)
-    touch = [[] for _ in range(k)]
-    for idx, (src, over, tgt, _) in enumerate(roles):
-        for arc in {src, over, tgt}:
-            touch[arc].append(idx)
+class DiagramEngine:
+    """A diagram's crossing roles, arc -> crossing touch lists and signs, once.
 
+    The signs need the faces, which a disconnected code lacks, so they wait
+    for first use; ``outer_face`` picks the shading's white outer face.
+    """
+
+    def __init__(self, d, outer_face=None):
+        ar = arcs(d)
+        self.diagram = d
+        self.outer_face = outer_face
+        self.arc_count = len(ar)
+        self.roles = crossing_roles(d, ar)
+        self.touch = [[] for _ in range(len(ar))]
+        for i, (src, over, tgt, _) in enumerate(self.roles):
+            for arc in {src, over, tgt}:
+                self.touch[arc].append(i)
+
+    @cached_property
+    def crossing_signs(self):
+        return signs(self.diagram, checkerboard(self.diagram, self.outer_face))
+
+
+class ColoringTable:
+    """The sorted colorings of one diagram by one quandle, and their weights.
+
+    A weight is the dot product of the coloring's signed (source color, over
+    color) pair counts with the cocycle's values.  The counts are built once
+    per mode; each cocycle then costs one exact dot product per coloring.
+    """
+
+    def __init__(self, engine, X, colorings):
+        self.engine = engine
+        self.X = X
+        self.colorings = colorings  # sorted tuples of arc colors
+        self._pair_counts = {}
+
+    def pair_counts(self, mode):
+        """Per coloring: (((source color, over color), summed sign), ...)."""
+        if mode not in MODES:
+            raise ValueError("mode must be 'minus' or 'plus'")
+        if mode not in self._pair_counts:
+            sg = self.engine.crossing_signs
+            crossings = list(zip(sg.w if mode == "minus" else sg.eps, self.engine.roles))
+            rows = []
+            for rho in self.colorings:
+                counts = {}
+                for s, (src, over, _, _) in crossings:
+                    key = (rho[src], rho[over])
+                    counts[key] = counts.get(key, 0) + s
+                rows.append(tuple(counts.items()))
+            self._pair_counts[mode] = rows
+        return self._pair_counts[mode]
+
+    def weights(self, phi, mode):
+        """One weight per coloring, reduced in the cocycle's coefficient group."""
+        return [
+            phi.coeff.reduce(sum(m * phi.values[a][b] for (a, b), m in counts))
+            for counts in self.pair_counts(mode)
+        ]
+
+    @cached_property
+    def translations(self):
+        """Per coloring and element a: the index of its translate by * a, or
+        None when the translate is not a coloring."""
+        index = {rho: i for i, rho in enumerate(self.colorings)}
+        columns = [[row[a] for row in self.X.table] for a in range(self.X.n)]
+        return [[index.get(tuple([col[c] for c in rho])) for col in columns] for rho in self.colorings]
+
+
+def coloring_table(engine, X):
+    """All colorings of the engine's diagram by X, sorted.
+
+    Backtracking with constraint propagation: branch on the first uncolored
+    arc, then color every arc a crossing with a colored over-arc forces.
+    An explicit stack keeps many-arc searches off the recursion limit.
+    """
+    k, roles, touch = engine.arc_count, engine.roles, engine.touch
+    op, inv, n = X.table, X.dual_table, X.n
     colors = [None] * k
     found = []
 
@@ -76,7 +148,7 @@ def enumerate_colorings(d, X):
             if co is None:
                 continue
             if cs is not None:
-                v = X.op(cs, co)
+                v = op[cs][co]
                 if ct is None:
                     colors[tgt] = v
                     trail.append(tgt)
@@ -84,28 +156,37 @@ def enumerate_colorings(d, X):
                 elif ct != v:
                     return False
             elif ct is not None:
-                v = X.inv_op(ct, co)
+                v = inv[ct][co]
                 colors[src] = v
                 trail.append(src)
                 queue.extend(touch[src])
         return True
 
-    def backtrack():
-        arc = next((i for i in range(k) if colors[i] is None), None)
-        if arc is None:
-            found.append(Coloring(tuple(colors)))
-            return
-        for val in range(X.n):
+    # Frames [arc, next value, arcs the current value colored]; the arcs
+    # below a frame's arc stay colored in its subtree.
+    stack = [[0, 0, ()]]
+    while stack:
+        frame = stack[-1]
+        arc, val, trail = frame
+        for a in trail:
+            colors[a] = None
+        if arc == k:
+            found.append(tuple(colors))
+            stack.pop()
+        elif val == n:
+            stack.pop()
+        else:
             colors[arc] = val
-            trail = [arc]
-            if propagate(list(touch[arc]), trail):
-                backtrack()
-            for a in trail:
-                colors[a] = None
+            frame[1], frame[2] = val + 1, [arc]
+            if propagate(list(touch[arc]), frame[2]):
+                stack.append([next((i for i in range(arc + 1, k) if colors[i] is None), k), 0, ()])
+    found.sort()
+    return ColoringTable(engine, X, found)
 
-    backtrack()
-    found.sort(key=lambda c: c.colors)
-    return found
+
+def enumerate_colorings(d, X):
+    """All valid colorings, sorted."""
+    return [Coloring(rho) for rho in coloring_table(DiagramEngine(d), X).colorings]
 
 
 def act_coloring(X, rho, a):
@@ -146,15 +227,14 @@ def is_trivial(value):
     return value.support() == (0,)
 
 
-def contribution(d, rho, phi, mode, crossing_signs=None, arcset=None):
+def contribution(d, rho, phi, mode, crossing_signs=None):
     """Total weight of one coloring: sum of s(tau) * phi(source, over)."""
     if mode not in MODES:
         raise ValueError("mode must be 'minus' or 'plus'")
-    ar = arcset or arcs(d)
     sg = crossing_signs or signs(d, checkerboard(d))
     s = sg.w if mode == "minus" else sg.eps
     total = 0
-    for i, (src, over, _, _) in enumerate(crossing_roles(d, ar)):
+    for i, (src, over, _, _) in enumerate(crossing_roles(d, arcs(d))):
         total += s[i] * phi(rho[src], rho[over])
     return phi.coeff.reduce(total)
 
@@ -165,13 +245,8 @@ def state_sum(d, X, phi, mode, coeff=None):
         raise ValueError("coefficient group does not match the cocycle")
     if phi.n != X.n:
         raise ValueError("cocycle size does not match the quandle")
-    ar = arcs(d)
-    sg = signs(d, checkerboard(d))
-    values = [
-        contribution(d, rho, phi, mode, crossing_signs=sg, arcset=ar)
-        for rho in enumerate_colorings(d, X)
-    ]
-    return GroupRingValue.from_values(phi.coeff, values)
+    weights = coloring_table(DiagramEngine(d), X).weights(phi, mode)
+    return GroupRingValue.from_values(phi.coeff, weights)
 
 
 @dataclass(frozen=True)
@@ -185,37 +260,37 @@ class LemmaReport:
         return not self.failures
 
 
-def _lemma_scan(d, X, phi, relation, name):
-    if not d.is_knot():
+def translation_lemmas(table, phi):
+    """Lemmas 4.1 and 4.2 on one coloring table, as two reports: translating
+    a coloring negates its plus-mode weight (4.1) and preserves it (4.2)."""
+    if not table.engine.diagram.is_knot():
         raise ValueError("lemma checks are stated for knot diagrams")
     if phi.coeff != ZZ:
         raise ValueError("lemma checks run over Z")
-    ar = arcs(d)
-    sg = signs(d, checkerboard(d))
-    checked = 0
-    failures = []
-    for rho in enumerate_colorings(d, X):
-        base = contribution(d, rho, phi, "plus", crossing_signs=sg, arcset=ar)
-        for a in range(X.n):
-            moved = act_coloring(X, rho, a)
-            if not is_valid_coloring(d, X, moved, arcset=ar):
-                failures.append((rho.colors, a, "not a coloring", None))
-                continue
-            other = contribution(d, moved, phi, "plus", crossing_signs=sg, arcset=ar)
-            checked += 1
-            if not relation(base, other):
-                failures.append((rho.colors, a, base, other))
-    return LemmaReport(name=name, pairs_checked=checked, failures=tuple(failures))
+    weights = table.weights(phi, "plus")
+    checked = sum(j is not None for row in table.translations for j in row)
+    reports = []
+    cancel, agree = (lambda u, v: u + v == 0), (lambda u, v: u == v)
+    for name, holds in (("weights-cancel", cancel), ("weights-agree", agree)):
+        failures = []
+        for rho, u, row in zip(table.colorings, weights, table.translations):
+            for a, j in enumerate(row):
+                if j is None:
+                    failures.append((rho, a, "not a coloring", None))
+                elif not holds(u, weights[j]):
+                    failures.append((rho, a, u, weights[j]))
+        reports.append(LemmaReport(name=name, pairs_checked=checked, failures=tuple(failures)))
+    return reports
 
 
 def check_lemma_4_1(d, X, phi):
     """Translating a coloring negates its plus-mode weight."""
-    return _lemma_scan(d, X, phi, lambda u, v: u + v == 0, "weights-cancel")
+    return translation_lemmas(coloring_table(DiagramEngine(d), X), phi)[0]
 
 
 def check_lemma_4_2(d, X, phi):
     """Translating a coloring preserves its plus-mode weight."""
-    return _lemma_scan(d, X, phi, lambda u, v: u == v, "weights-agree")
+    return translation_lemmas(coloring_table(DiagramEngine(d), X), phi)[1]
 
 
 @dataclass(frozen=True)
@@ -284,20 +359,6 @@ def check_eps_alternation(d, crossing_signs=None):
     return True
 
 
-def eps_psi_zero_sum(d, rho, psi, crossing_signs=None, arcset=None):
-    """sum over crossings of eps * (-2 psi(over) + psi(source) + psi(target)).
-
-    Vanishes for every coloring and every psi; this is the cancellation that
-    makes plus-mode state sums blind to coboundaries.
-    """
-    ar = arcset or arcs(d)
-    sg = crossing_signs or signs(d, checkerboard(d))
-    total = 0
-    for i, (src, over, tgt, _) in enumerate(crossing_roles(d, ar)):
-        total += sg.eps[i] * (-2 * psi[rho[over]] + psi[rho[src]] + psi[rho[tgt]])
-    return total
-
-
 @dataclass(frozen=True)
 class SweepEntry:
     quandle: tuple  # the table rows
@@ -323,26 +384,19 @@ class SweepReport:
         return tuple(e for e in self.entries if not e.trivial)
 
 
-def _sweep_cell(X, name, d, basis, mode):
-    ar = arcs(d)
-    sg = signs(d, checkerboard(d))
-    colorings = enumerate_colorings(d, X)
+def sweep_entries(table, name, basis, mode):
+    """One sweep cell per basis cocycle on one coloring table."""
     entries = []
     for phi in basis:
-        weights = []
-        witnesses = []
-        for rho in colorings:
-            v = contribution(d, rho, phi, mode, crossing_signs=sg, arcset=ar)
-            weights.append(v)
-            if v:
-                witnesses.append((rho.colors, v))
+        weights = table.weights(phi, mode)
         value = GroupRingValue.from_values(phi.coeff, weights)
+        witnesses = [(rho, v) for rho, v in zip(table.colorings, weights) if v]
         entries.append(
             SweepEntry(
-                quandle=X.table,
+                quandle=table.X.table,
                 diagram=name,
                 cocycle=phi.values,
-                colorings=len(colorings),
+                colorings=len(table.colorings),
                 invariant=value,
                 trivial=is_trivial(value),
                 witnesses=tuple(witnesses[:5]),
@@ -351,15 +405,7 @@ def _sweep_cell(X, name, d, basis, mode):
     return entries
 
 
-def sweep_threads():
-    raw = os.environ.get("QUANDLE_KIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def theorem_sweep(quandles, diagrams, coeff, mode, threads=None):
+def theorem_sweep(quandles, diagrams, coeff, mode):
     """Evaluate every (quandle, diagram, basis cocycle) cell of a sweep.
 
     Diagrams may be corpus names, file paths, or (name, diagram) pairs.
@@ -368,24 +414,11 @@ def theorem_sweep(quandles, diagrams, coeff, mode, threads=None):
     """
     if mode not in MODES:
         raise ValueError("mode must be 'minus' or 'plus'")
-    resolved = []
-    for item in diagrams:
-        if isinstance(item, tuple):
-            resolved.append(item)
-        else:
-            resolved.append((item, load_diagram(item)))
-    cells = []
+    named = [item if isinstance(item, tuple) else (item, load_diagram(item)) for item in diagrams]
+    engines = [(name, DiagramEngine(d)) for name, d in named]
+    entries = []
     for X in quandles:
         basis = cocycle_basis(X, mode, coeff)
-        for name, d in resolved:
-            cells.append((X, name, d, basis))
-    workers = threads if threads is not None else sweep_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(
-                pool.map(lambda c: _sweep_cell(c[0], c[1], c[2], c[3], mode), cells)
-            )
-    else:
-        batches = [_sweep_cell(X, name, d, basis, mode) for X, name, d, basis in cells]
-    entries = [e for batch in batches for e in batch]
+        for name, engine in engines:
+            entries += sweep_entries(coloring_table(engine, X), name, basis, mode)
     return SweepReport(mode=mode, coeff=coeff, entries=tuple(entries))

@@ -71,31 +71,6 @@ def mat_vec(a, v):
     return [sum(c * x for c, x in zip(row, v)) for row in a]
 
 
-def det_bareiss(mat):
-    """Fraction-free determinant of a square integer matrix."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class SNFResult:
     """U * M * V == S with U, V unimodular and S in Smith normal form."""
@@ -327,10 +302,3 @@ def solve_matrix(a, b, ncols=None, snf=None):
             x[row][col] = xi[row]
     return x
 
-
-def solve(a, b, ncols=None, snf=None):
-    """Vector form of :func:`solve_matrix`."""
-    x = solve_matrix(a, [[v] for v in b], ncols=ncols, snf=snf)
-    if x is None:
-        return None
-    return [row[0] for row in x]

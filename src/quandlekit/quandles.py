@@ -118,10 +118,6 @@ class QuandleTable:
                 dual[self.table[a][b]][b] = a
         return tuple(tuple(r) for r in dual)
 
-    def inv_op(self, c: int, b: int) -> int:
-        """The unique a with a*b == c."""
-        return self.dual_table[c][b]
-
     @cached_property
     def is_involutory(self) -> bool:
         return all(self.table[self.table[a][b]][b] == a

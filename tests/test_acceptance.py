@@ -27,8 +27,8 @@ from quandlekit.invariants import (
     check_eps_alternation,
     check_lemma_4_1,
     check_lemma_4_2,
+    contribution,
     enumerate_colorings,
-    eps_psi_zero_sum,
     is_trivial,
     is_valid_coloring,
     state_sum,
@@ -120,11 +120,12 @@ def test_shading_sign_structure_on_the_corpus():
         sg = signs(d, checkerboard(d))
         if d.alternating and d.n_crossings:
             assert len(set(sg.eps)) == 1
-        ar = arcs(d)
+        # eps * (psi(source) + psi(target) - 2 psi(over)) summed over the
+        # crossings is the plus weight of the coboundary of psi
         for rho in enumerate_colorings(d, X):
             for _ in range(100):
                 psi = [rng.randrange(-20, 21) for _ in range(X.n)]
-                assert eps_psi_zero_sum(d, rho, psi, sg, ar) == 0
+                assert contribution(d, rho, coboundary_of(X, psi, "plus"), "plus", sg) == 0
 
 
 def test_cohomologous_cocycles_give_equal_state_sums():

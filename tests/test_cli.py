@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: documents, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -181,6 +182,23 @@ def test_invariant_accepts_pd_file_and_outer_face(capsys, files, tmp_path):
     assert flipped["invariant"] == [["-1", 2], ["0", 2]]
 
 
+def test_invariant_on_a_many_component_unlink(capsys, tmp_path):
+    # one free arc per component: a search that recursed per arc would
+    # overflow the interpreter stack here
+    pd = tmp_path / "unlink1200.txt"
+    pd.write_text(" ".join("O[%d]" % k for k in range(1, 1201)))
+    q = tmp_path / "t1.json"
+    q.write_text(json.dumps({"n": 1, "table": [[0]]}))
+    phi = tmp_path / "zero.json"
+    phi.write_text(json.dumps({"coeff": "Z", "values": [[0]]}))
+    rc, doc, _ = run(
+        capsys,
+        ["invariant", "-q", str(q), "-k", str(pd), "--mode", "neg", "--cocycle", str(phi)],
+    )
+    assert rc == 0
+    assert doc["colorings"] == 1 and doc["invariant"] == [["0", 1]]
+
+
 def test_invariant_coeff_mismatch(capsys, files):
     rc, _, err = run(
         capsys,
@@ -233,6 +251,40 @@ def test_verify_output_deterministic(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["verify", "--max-order", "4", "--coeff", "Z", "--mode", "both"],
+            "1f1d2beddca48e2569ac9051a2f04dadef10455dac840e2e36ff21bccb0edf7e",
+        ),
+        (
+            ["verify", "--max-order", "4", "--coeff", "Z2", "--mode", "neg",
+             "--expect-nontrivial", "trefoil"],
+            "2b56a2bd6c4e6bf8a74f36034d72dd37555c070ef8dec806f6c445208e019b10",
+        ),
+    ],
+    ids=["Z-both", "Z2-neg-trefoil"],
+)
+def test_verify_output_pinned(capsys, argv, digest):
+    # sha256 of the whole stdout document; any change to a cell, witness,
+    # lemma failure or their order shows here
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("exc", [RecursionError, ZeroDivisionError, OverflowError])
+def test_internal_arithmetic_and_depth_errors_exit_2(capsys, files, monkeypatch, exc):
+    # exit 1 is reserved for a failed property
+    def boom(args):
+        raise exc("too deep or too big")
+
+    monkeypatch.setattr("quandlekit.cli.cmd_quandle_info", boom)
+    rc, doc, err = run(capsys, ["quandle", "info", "-f", files["d3"]])
+    assert rc == 2 and doc is None
+    assert err.startswith("error: too deep or too big")
 
 
 def test_unknown_command_exits_2():

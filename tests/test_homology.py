@@ -87,7 +87,7 @@ def test_t2_minus_cocycles_are_all_off_diagonal_tables():
     mat = [c.vector() for c in basis]
     for a, b in ((0, 1), (1, 0)):
         target = Cochain2.indicator(2, a, b).vector()
-        assert linalg.solve(linalg.transpose(mat, ncols=2), target) is not None
+        assert linalg.solve_matrix(linalg.transpose(mat, ncols=2), [[v] for v in target]) is not None
 
 
 def test_t2_plus_cocycles_are_antisymmetric():
@@ -128,7 +128,7 @@ def test_coboundaries_lie_in_the_cocycle_lattice():
                 continue
             span = linalg.transpose([c.vector() for c in cocycles], ncols=len(pair_basis(q.n)))
             for phi in coboundary_basis(q, sign, ZZ):
-                assert linalg.solve(span, phi.vector()) is not None
+                assert linalg.solve_matrix(span, [[v] for v in phi.vector()]) is not None
 
 
 def test_coboundary_formulas():

@@ -6,31 +6,51 @@ import random
 
 import pytest
 
-from quandlekit.diagrams import arcs, checkerboard, named_diagram, parse_pd, signs
+from quandlekit.diagrams import (
+    CORPUS_NAMES,
+    arcs,
+    checkerboard,
+    faces,
+    named_diagram,
+    parse_pd,
+    signs,
+)
 from quandlekit.homology import ZZ, Cochain2, Zm, cocycle_basis, coboundary_of
 from quandlekit.invariants import (
+    MODES,
     Coloring,
+    DiagramEngine,
     GroupRingValue,
     act_coloring,
     arc_traversals,
     check_eps_alternation,
     check_lemma_4_1,
     check_lemma_4_2,
+    coloring_table,
     contribution,
     crossing_roles,
     enumerate_colorings,
-    eps_psi_zero_sum,
     is_trivial,
     is_valid_coloring,
     state_sum,
     theorem_sweep,
+    translation_lemmas,
 )
-from quandlekit.quandles import dihedral_quandle, trivial_quandle
+from quandlekit.quandles import (
+    QuandleTable,
+    dihedral_quandle,
+    enumerate_quandles,
+    trivial_quandle,
+)
 
 D3 = dihedral_quandle(3)
 D4 = dihedral_quandle(4)
 D5 = dihedral_quandle(5)
 T2 = trivial_quandle(2)
+ORDER_LE_3 = [X for n in (1, 2, 3) for X in enumerate_quandles(n)]
+# Columns are permutations, so colorings propagate, but the operation is not
+# self-distributive: some translated trefoil colorings are not colorings.
+NOT_A_QUANDLE = QuandleTable(((0, 0, 0, 1), (1, 1, 3, 2), (2, 3, 2, 0), (3, 2, 1, 3)))
 
 
 def brute_force_colorings(d, X):
@@ -115,6 +135,87 @@ def test_contribution_additive_in_cocycle():
     for rho in enumerate_colorings(d, D3):
         parts = [contribution(d, rho, p, "minus", crossing_signs=sg) for p in phis]
         assert contribution(d, rho, total, "minus", crossing_signs=sg) == sum(parts)
+
+
+def _random_cochain(rng, n):
+    """A cochain that is almost never a cocycle, with entries past 64 bits."""
+    rows = [[0 if a == b else rng.randrange(-(10**30), 10**30) for b in range(n)] for a in range(n)]
+    return Cochain2(ZZ, rows)
+
+
+def test_engine_weights_match_contribution():
+    rng = random.Random(31337)
+    for name in CORPUS_NAMES:
+        d = named_diagram(name)
+        engine = DiagramEngine(d)
+        sg = signs(d, checkerboard(d))
+        for X in ORDER_LE_3:
+            table = coloring_table(engine, X)
+            assert [Coloring(rho) for rho in table.colorings] == enumerate_colorings(d, X)
+            for mode in MODES:
+                cochains = cocycle_basis(X, mode, ZZ) + cocycle_basis(X, mode, Zm(2))
+                cochains += [_random_cochain(rng, X.n) for _ in range(2)]
+                for phi in cochains:
+                    want = [
+                        contribution(d, Coloring(rho), phi, mode, crossing_signs=sg)
+                        for rho in table.colorings
+                    ]
+                    assert table.weights(phi, mode) == want
+
+
+def test_engine_weights_follow_the_outer_face():
+    d = named_diagram("figure8")
+    X = dihedral_quandle(5)
+    phi = _random_cochain(random.Random(5), X.n)
+    for face in range(len(faces(d))):
+        sg = signs(d, checkerboard(d, outer_face=face))
+        table = coloring_table(DiagramEngine(d, outer_face=face), X)
+        for mode in MODES:
+            assert table.weights(phi, mode) == [
+                contribution(d, Coloring(rho), phi, mode, crossing_signs=sg)
+                for rho in table.colorings
+            ]
+
+
+def _pairwise_lemma_scan(d, X, phi, holds):
+    """Lemmas 4.1 and 4.2 pair by pair, from act_coloring and contribution."""
+    checked, failures = 0, []
+    for rho in enumerate_colorings(d, X):
+        base = contribution(d, rho, phi, "plus")
+        for a in range(X.n):
+            moved = act_coloring(X, rho, a)
+            if not is_valid_coloring(d, X, moved):
+                failures.append((rho.colors, a, "not a coloring", None))
+                continue
+            other = contribution(d, moved, phi, "plus")
+            checked += 1
+            if not holds(base, other):
+                failures.append((rho.colors, a, base, other))
+    return checked, tuple(failures)
+
+
+def test_translation_lemmas_match_the_pairwise_scan():
+    rng = random.Random(2718)
+    relations = (lambda u, v: u + v == 0, lambda u, v: u == v)
+    for name in ("trefoil", "figure8", "5_2", "trefoil_kinked"):
+        d = named_diagram(name)
+        engine = DiagramEngine(d)
+        for X in ORDER_LE_3 + [D4, NOT_A_QUANDLE]:
+            table = coloring_table(engine, X)
+            cochains = [_random_cochain(rng, X.n)]
+            if X is not NOT_A_QUANDLE:
+                cochains += cocycle_basis(X, "plus", ZZ)
+            for phi in cochains:
+                reports = translation_lemmas(table, phi)
+                assert [r.name for r in reports] == ["weights-cancel", "weights-agree"]
+                for rep, holds in zip(reports, relations):
+                    assert (rep.pairs_checked, rep.failures) == _pairwise_lemma_scan(
+                        d, X, phi, holds
+                    )
+    missing = translation_lemmas(
+        coloring_table(DiagramEngine(named_diagram("trefoil")), NOT_A_QUANDLE), Cochain2.zero(4)
+    )
+    assert all(r.failures and r.failures[0][2] == "not a coloring" for r in missing)
 
 
 def test_contribution_mode_uses_matching_sign():
@@ -238,14 +339,14 @@ def test_eps_psi_sum_vanishes():
     rng = random.Random(20240814)
     for name in ("trefoil", "figure8", "hopf", "borromean", "5_2", "figure8_kinked"):
         d = named_diagram(name)
-        ar = arcs(d)
         sg = signs(d, checkerboard(d))
         for X in (D3, D4):
             cols = enumerate_colorings(d, X)
             for _ in range(10):
-                psi = [rng.randrange(-5, 6) for _ in range(X.n)]
+                # the plus weight of a coboundary is the eps-psi sum
+                phi = coboundary_of(X, [rng.randrange(-5, 6) for _ in range(X.n)], "plus")
                 for rho in cols:
-                    assert eps_psi_zero_sum(d, rho, psi, sg, ar) == 0
+                    assert contribution(d, rho, phi, "plus", sg) == 0
 
 
 def test_arc_endpoint_eps_relation():
@@ -302,18 +403,6 @@ def test_theorem_sweep_finds_hopf_witness():
     bad = report.nontrivial()
     assert all(e.diagram == "hopf" for e in bad)
     assert all(e.witnesses for e in bad)
-
-
-def test_theorem_sweep_threads_match_serial(monkeypatch):
-    serial = theorem_sweep([D3], ["trefoil", "hopf"], ZZ, "minus", threads=1)
-    parallel = theorem_sweep([D3], ["trefoil", "hopf"], ZZ, "minus", threads=3)
-    assert serial == parallel
-    monkeypatch.setenv("QUANDLE_KIT_THREADS", "2")
-    from quandlekit.invariants import sweep_threads
-
-    assert sweep_threads() == 2
-    monkeypatch.setenv("QUANDLE_KIT_THREADS", "zap")
-    assert sweep_threads() == 1
 
 
 def test_coboundary_state_sum_is_trivial_both_modes():
