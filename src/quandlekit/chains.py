@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .quandles import QuandleTable, _check_shape
 
 FLAVORS = ("rack", "degenerate", "quandle")
@@ -157,45 +155,54 @@ def _term_fn(op, sign):
     raise ValueError("unknown sign %r" % (sign,))
 
 
-def _column(op, t, sign, target_index, strict):
-    """Accumulated boundary of one generator, expressed in the target basis.
+def _columns(op, domain, codomain, sign, strict):
+    """Boundaries of the domain generators as sparse columns {row: coeff}.
 
-    With ``strict`` the image must be supported on the target basis exactly
-    (the degenerate subcomplex property); otherwise stray tuples are dropped
-    (the quandle quotient).
+    With ``strict`` every image must be supported on the codomain basis
+    exactly (the degenerate subcomplex property); otherwise stray tuples are
+    dropped (the quandle quotient).
     """
-    acc = {}
-    for sgn, u in _term_fn(op, sign)(t):
-        acc[u] = acc.get(u, 0) + sgn
-    col = [0] * len(target_index)
-    for u, c in acc.items():
-        if not c:
-            continue
-        if u in target_index:
-            col[target_index[u]] = c
-        elif strict:
-            raise ArithmeticError(
-                "boundary of %r leaves the degenerate span at %r" % (t, u)
-            )
-    return col
+    index = {t: i for i, t in enumerate(codomain)}
+    terms = _term_fn(op, sign)
+    cols = []
+    for t in domain:
+        acc = {}
+        for sgn, u in terms(t):
+            acc[u] = acc.get(u, 0) + sgn
+        col = {}
+        for u, c in acc.items():
+            if not c:
+                continue
+            i = index.get(u)
+            if i is not None:
+                col[i] = c
+            elif strict:
+                raise ArithmeticError(
+                    "boundary of %r leaves the degenerate span at %r" % (t, u)
+                )
+        cols.append(col)
+    return cols
 
 
-def boundary_matrix(X, n, sign, flavor="rack"):
-    """Matrix of the degree-n boundary in the chosen flavor and sign."""
+def boundary_columns(X, n, sign, flavor="rack"):
+    """Degree-n boundary as (domain, codomain, sparse columns {row: coeff})."""
     if n < 1:
         raise ValueError("boundary needs degree >= 1")
     if sign not in SIGNS:
         raise ValueError("unknown sign %r" % (sign,))
     domain = tuple(tuple_basis(X, n, flavor))
     codomain = tuple(tuple_basis(X, n - 1, flavor))
-    target_index = {t: i for i, t in enumerate(codomain)}
+    cols = _columns(X.op, domain, codomain, sign, strict=(flavor == "degenerate"))
+    return domain, codomain, cols
+
+
+def boundary_matrix(X, n, sign, flavor="rack"):
+    """Matrix of the degree-n boundary in the chosen flavor and sign."""
+    domain, codomain, cols = boundary_columns(X, n, sign, flavor)
     rows = [[0] * len(domain) for _ in codomain]
-    if n > 1:
-        for j, t in enumerate(domain):
-            col = _column(X.op, t, sign, target_index, strict=(flavor == "degenerate"))
-            for i, c in enumerate(col):
-                if c:
-                    rows[i][j] = c
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            rows[i][j] = c
     return BoundaryMatrix(
         n=n,
         sign=sign,
@@ -228,17 +235,17 @@ class ComplexReport:
         return self.failures[0] if self.failures else None
 
 
-def _raw_matrix(op, size, n, which):
-    basis_from = [t for t in product(range(size), repeat=n)]
-    basis_to = [t for t in product(range(size), repeat=n - 1)] if n > 1 else []
-    index = {t: i for i, t in enumerate(basis_to)}
-    m = np.zeros((len(basis_to), len(basis_from)), dtype=np.int64)
-    fn = _d1_terms if which == "d1" else (lambda t: _d2_terms(op, t))
-    if n > 1:
-        for j, t in enumerate(basis_from):
-            for sgn, u in fn(t):
-                m[index[u], j] += sgn
-    return m, basis_from
+def _first_nonzero_column(pairs, ncols):
+    """First column j where the sum of a o b over (a, b) in pairs is nonzero."""
+    for j in range(ncols):
+        acc = {}
+        for a, b in pairs:
+            for i, c in b[j].items():
+                for k, x in a[i].items():
+                    acc[k] = acc.get(k, 0) + c * x
+        if any(acc.values()):
+            return j
+    return None
 
 
 def verify_complex_identities(X, max_degree=4):
@@ -261,30 +268,29 @@ def verify_complex_identities(X, max_degree=4):
     def op(a, b):
         return table[a][b]
 
-    d1 = {}
-    d2 = {}
-    bases = {}
+    bases = {0: ()}
+    maps = {}
     for n in range(1, max_degree + 1):
-        d1[n], bases[n] = _raw_matrix(op, size, n, "d1")
-        d2[n], _ = _raw_matrix(op, size, n, "d2")
+        bases[n] = tuple(tuple_basis(size, n, "rack"))
+        for sign in SIGNS:
+            maps[sign, n] = _columns(op, bases[n], bases[n - 1], sign, strict=False)
 
     checked = []
     failures = []
-
-    def record(name, degree, prod, basis):
-        checked.append((name, degree))
-        if prod.size and prod.any():
-            j = int(np.nonzero(prod.any(axis=0))[0][0])
-            failures.append(IdentityFailure(name, degree, basis[j]))
-
+    identities = (
+        ("d1.d1", (("d1", "d1"),)),
+        ("d2.d2", (("d2", "d2"),)),
+        ("d1.d2+d2.d1", (("d1", "d2"), ("d2", "d1"))),
+        ("minus.minus", (("minus", "minus"),)),
+        ("plus.plus", (("plus", "plus"),)),
+    )
     for n in range(2, max_degree + 1):
-        basis = bases[n]
-        a, b = d1[n - 1], d2[n - 1]
-        record("d1.d1", n, a @ d1[n], basis)
-        record("d2.d2", n, b @ d2[n], basis)
-        record("d1.d2+d2.d1", n, a @ d2[n] + b @ d1[n], basis)
-        record("minus.minus", n, (a - b) @ (d1[n] - d2[n]), basis)
-        record("plus.plus", n, (a + b) @ (d1[n] + d2[n]), basis)
+        for name, terms in identities:
+            checked.append((name, n))
+            pairs = [(maps[a, n - 1], maps[b, n]) for a, b in terms]
+            j = _first_nonzero_column(pairs, len(bases[n]))
+            if j is not None:
+                failures.append(IdentityFailure(name, n, bases[n][j]))
 
     for n in range(2, max_degree + 1):
         checked.append(("degenerate-closure", n))

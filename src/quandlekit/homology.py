@@ -1,8 +1,10 @@
 """(Co)homology of the tuple complexes over Z, Q, and Z/m, plus 2-cochain tools.
 
-Everything is exact: integer Smith normal form underneath, with Z/m groups
-computed from an integer presentation (kernel lattice modulo boundary
-lattice) rather than by linear algebra over the modular ring.
+Everything is exact.  The chain groups are free of finite rank, so every
+group follows from the ranks and elementary divisors of two boundary maps:
+H_n = Z^(c_n - r_n - r_{n+1}) plus the torsion of d_{n+1}, and the
+universal coefficient theorem gives H^n and the Q and Z/m groups from the
+same numbers.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .chains import FLAVORS, boundary_matrix, tuple_basis
+from .chains import FLAVORS, boundary_columns, tuple_basis
 from .quandles import QuandleTable
 
 
@@ -114,71 +116,19 @@ class AbelianGroupDescriptor:
 TRIVIAL_GROUP = AbelianGroupDescriptor(0, ())
 
 
-def _presented_group(nrows, rel_cols):
-    """Z^nrows modulo the lattice spanned by the given relation columns."""
-    if nrows == 0:
-        return TRIVIAL_GROUP
-    if not rel_cols:
-        return AbelianGroupDescriptor(nrows, ())
-    rel = [[col[i] for col in rel_cols] for i in range(nrows)]
-    res = linalg.smith_normal_form(rel, ncols=len(rel_cols))
-    d = res.diagonal()
-    torsion = tuple(x for x in d[: res.rank] if x > 1)
-    return AbelianGroupDescriptor(nrows - res.rank, torsion)
-
-
-def _columns(mat, ncols):
-    m = len(mat)
-    return [[mat[i][j] for i in range(m)] for j in range(ncols)]
-
-
-def _subquotient(a, b, mid, coeff):
-    """Homology at the middle of  . --b--> Z^mid --a--> .  over coeff.
-
-    ``a`` is the map out of the middle term (any row count, mid columns) and
-    ``b`` the map in (mid rows, any column count).
-    """
-    if mid == 0:
-        return TRIVIAL_GROUP
-    a = [list(r) for r in a]
-    b = [list(r) for r in b]
-    bcols = len(b[0]) if b else 0
-
-    if coeff.kind == "Q":
-        ra = linalg.rank(a, ncols=mid) if a else 0
-        rb = linalg.rank(b, ncols=bcols) if bcols else 0
-        return AbelianGroupDescriptor(mid - ra - rb, ())
-
-    if coeff.kind == "Z":
-        kernel = linalg.kernel_basis(a, ncols=mid) if a else _columns(linalg.identity(mid), mid)
-        k = len(kernel)
-        if k == 0:
-            return TRIVIAL_GROUP
-        if bcols == 0:
-            return AbelianGroupDescriptor(k, ())
-        kmat = [[kernel[j][i] for j in range(k)] for i in range(mid)]
-        y = linalg.solve_matrix(kmat, b, ncols=k)
-        if y is None:
-            raise ArithmeticError("boundaries do not lie in the cycle lattice")
-        return _presented_group(k, _columns(y, bcols))
-
-    m = coeff.modulus
-    if a:
-        ext = [list(a[i]) + [m * (j == i) for j in range(len(a))] for i in range(len(a))]
-        lifted = linalg.kernel_basis(ext, ncols=mid + len(a))
-        kernel = [col[:mid] for col in lifted]
-    else:
-        kernel = _columns(linalg.identity(mid), mid)
-    if len(kernel) != mid:
-        raise ArithmeticError("mod-m cycle lattice has unexpected rank")
-    kmat = [[kernel[j][i] for j in range(mid)] for i in range(mid)]
-    rel = [list(b[i]) if bcols else [] for i in range(mid)]
-    for i in range(mid):
-        rel[i].extend(m * (j == i) for j in range(mid))
-    y = linalg.solve_matrix(kmat, rel, ncols=mid)
-    if y is None:
-        raise ArithmeticError("boundaries do not lie in the mod-m cycle lattice")
-    return _presented_group(mid, _columns(y, bcols + mid))
+def _invariant_factors(orders):
+    """Invariant factors (ascending, all > 1) of the sum of Z/k over orders."""
+    powers = {}
+    for k in orders:
+        for p, e in _factor(k).items():
+            powers.setdefault(p, []).append(p ** e)
+    factors = []
+    for qs in powers.values():
+        qs.sort(reverse=True)
+        factors.extend([1] * (len(qs) - len(factors)))
+        for i, q in enumerate(qs):
+            factors[i] *= q
+    return tuple(reversed(factors))
 
 
 def _check_args(flavor, sign, n, coeff):
@@ -192,27 +142,38 @@ def _check_args(flavor, sign, n, coeff):
         raise TypeError("coeff must be a CoefficientGroup")
 
 
-def homology_group(X, flavor, sign, n, coeff):
-    """H_n of the chosen complex with the chosen coefficients."""
+def _group(X, flavor, sign, n, coeff, cohomology):
+    """H^n (cohomology) or H_n over coeff, from the divisors of d_n and d_{n+1}.
+
+    Over Z the torsion is that of d_{n+1} for H_n and of d_n for H^n.  Over
+    Z/m each divisor d of either map adds Z/gcd(d, m) to (Z/m)^free, in
+    homology and cohomology alike.
+    """
     _check_args(flavor, sign, n, coeff)
     if n <= 0:
         return TRIVIAL_GROUP
-    out = boundary_matrix(X, n, sign, flavor)
-    into = boundary_matrix(X, n + 1, sign, flavor)
-    return _subquotient(out.matrix, into.matrix, len(out.domain), coeff)
+    domain, _, cols = boundary_columns(X, n, sign, flavor)
+    r_n, div_n = linalg.elementary_divisors(cols)
+    r_next, div_next = linalg.elementary_divisors(boundary_columns(X, n + 1, sign, flavor)[2])
+    free = len(domain) - r_n - r_next
+    if coeff.kind == "Q":
+        return AbelianGroupDescriptor(free, ())
+    if coeff.kind == "Z":
+        torsion = div_n if cohomology else div_next
+        return AbelianGroupDescriptor(free, tuple(d for d in torsion if d > 1))
+    m = coeff.modulus
+    orders = [m] * free + [math.gcd(d, m) for d in div_n + div_next]
+    return AbelianGroupDescriptor(0, _invariant_factors(orders))
+
+
+def homology_group(X, flavor, sign, n, coeff):
+    """H_n of the chosen complex with the chosen coefficients."""
+    return _group(X, flavor, sign, n, coeff, cohomology=False)
 
 
 def cohomology_group(X, flavor, sign, n, coeff):
-    """H^n, computed directly from transposed boundary matrices."""
-    _check_args(flavor, sign, n, coeff)
-    if n <= 0:
-        return TRIVIAL_GROUP
-    into = boundary_matrix(X, n, sign, flavor)  # its transpose maps into degree n
-    out = boundary_matrix(X, n + 1, sign, flavor)  # its transpose maps out
-    mid = len(out.codomain)
-    a = linalg.transpose([list(r) for r in out.matrix], ncols=len(out.domain))
-    b = linalg.transpose([list(r) for r in into.matrix], ncols=mid)
-    return _subquotient(a, b, mid, coeff)
+    """H^n of the chosen complex with the chosen coefficients."""
+    return _group(X, flavor, sign, n, coeff, cohomology=True)
 
 
 def pair_basis(n):
@@ -336,11 +297,9 @@ class Cochain2:
 
 def _delta2_matrix(X, sign):
     """Matrix of the coboundary C^2 -> C^3 on the off-diagonal pair basis."""
-    bm = boundary_matrix(X, 3, sign, "quandle")
-    return (
-        linalg.transpose([list(r) for r in bm.matrix], ncols=len(bm.domain)),
-        len(bm.codomain),
-    )
+    _, codomain, cols = boundary_columns(X, 3, sign, "quandle")
+    c2 = len(codomain)
+    return [[col.get(i, 0) for i in range(c2)] for col in cols], c2
 
 
 def cocycle_basis(X, sign, coeff=ZZ):
@@ -357,7 +316,7 @@ def cocycle_basis(X, sign, coeff=ZZ):
         cols = linalg.kernel_basis(delta2, ncols=c2)
         return [Cochain2.from_vector(X.n, v, coeff) for v in cols]
     m = coeff.modulus
-    res = linalg.smith_normal_form(delta2, ncols=c2)
+    res = linalg._smith(delta2, c2, track_u=False, track_v=True)
     out = []
     for j in range(c2):
         if j < res.rank:

@@ -3,7 +3,8 @@
 Matrices are plain lists of lists of Python ints, so nothing here ever
 rounds.  Zero-row and zero-column matrices come up constantly as boundary
 maps in or out of an empty chain group; pass ``ncols`` explicitly whenever
-a matrix has no rows to pin down its width.
+a matrix has no rows to pin down its width.  ``elementary_divisors`` also
+takes sparse rows (dicts of nonzero entries).
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ def zeros(m, n):
     return [[0] * n for _ in range(m)]
 
 
-def transpose(mat, ncols=None):
-    m, n = shape_of(mat, ncols)
-    return [[mat[i][j] for i in range(m)] for j in range(n)]
-
-
 def matmul(a, b, bcols=None):
     m = len(a)
     if m == 0:
@@ -73,7 +69,10 @@ def mat_vec(a, v):
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U * M * V == S with U, V unimodular and S in Smith normal form."""
+    """U * M * V == S with U, V unimodular and S in Smith normal form.
+
+    A transform that was not tracked is None.
+    """
 
     U: list
     S: list
@@ -81,9 +80,7 @@ class SNFResult:
     rank: int
 
     def diagonal(self):
-        m = len(self.S)
-        n = len(self.S[0]) if m else len(self.V)
-        return [self.S[i][i] for i in range(min(m, n))]
+        return [row[i] for i, row in enumerate(self.S) if i < len(row)]
 
 
 def _min_abs_entry(s, t, m, n):
@@ -102,21 +99,23 @@ def _min_abs_entry(s, t, m, n):
 
 
 def _row_add(s, u, i, k, c):
-    # row i += c * row k, mirrored on U
+    # row i += c * row k, mirrored on U when U is tracked
     si, sk = s[i], s[k]
     for j in range(len(si)):
         si[j] += c * sk[j]
-    ui, uk = u[i], u[k]
-    for j in range(len(ui)):
-        ui[j] += c * uk[j]
+    if u is not None:
+        ui, uk = u[i], u[k]
+        for j in range(len(ui)):
+            ui[j] += c * uk[j]
 
 
 def _col_add(s, v, j, k, c):
-    # col j += c * col k, mirrored on V
+    # col j += c * col k, mirrored on V when V is tracked
     for row in s:
         row[j] += c * row[k]
-    for row in v:
-        row[j] += c * row[k]
+    if v is not None:
+        for row in v:
+            row[j] += c * row[k]
 
 
 def _extended_gcd(a, b):
@@ -138,22 +137,23 @@ def _bezout_pair(s, u, v, i, j):
     g, x, y = _extended_gcd(a, b)
     p, q = -b // g, a // g
     # column pair transform with det x*q - p*y == 1
-    for row in s:
-        ci, cj = row[i], row[j]
-        row[i] = x * ci + y * cj
-        row[j] = p * ci + q * cj
-    for row in v:
+    for row in s if v is None else s + v:
         ci, cj = row[i], row[j]
         row[i] = x * ci + y * cj
         row[j] = p * ci + q * cj
     _row_add(s, u, j, i, -(y * b) // g)
 
 
-def smith_normal_form(mat, ncols=None):
+def _smith(mat, ncols, track_u, track_v):
+    """Smith normal form, accumulating only the transforms asked for.
+
+    U and V are None when not tracked; the pivot sequence, and so S and any
+    tracked transform, is the same either way.
+    """
     m, n = shape_of(mat, ncols)
     s = [[int(x) for x in row] for row in mat]
-    u = identity(m)
-    v = identity(n)
+    u = identity(m) if track_u else None
+    v = identity(n) if track_v else None
 
     t = 0
     while t < min(m, n):
@@ -163,17 +163,15 @@ def smith_normal_form(mat, ncols=None):
         pi, pj = piv
         if pi != t:
             s[t], s[pi] = s[pi], s[t]
-            u[t], u[pi] = u[pi], u[t]
+            if u is not None:
+                u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for row in s:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
+            for row in s if v is None else s + v:
                 row[t], row[pj] = row[pj], row[t]
         if s[t][t] < 0:
-            for j in range(n):
-                s[t][j] = -s[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
+            s[t] = [-x for x in s[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
         p = s[t][t]
         clean = True
         for i in range(m):
@@ -195,8 +193,12 @@ def smith_normal_form(mat, ncols=None):
         for j in range(i + 1, r):
             if s[j][j] % s[i][i]:
                 _bezout_pair(s, u, v, i, j)
+    return SNFResult(U=u, S=s, V=v, rank=r)
 
-    result = SNFResult(U=u, S=s, V=v, rank=r)
+
+def smith_normal_form(mat, ncols=None):
+    m, n = shape_of(mat, ncols)
+    result = _smith(mat, ncols, True, True)
     if VERIFY_SNF:
         _verify_snf(mat, result, m, n)
     return result
@@ -221,9 +223,67 @@ def _verify_snf(mat, res, m, n):
                 raise AssertionError("SNF result is not diagonal")
 
 
-def rank(mat, ncols=None):
-    """Rank over the rationals (equals the count of nonzero SNF entries)."""
-    return smith_normal_form(mat, ncols).rank
+def elementary_divisors(mat):
+    """Rank and nonzero invariant factors of an integer matrix; no transforms.
+
+    ``mat`` is a sequence of rows, each a sequence of ints or a dict from
+    column index to entry.  A matrix and its transpose share their divisors,
+    so sparse columns may be passed as rows.  Pivots of +-1 are eliminated
+    sparsely, shortest row first and within a row on the column with the
+    fewest nonzeros, until none is left; a Smith normal form of the small
+    dense remainder, tracking no transforms, supplies the other factors.
+    """
+    rows = {}
+    for i, row in enumerate(mat):
+        entries = row.items() if isinstance(row, dict) else enumerate(row)
+        rows[i] = {j: x for j, x in entries if x}
+    holders = {}  # column -> rows with a nonzero in it
+    for i, row in rows.items():
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+
+    units = 0
+    progress = True
+    while progress:
+        progress = False
+        for i in sorted(rows, key=lambda i: len(rows[i])):
+            row = rows[i]
+            if not row:
+                del rows[i]
+                continue
+            pivots = [j for j, x in row.items() if x == 1 or x == -1]
+            if not pivots:
+                continue
+            j = min(pivots, key=lambda c: len(holders[c]))
+            del rows[i]
+            for c in row:
+                holders[c].discard(i)
+            p = row.pop(j)
+            for k in holders.pop(j):
+                other = rows[k]
+                f = other.pop(j) * p  # p is its own inverse
+                for c, x in row.items():
+                    y = other.get(c, 0) - f * x
+                    if y:
+                        if c not in other:
+                            holders[c].add(k)
+                        other[c] = y
+                    else:
+                        del other[c]
+                        holders[c].discard(k)
+            units += 1
+            progress = True
+
+    left = [row for row in rows.values() if row]
+    cols = sorted({j for row in left for j in row})
+    where = {j: c for c, j in enumerate(cols)}
+    dense = [[0] * len(cols) for _ in left]
+    for d, row in zip(dense, left):
+        for j, x in row.items():
+            d[where[j]] = x
+    rest = _smith(dense, len(cols), False, False)
+    factors = (1,) * units + tuple(rest.S[i][i] for i in range(rest.rank))
+    return len(factors), factors
 
 
 def column_lattice_basis(mat, ncols=None):
@@ -266,39 +326,5 @@ def kernel_basis(mat, ncols=None):
     ``rank`` columns equal to U^-1 * S columns and the rest zero.
     """
     m, n = shape_of(mat, ncols)
-    res = smith_normal_form(mat, ncols)
+    res = _smith(mat, ncols, track_u=False, track_v=True)
     return [[res.V[i][j] for i in range(n)] for j in range(res.rank, n)]
-
-
-def solve_matrix(a, b, ncols=None, snf=None):
-    """Solve A*X == B over the integers; None when no exact solution exists.
-
-    Pass a precomputed ``snf`` of A to amortize repeated solves.
-    """
-    m, n = shape_of(a, ncols)
-    if len(b) != m:
-        raise ValueError("right hand side has the wrong height")
-    k = len(b[0]) if m and b else (len(b[0]) if b else 0)
-    if m == 0:
-        # every X works; pick zero, but width of B is unknowable from []
-        raise ValueError("solve_matrix needs at least one row; height-0 systems are vacuous")
-    res = snf or smith_normal_form(a, ncols)
-    c = matmul(res.U, b, bcols=k)
-    x = zeros(n, k)
-    for col in range(k):
-        y = [0] * n
-        for i in range(m):
-            ci = c[i][col]
-            if i < res.rank:
-                d = res.S[i][i]
-                if ci % d:
-                    return None
-                if i < n:
-                    y[i] = ci // d
-            elif ci:
-                return None
-        xi = mat_vec(res.V, y)
-        for row in range(n):
-            x[row][col] = xi[row]
-    return x
-

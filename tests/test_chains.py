@@ -138,6 +138,12 @@ def test_non_quandle_table_fails_some_identity():
     assert not chain_report.ok
     bad = chain_report.first_failure()
     assert bad is not None and len(bad.witness) == bad.degree
+    # the first failing column of each composed boundary, in identity order
+    assert [(f.identity, f.degree, f.witness) for f in chain_report.failures] == [
+        ("d2.d2", 3, (0, 1, 0)),
+        ("minus.minus", 3, (0, 1, 0)),
+        ("plus.plus", 3, (0, 1, 0)),
+    ]
 
 
 def test_boundary_matrix_rejects_bad_arguments():

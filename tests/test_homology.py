@@ -5,9 +5,10 @@ from __future__ import annotations
 import itertools
 import math
 
+import lattice_oracle
 import pytest
+from lattice_oracle import solve_matrix, transpose
 
-from quandlekit import linalg
 from quandlekit.chains import boundary_matrix
 from quandlekit.homology import (
     QQ,
@@ -87,7 +88,7 @@ def test_t2_minus_cocycles_are_all_off_diagonal_tables():
     mat = [c.vector() for c in basis]
     for a, b in ((0, 1), (1, 0)):
         target = Cochain2.indicator(2, a, b).vector()
-        assert linalg.solve_matrix(linalg.transpose(mat, ncols=2), [[v] for v in target]) is not None
+        assert solve_matrix(transpose(mat, ncols=2), [[v] for v in target]) is not None
 
 
 def test_t2_plus_cocycles_are_antisymmetric():
@@ -126,9 +127,9 @@ def test_coboundaries_lie_in_the_cocycle_lattice():
                 for phi in coboundary_basis(q, sign, ZZ):
                     assert not any(any(row) for row in phi.values)
                 continue
-            span = linalg.transpose([c.vector() for c in cocycles], ncols=len(pair_basis(q.n)))
+            span = transpose([c.vector() for c in cocycles], ncols=len(pair_basis(q.n)))
             for phi in coboundary_basis(q, sign, ZZ):
-                assert linalg.solve_matrix(span, [[v] for v in phi.vector()]) is not None
+                assert solve_matrix(span, [[v] for v in phi.vector()]) is not None
 
 
 def test_coboundary_formulas():
@@ -315,3 +316,44 @@ def test_cohomology_matches_homology_rank_over_q():
                     hn = homology_group(q, flavor, sign, n, QQ).free_rank
                     hn_co = cohomology_group(q, flavor, sign, n, QQ).free_rank
                     assert hn == hn_co
+
+
+ORACLE_COEFFS = (ZZ, QQ, Zm(2), Zm(3), Zm(4), Zm(6))
+
+
+def test_groups_match_the_lattice_oracle():
+    cases = [(q, 3) for k in (1, 2, 3) for q in enumerate_quandles(k, dedupe_iso=True)]
+    cases += [(q, 2) for q in enumerate_quandles(4, dedupe_iso=True)]
+    for q, top in cases:
+        for flavor in ("rack", "degenerate", "quandle"):
+            for sign in ("minus", "plus"):
+                for n in range(1, top + 1):
+                    d_n = boundary_matrix(q, n, sign, flavor)
+                    d_next = boundary_matrix(q, n + 1, sign, flavor)
+                    for coeff in ORACLE_COEFFS:
+                        case = (q.table, flavor, sign, n, str(coeff))
+                        want = lattice_oracle.homology_group(d_n, d_next, coeff)
+                        assert homology_group(q, flavor, sign, n, coeff) == want, case
+                        want = lattice_oracle.cohomology_group(d_n, d_next, coeff)
+                        assert cohomology_group(q, flavor, sign, n, coeff) == want, case
+
+
+def test_r5_groups_do_not_depend_on_the_labelling():
+    r5 = dihedral_quandle(5)
+    moved = r5.relabeled((3, 0, 4, 1, 2))
+    for flavor in ("rack", "degenerate", "quandle"):
+        for sign in ("minus", "plus"):
+            for group in (homology_group, cohomology_group):
+                assert group(moved, flavor, sign, 3, ZZ) == group(r5, flavor, sign, 3, ZZ)
+
+
+def test_known_third_cohomology_values():
+    # Mochizuki, JPAA 179 (2003): H^3_Q(R_p; Z_p) = Z_p for p = 3, 5
+    for p in (3, 5):
+        got = cohomology_group(dihedral_quandle(p), "quandle", "minus", 3, Zm(p))
+        assert got == AbelianGroupDescriptor(0, (p,))
+    # regression values of the lattice computation this replaced
+    r6, r7 = dihedral_quandle(6), dihedral_quandle(7)
+    assert cohomology_group(r6, "rack", "minus", 3, ZZ) == AbelianGroupDescriptor(8, ())
+    assert cohomology_group(r6, "quandle", "plus", 3, ZZ) == AbelianGroupDescriptor(0, (3, 6))
+    assert cohomology_group(r7, "rack", "minus", 3, ZZ) == AbelianGroupDescriptor(1, ())

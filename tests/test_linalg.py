@@ -6,16 +6,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_oracle import rank, solve_matrix, transpose
 from quandlekit import linalg
 from quandlekit.linalg import (
+    elementary_divisors,
     identity,
     kernel_basis,
     mat_vec,
     matmul,
-    rank,
     smith_normal_form,
-    solve_matrix,
-    transpose,
     zeros,
 )
 
@@ -61,6 +60,42 @@ def test_snf_transform_and_divisibility(mat):
     assert all(d[i] == 0 for i in range(res.rank, len(d)))
     # sympy as an independent authority on rank and invariant factors
     assert res.rank == sympy.Matrix(mat).rank()
+    # skipping U keeps the pivot sequence, so S and V are unchanged
+    lean = linalg._smith(mat, None, track_u=False, track_v=True)
+    assert (lean.U, lean.S, lean.V) == (None, res.S, res.V)
+
+
+entry_kinds = (
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from([0, 2, -2, 3, -3, 4, 6, -6, 9, 10, -15]),  # no unit pivot anywhere
+    st.integers(min_value=-(10 ** 30), max_value=10 ** 30),
+)
+any_shape = st.tuples(st.sampled_from(entry_kinds), st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda kmn: st.tuples(
+        st.just(kmn[2]),
+        st.lists(st.lists(kmn[0], min_size=kmn[2], max_size=kmn[2]), min_size=kmn[1], max_size=kmn[1]),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_shape)
+def test_elementary_divisors_match_the_snf_diagonal(shaped):
+    ncols, mat = shaped
+    res = smith_normal_form(mat, ncols=ncols)
+    want = (res.rank, tuple(res.diagonal()[: res.rank]))
+    assert elementary_divisors(mat) == want
+    # sparse rows, and the transpose given as sparse columns, agree
+    assert elementary_divisors([{j: x for j, x in enumerate(r) if x} for r in mat]) == want
+    cols = [{i: r[j] for i, r in enumerate(mat) if r[j]} for j in range(ncols)]
+    assert elementary_divisors(cols) == want
+
+
+def test_elementary_divisors_of_small_examples():
+    assert elementary_divisors([]) == (0, ())
+    assert elementary_divisors([[0, 0], [0, 0]]) == (0, ())
+    assert elementary_divisors([[2, 4], [6, 8]]) == (2, (2, 4))
+    assert elementary_divisors([{5: 1, 9: 1}, {5: 1, 9: -1}]) == (2, (1, 2))
 
 
 @settings(max_examples=80, deadline=None)
