@@ -202,7 +202,10 @@ def cmd_invariant(args):
     if phi.n != X.n:
         raise ValueError("cocycle is for order %d, quandle has order %d" % (phi.n, X.n))
     mode = MODE_OF[args.mode]
-    table = coloring_table(DiagramEngine(d, outer_face=args.outer_face), X)
+    engine = DiagramEngine(d, outer_face=args.outer_face)
+    if args.outer_face is not None:
+        engine.crossing_signs  # a face out of range fails here, before the search
+    table = coloring_table(engine, X)
     value = GroupRingValue.from_values(phi.coeff, table.weights(phi, mode))
     if not phi.is_cocycle(X, mode):
         _note("warning: the cochain is not a %s-cocycle; the sum is not an invariant" % args.mode)
@@ -217,7 +220,10 @@ def cmd_invariant(args):
             "trivial": is_trivial(value),
         }
     )
-    _note("%d colorings, %s" % (value.total, "trivial" if is_trivial(value) else "nontrivial"))
+    _note(
+        "%d colorings, %s; search: %d branch arcs, %d nodes"
+        % (value.total, "trivial" if is_trivial(value) else "nontrivial", table.branches, table.nodes)
+    )
     return EXIT_OK
 
 

@@ -10,10 +10,20 @@ eps in plus mode, and the invariant is the multiset of weights.
 State sums, sweeps, the lemma scans and the CLI share one engine:
 DiagramEngine and coloring_table().  ``contribution``, ``is_valid_coloring``
 and ``act_coloring`` work one coloring at a time as the tests' oracles.
+
+Which arcs a crossing can decide depends only on which arcs are already
+colored, so each DiagramEngine compiles its colorings' search plan once:
+levels of a branch arc followed by the forward steps, backward steps and
+checks its color makes decidable.  The branch arc is the most constrained
+one (an over-arc whose crossing has a colored under-end, then an under-end
+whose crossing has a colored over-arc, then the lowest uncolored arc), and
+coloring_table() only runs table lookups along the plan.  A search costs
+about n^branches leaves times the crossings for a quandle of order n.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,11 +69,16 @@ def is_valid_coloring(d, X, rho):
     return True
 
 
-class DiagramEngine:
-    """A diagram's crossing roles, arc -> crossing touch lists and signs, once.
+# Step kinds of a coloring schedule; each step is (kind, x, over, y).
+FORWARD, BACKWARD, CHECK = 0, 1, 2
 
-    The signs need the faces, which a disconnected code lacks, so they wait
-    for first use; ``outer_face`` picks the shading's white outer face.
+
+class DiagramEngine:
+    """A diagram's crossing roles, coloring schedule and signs, once.
+
+    The shading signs need the faces, which a disconnected code lacks, so
+    they wait for first use in plus mode; ``outer_face`` picks the shading's
+    white outer face.  Minus mode reads the writhe signs off the roles.
     """
 
     def __init__(self, d, outer_face=None):
@@ -72,14 +87,75 @@ class DiagramEngine:
         self.outer_face = outer_face
         self.arc_count = len(ar)
         self.roles = crossing_roles(d, ar)
-        self.touch = [[] for _ in range(len(ar))]
-        for i, (src, over, tgt, _) in enumerate(self.roles):
-            for arc in {src, over, tgt}:
-                self.touch[arc].append(i)
 
     @cached_property
     def crossing_signs(self):
         return signs(self.diagram, checkerboard(self.diagram, self.outer_face))
+
+    @cached_property
+    def schedule(self):
+        """The coloring search plan: levels of (branch arc, steps), built
+        from the roles alone.
+
+        Coloring a level's branch arc makes its steps decidable, in order:
+        (FORWARD, src, over, tgt) colors tgt = src * over, (BACKWARD, tgt,
+        over, src) colors src from tgt and over, and (CHECK, src, over, tgt)
+        tests src * over == tgt.  Every crossing is one step of one level.
+        Branch candidates (the module docstring gives the rule) wait in
+        first-in first-out queues and are dropped lazily once colored, so
+        compiling is linear in crossings plus arcs.
+        """
+        roles, k = self.roles, self.arc_count
+        touch = [[] for _ in range(k)]
+        for i, (src, over, tgt, _) in enumerate(roles):
+            for arc in {src, over, tgt}:
+                touch[arc].append(i)
+        known = [False] * k
+        placed = [False] * len(roles)
+        overs, unders = deque(), deque()
+        levels = []
+        lowest = 0
+        while True:
+            for pending in (overs, unders):
+                while pending and known[pending[0]]:
+                    pending.popleft()
+                if pending:
+                    branch = pending.popleft()
+                    break
+            else:
+                while lowest < k and known[lowest]:
+                    lowest += 1
+                if lowest == k:
+                    return tuple(levels)
+                branch = lowest
+            known[branch] = True
+            steps = []
+            reached = [branch]
+            for arc in reached:
+                for i in touch[arc]:
+                    if placed[i]:
+                        continue
+                    src, over, tgt, _ = roles[i]
+                    if not known[over]:
+                        if known[src] or known[tgt]:
+                            overs.append(over)
+                        continue
+                    if known[src]:
+                        if known[tgt]:
+                            steps.append((CHECK, src, over, tgt))
+                        else:
+                            steps.append((FORWARD, src, over, tgt))
+                            known[tgt] = True
+                            reached.append(tgt)
+                    elif known[tgt]:
+                        steps.append((BACKWARD, tgt, over, src))
+                        known[src] = True
+                        reached.append(src)
+                    else:
+                        unders.append(src)
+                        continue
+                    placed[i] = True
+            levels.append((branch, tuple(steps)))
 
 
 class ColoringTable:
@@ -90,10 +166,12 @@ class ColoringTable:
     per mode; each cocycle then costs one exact dot product per coloring.
     """
 
-    def __init__(self, engine, X, colorings):
+    def __init__(self, engine, X, colorings, nodes):
         self.engine = engine
         self.X = X
         self.colorings = colorings  # sorted tuples of arc colors
+        self.branches = len(engine.schedule)  # arcs the search branched on
+        self.nodes = nodes  # branch values tried
         self._pair_counts = {}
 
     def pair_counts(self, mode):
@@ -101,12 +179,16 @@ class ColoringTable:
         if mode not in MODES:
             raise ValueError("mode must be 'minus' or 'plus'")
         if mode not in self._pair_counts:
-            sg = self.engine.crossing_signs
-            crossings = list(zip(sg.w if mode == "minus" else sg.eps, self.engine.roles))
+            roles = self.engine.roles
+            if mode == "minus":
+                crossings = [(w, src, over) for src, over, _, w in roles]
+            else:
+                eps = self.engine.crossing_signs.eps
+                crossings = [(s, src, over) for s, (src, over, _, _) in zip(eps, roles)]
             rows = []
             for rho in self.colorings:
                 counts = {}
-                for s, (src, over, _, _) in crossings:
+                for s, src, over in crossings:
                     key = (rho[src], rho[over])
                     counts[key] = counts.get(key, 0) + s
                 rows.append(tuple(counts.items()))
@@ -132,56 +214,46 @@ class ColoringTable:
 def coloring_table(engine, X):
     """All colorings of the engine's diagram by X, sorted.
 
-    Backtracking with constraint propagation: branch on the first uncolored
-    arc, then color every arc a crossing with a colored over-arc forces.
-    An explicit stack keeps many-arc searches off the recursion limit.
+    An iterative depth-first search over the engine's schedule: each level
+    tries every element on its branch arc and runs the level's steps as
+    plain table lookups, stopping at the first failed check.  A level only
+    reads arcs colored at or before it, so nothing is ever uncolored.  The
+    cost is about n^branches leaves times the crossings, where n is the
+    order of X and branches the schedule's length; a T(2, m) code compiles
+    to two branch arcs whatever m is.
     """
-    k, roles, touch = engine.arc_count, engine.roles, engine.touch
-    op, inv, n = X.table, X.dual_table, X.n
-    colors = [None] * k
+    levels = engine.schedule
+    op, n = X.table, X.n
+    tables = (op, X.dual_table)  # indexed by FORWARD and BACKWARD
+    colors = [0] * engine.arc_count
     found = []
-
-    def propagate(queue, trail):
-        while queue:
-            src, over, tgt, _ = roles[queue.pop()]
-            cs, co, ct = colors[src], colors[over], colors[tgt]
-            if co is None:
-                continue
-            if cs is not None:
-                v = op[cs][co]
-                if ct is None:
-                    colors[tgt] = v
-                    trail.append(tgt)
-                    queue.extend(touch[tgt])
-                elif ct != v:
-                    return False
-            elif ct is not None:
-                v = inv[ct][co]
-                colors[src] = v
-                trail.append(src)
-                queue.extend(touch[src])
-        return True
-
-    # Frames [arc, next value, arcs the current value colored]; the arcs
-    # below a frame's arc stay colored in its subtree.
-    stack = [[0, 0, ()]]
-    while stack:
-        frame = stack[-1]
-        arc, val, trail = frame
-        for a in trail:
-            colors[a] = None
-        if arc == k:
+    top = len(levels)
+    tried = [0] * top
+    depth = nodes = 0
+    while depth >= 0:
+        if depth == top:
             found.append(tuple(colors))
-            stack.pop()
-        elif val == n:
-            stack.pop()
+            depth -= 1
+            continue
+        v = tried[depth]
+        if v == n:
+            tried[depth] = 0
+            depth -= 1
+            continue
+        tried[depth] = v + 1
+        nodes += 1
+        arc, steps = levels[depth]
+        colors[arc] = v
+        for kind, x, o, y in steps:
+            if kind == CHECK:
+                if op[colors[x]][colors[o]] != colors[y]:
+                    break
+            else:
+                colors[y] = tables[kind][colors[x]][colors[o]]
         else:
-            colors[arc] = val
-            frame[1], frame[2] = val + 1, [arc]
-            if propagate(list(touch[arc]), frame[2]):
-                stack.append([next((i for i in range(arc + 1, k) if colors[i] is None), k), 0, ()])
+            depth += 1
     found.sort()
-    return ColoringTable(engine, X, found)
+    return ColoringTable(engine, X, found, nodes)
 
 
 def enumerate_colorings(d, X):

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from braids import pd_text, torus_2
 from quandlekit.cli import main
 
 D3_ROWS = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
@@ -191,12 +192,46 @@ def test_invariant_on_a_many_component_unlink(capsys, tmp_path):
     q.write_text(json.dumps({"n": 1, "table": [[0]]}))
     phi = tmp_path / "zero.json"
     phi.write_text(json.dumps({"coeff": "Z", "values": [[0]]}))
-    rc, doc, _ = run(
+    rc, doc, err = run(
         capsys,
         ["invariant", "-q", str(q), "-k", str(pd), "--mode", "neg", "--cocycle", str(phi)],
     )
     assert rc == 0
     assert doc["colorings"] == 1 and doc["invariant"] == [["0", 1]]
+    assert "1200 branch arcs, 1200 nodes" in err
+
+
+def test_invariant_rejects_a_bad_outer_face_before_the_search(capsys, files, monkeypatch):
+    def search(engine, X):
+        raise AssertionError("the coloring search ran")
+
+    monkeypatch.setattr("quandlekit.cli.coloring_table", search)
+    for mode in ("neg", "pos"):
+        rc, doc, err = run(
+            capsys,
+            ["invariant", "-q", files["t2"], "-k", "hopf", "--mode", mode,
+             "--cocycle", files["ind01"], "--outer-face", "99"],
+        )
+        assert rc == 2 and doc is None
+        assert err == "error: outer face 99 out of range\n"
+
+
+@pytest.mark.parametrize("p,colorings", [(3, 3), (7, 49)])
+def test_invariant_on_torus_knot_1001(capsys, tmp_path, p, colorings):
+    # the determinant of T(2, 1001) is 1001 = 7 * 11 * 13
+    pd = tmp_path / "t2_1001.txt"
+    pd.write_text(pd_text(torus_2(1001)))
+    q = tmp_path / "r.json"
+    q.write_text(json.dumps({"n": p, "table": [[(2 * b - a) % p for b in range(p)] for a in range(p)]}))
+    phi = tmp_path / "zero.json"
+    phi.write_text(json.dumps({"coeff": "Z", "values": [[0] * p for _ in range(p)]}))
+    rc, doc, err = run(
+        capsys,
+        ["invariant", "-q", str(q), "-k", str(pd), "--mode", "neg", "--cocycle", str(phi)],
+    )
+    assert rc == 0
+    assert doc["colorings"] == colorings and doc["invariant"] == [["0", colorings]]
+    assert "; search: 2 branch arcs, %d nodes" % (p + p * p) in err
 
 
 def test_invariant_coeff_mismatch(capsys, files):

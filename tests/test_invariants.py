@@ -8,6 +8,7 @@ import pytest
 
 from quandlekit.diagrams import (
     CORPUS_NAMES,
+    PDStructureError,
     arcs,
     checkerboard,
     faces,
@@ -260,6 +261,25 @@ def test_group_ring_value_doc():
     v = GroupRingValue.from_values(ZZ, [0, -1, 0, -1])
     assert v.to_doc() == [["-1", 2], ["0", 2]]
     assert v.support() == (-1, 0)
+
+
+def test_minus_mode_needs_no_faces():
+    # two trefoils side by side: a split code has no sphere faces, but the
+    # writhe signs, and so the minus state sum, do not need them
+    d = parse_pd(
+        "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] X[7,11,8,10] X[9,7,10,12] X[11,9,12,8]"
+    )
+    phi = Cochain2.indicator(3, 0, 1)
+    roles = crossing_roles(d, arcs(d))
+    table = coloring_table(DiagramEngine(d), D3)
+    assert len(table.colorings) == 81
+    assert table.weights(phi, "minus") == [
+        sum(d.writhe_sign(i) * phi(rho[src], rho[over]) for i, (src, over, _, _) in enumerate(roles))
+        for rho in table.colorings
+    ]
+    assert state_sum(d, D3, phi, "minus").total == 81
+    with pytest.raises(PDStructureError):
+        state_sum(d, D3, phi, "plus")
 
 
 def test_state_sum_mod_m_reduces_weights():

@@ -1,0 +1,156 @@
+"""The compiled coloring schedule, checked against exhaustive scans and
+against link invariance on generated braid closures."""
+
+import itertools
+import random
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from braids import closure_crossings, pd_text, torus_2
+from quandlekit.diagrams import CORPUS_NAMES, named_diagram, parse_pd
+from quandlekit.invariants import (
+    BACKWARD,
+    CHECK,
+    FORWARD,
+    DiagramEngine,
+    coloring_table,
+)
+from quandlekit.quandles import dihedral_quandle, enumerate_quandles, orbits
+
+ORDER_LE_4 = [X for n in range(1, 5) for X in enumerate_quandles(n)]
+R3, R5 = dihedral_quandle(3), dihedral_quandle(5)
+# a labelling of the tetrahedral quandle, the first connected one of order 4
+Q4 = next(X for X in enumerate_quandles(4) if orbits(X).connected)
+
+
+def exhaustive_colorings(engine, X):
+    """Oracle: every arc assignment, kept when each crossing's relation holds."""
+    op = X.table
+    return [
+        combo
+        for combo in itertools.product(range(X.n), repeat=engine.arc_count)
+        if all(op[combo[src]][combo[over]] == combo[tgt] for src, over, tgt, _ in engine.roles)
+    ]
+
+
+def closure_engine(word, strands):
+    return DiagramEngine(parse_pd(pd_text(closure_crossings(word, strands))))
+
+
+@st.composite
+def braid_words(draw, max_strands=4, max_extra=4):
+    """A strand count and a word using every generator at least once."""
+    strands = draw(st.integers(2, max_strands))
+    extra = draw(st.lists(st.integers(1, strands - 1), max_size=max_extra))
+    gens = draw(st.permutations(list(range(1, strands)) + extra))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(gens), max_size=len(gens)))
+    return strands, [g * s for g, s in zip(gens, signs)]
+
+
+def count(engine, X):
+    return len(coloring_table(engine, X).colorings)
+
+
+# --- the schedule's shape ----------------------------------------------------
+
+
+def assert_well_formed(engine):
+    """Each crossing is one step; each arc is colored once, before any read."""
+    colored = set()
+    steps = []
+    for branch, level in engine.schedule:
+        assert branch not in colored
+        colored.add(branch)
+        for kind, x, o, y in level:
+            assert kind in (FORWARD, BACKWARD, CHECK)
+            assert {x, o} <= colored
+            if kind == CHECK:
+                assert y in colored
+            else:
+                assert y not in colored
+                colored.add(y)
+            steps.append((y, o, x) if kind == BACKWARD else (x, o, y))
+    assert colored == set(range(engine.arc_count))
+    assert sorted(steps) == sorted((src, over, tgt) for src, over, tgt, _ in engine.roles)
+
+
+def test_corpus_schedules_are_well_formed():
+    for name in CORPUS_NAMES:
+        assert_well_formed(DiagramEngine(named_diagram(name)))
+
+
+@given(braid_words(max_strands=5, max_extra=12))
+@settings(max_examples=60, deadline=None)
+def test_closure_schedules_are_well_formed(sw):
+    assert_well_formed(closure_engine(sw[1], sw[0]))
+
+
+@given(st.integers(2, 120), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_every_torus_2n_schedule_has_two_branch_arcs(n, rnd):
+    # whatever the edge numbering: one arc and a neighbour force the rest
+    crossings = torus_2(n)
+    perm = list(range(1, 2 * n + 1))
+    rnd.shuffle(perm)
+    relabeled = [tuple(perm[e - 1] for e in t) for t in crossings]
+    for code in (crossings, relabeled):
+        engine = DiagramEngine(parse_pd(pd_text(code)))
+        assert len(engine.schedule) == 2
+        assert_well_formed(engine)
+
+
+def test_crossingless_components_each_take_a_level():
+    engine = DiagramEngine(parse_pd(" ".join("O[%d]" % k for k in range(1, 51))))
+    assert [branch for branch, _ in engine.schedule] == list(range(50))
+    table = coloring_table(engine, ORDER_LE_4[0])
+    assert (len(table.colorings), table.branches, table.nodes) == (1, 50, 50)
+
+
+# --- against the exhaustive scan -----------------------------------------------
+
+
+def test_colorings_match_the_exhaustive_scan_on_the_corpus():
+    for name in CORPUS_NAMES:
+        engine = DiagramEngine(named_diagram(name))
+        for X in ORDER_LE_4:
+            assert coloring_table(engine, X).colorings == exhaustive_colorings(engine, X)
+
+
+@given(braid_words(max_strands=4, max_extra=4), st.sampled_from(ORDER_LE_4))
+@settings(max_examples=80, deadline=None)
+def test_closure_colorings_match_the_exhaustive_scan(sw, X):
+    engine = closure_engine(sw[1], sw[0])
+    assume(engine.arc_count <= 6)
+    assert coloring_table(engine, X).colorings == exhaustive_colorings(engine, X)
+
+
+# --- link invariance -------------------------------------------------------------
+
+
+@given(
+    braid_words(max_strands=4, max_extra=8),
+    st.integers(1, 3),
+    st.sampled_from((1, -1)),
+    st.sampled_from((1, -1)),
+)
+@settings(max_examples=40, deadline=None)
+def test_counts_survive_conjugation_and_stabilization(sw, g, conj_sign, stab_sign):
+    strands, word = sw
+    g = min(g, strands - 1) * conj_sign
+    base = closure_engine(word, strands)
+    conjugated = closure_engine([g] + word + [-g], strands)
+    rotated = closure_engine(word[1:] + word[:1], strands)
+    stabilized = closure_engine(word + [stab_sign * strands], strands + 1)
+    for X in (R3, R5, Q4):
+        want = count(base, X)
+        assert count(conjugated, X) == count(rotated, X) == count(stabilized, X) == want
+
+
+def test_torus_knot_counts_follow_the_determinant():
+    # T(2, n) has determinant n: R_p colors it nontrivially iff p divides n
+    rng = random.Random(7)
+    for n in rng.sample(range(3, 200, 2), 12):
+        engine = DiagramEngine(parse_pd(pd_text(torus_2(n))))
+        for p in (3, 5, 7):
+            assert count(engine, dihedral_quandle(p)) == (p * p if n % p == 0 else p)
