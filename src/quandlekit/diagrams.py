@@ -6,11 +6,17 @@ under-edge ``a`` (so the under-strand runs a -> c and the over-strand joins
 b and d).  ``O[k]`` is a crossingless closed component with the single edge
 id ``k``.  Every X-edge id must occur exactly twice.
 
-From a parsed diagram we derive the orientation of every edge end, the
-component cycles, the arcs (maximal over-passages between undercrossings),
-the faces of the sphere embedding via the counterclockwise rotation at each
-crossing, a checkerboard shading with a white outer face, and the two signs
-at each crossing: the writhe sign w and the shading sign eps.
+Parsing walks each strand once.  A walk leaves a crossing by its outgoing
+under-end ``c`` and follows the strand through every crossing it meets,
+leaving each by the end opposite the one it arrived at, until it closes; a
+component that only passes over starts at its lowest free end.  That one
+walk orients every edge end and lists the component cycles.  Cutting each
+cycle where it passes under a crossing gives the arcs (maximal
+over-passages between undercrossings) and each arc's traversal.  From the
+embedding we then derive the faces of the sphere via the counterclockwise
+rotation at each crossing, a checkerboard shading with a white outer face,
+and the two signs at each crossing: the writhe sign w and the shading sign
+eps.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import chain
+from typing import NamedTuple
 
 _TERM = re.compile(r"([XO])\[([0-9,\s]*)\]")
 
@@ -85,12 +93,6 @@ class PDDiagram:
         return len(self.crossings)
 
     @cached_property
-    def edges(self):
-        out = {e for t in self.crossings for e in t}
-        out.update(self.loops)
-        return tuple(sorted(out))
-
-    @cached_property
     def ends(self):
         """edge id -> the one or two (crossing, position) slots it fills."""
         out = {}
@@ -99,20 +101,15 @@ class PDDiagram:
                 out.setdefault(e, []).append((i, p))
         return {e: tuple(v) for e, v in out.items()}
 
-    def head(self, e):
-        """The end where the directed edge arrives."""
-        for i, p in self.ends[e]:
-            if self.incoming[i][p]:
-                return (i, p)
-        raise KeyError("edge %r has no incoming end" % (e,))
-
-    def successor(self, e):
-        """The next edge of the same component."""
-        i, p = self.head(e)
-        if p == 0:
-            return self.crossings[i][2]
-        q = 3 if p == 1 else 1
-        return self.crossings[i][q]
+    @cached_property
+    def heads(self):
+        """edge id -> the (crossing, position) slot where it arrives."""
+        return {
+            t[p]: (i, p)
+            for i, (t, flags) in enumerate(zip(self.crossings, self.incoming))
+            for p in range(4)
+            if flags[p]
+        }
 
     def writhe_sign(self, i):
         """+1 when the over-strand runs d -> b, else -1."""
@@ -125,124 +122,97 @@ class PDDiagram:
     def alternating(self):
         """Does every component alternate over/under along its travel?"""
         for cyc in self.components:
-            roles = []
-            for e in cyc:
-                if e in self.loops:
-                    continue
-                i, p = self.head(e)
-                roles.append(p == 0)
+            roles = [self.heads[e][1] == 0 for e in cyc if e in self.heads]
             for k in range(len(roles)):
                 if len(roles) > 1 and roles[k] == roles[(k + 1) % len(roles)]:
                     return False
         return True
 
 
-def _orient(crossings):
-    """Assign in/out to every end: under-ends are fixed, over-ends propagate."""
-    status = {}
-    for i in range(len(crossings)):
-        status[(i, 0)] = True
-        status[(i, 2)] = False
+def _walk(crossings):
+    """Orient every crossing end and list the component cycles, in one walk.
 
+    Ends are numbered 4 * crossing + position.  Every walk follows one
+    strand: it leaves by an end, arrives at the other end of that edge and
+    leaves again by the opposite end, (2, 3, 0, 1)[position].  Walks start
+    at each crossing's outgoing under-end (position 2); a component that
+    only passes over starts with its lowest free end pointing in.
+
+    Leaving an end is a permutation of the ends, so every walk closes and
+    no two walks leave by the same end.  The ends a walk arrives at are the
+    ends its reverse leaves by, so an end reached both ways makes the
+    reverse of a walk from a position 2 another walk; that one leaves by a
+    position 0, so it arrived at a position 2.  Arriving at a position 2 is
+    therefore the one conflict to check.  A component that only passes over
+    alternates edges and over-passages around an even cycle, so it always
+    orients.  Returns the per-end incoming flags and the edge cycles, each
+    rotated to start at its lowest edge.
+    """
+    flat = [e for t in crossings for e in t]
     ends = {}
-    for i, t in enumerate(crossings):
-        for p, e in enumerate(t):
-            ends.setdefault(e, []).append((i, p))
+    for s, e in enumerate(flat):
+        ends.setdefault(e, []).append(s)
+    for e, slots in ends.items():
+        if len(slots) != 2:
+            raise PDStructureError("edge %d occurs %d times, expected 2" % (e, len(slots)))
+    other = [0] * len(flat)
+    for s, t in ends.values():
+        other[s], other[t] = t, s
 
-    def neighbors(node):
-        i, p = node
-        if p in (1, 3):
-            yield (i, 4 - p)  # the over-strand's other end at this crossing
-        e = crossings[i][p]
-        for other in ends[e]:
-            if other != node:
-                yield other
-
-    # opposite-status constraints; 2-color by BFS, seeding unforced pieces
-    all_nodes = [(i, p) for i in range(len(crossings)) for p in range(4)]
-    pending = [n for n in all_nodes if n in status] + [n for n in all_nodes]
-    for seed in pending:
-        if seed not in status:
-            status[seed] = True  # lexicographically first free end points in
-        stack = [seed]
-        while stack:
-            node = stack.pop()
-            for other in neighbors(node):
-                want = not status[node]
-                if other in status:
-                    if status[other] != want:
-                        raise PDStructureError(
-                            "no consistent orientation (conflict at edge %r)"
-                            % (crossings[other[0]][other[1]],)
-                        )
-                else:
-                    status[other] = want
-                    stack.append(other)
-    return status
-
-
-def _components(crossings, loops, status):
-    succ = {}
-    for i, t in enumerate(crossings):
-        for p, e in enumerate(t):
-            if status[(i, p)]:
-                nxt = t[2] if p == 0 else t[3 if p == 1 else 1]
-                succ[e] = nxt
-    seen = set()
+    incoming = [None] * len(flat)
     cycles = []
-    for e in sorted(succ):
-        if e in seen:
+    for seed in chain(range(2, len(flat), 4), range(len(flat))):
+        if incoming[seed] is not None:
             continue
-        cyc = [e]
-        seen.add(e)
-        cur = succ[e]
-        while cur != e:
-            if cur in seen:
-                raise PDStructureError("component walk does not close at edge %r" % cur)
-            cyc.append(cur)
-            seen.add(cur)
-            cur = succ[cur]
-        cycles.append(tuple(cyc))
-    cycles.extend((k,) for k in loops)
-    return tuple(sorted(cycles))
+        if seed % 4 != 2:  # every under-strand is walked; this one passes over only
+            incoming[seed] = True
+            seed ^= 2
+        cycle = []
+        s = seed
+        while True:
+            t = other[s]
+            if t % 4 == 2:
+                raise PDStructureError(
+                    "no consistent orientation (conflict at edge %r)" % (flat[s],)
+                )
+            incoming[s], incoming[t] = False, True
+            cycle.append(flat[s])
+            s = t ^ 2
+            if s == seed:
+                break
+        k = cycle.index(min(cycle))
+        cycles.append(tuple(cycle[k:] + cycle[:k]))
+    return incoming, cycles
 
 
 def parse_pd(text):
     terms = _tokenize(text)
     crossings = tuple(ids for kind, ids in terms if kind == "X")
     loops = tuple(sorted(ids[0] for kind, ids in terms if kind == "O"))
-
-    count = {}
-    for t in crossings:
-        for e in t:
-            count[e] = count.get(e, 0) + 1
-    for e, c in count.items():
-        if c != 2:
-            raise PDStructureError("edge %d occurs %d times, expected 2" % (e, c))
+    flags, cycles = _walk(crossings)
     if len(set(loops)) != len(loops):
         raise PDStructureError("repeated O-component edge id")
-    for k in loops:
-        if k in count:
-            raise PDStructureError("edge %d used both as a loop and at a crossing" % k)
+    shared = set(loops).intersection(e for t in crossings for e in t)
+    if shared:
+        raise PDStructureError("edge %d used both as a loop and at a crossing" % min(shared))
+    return PDDiagram(
+        crossings=crossings,
+        loops=loops,
+        incoming=tuple(tuple(flags[4 * i:4 * i + 4]) for i in range(len(crossings))),
+        components=tuple(sorted(cycles + [(k,) for k in loops])),
+    )
 
-    status = _orient(crossings)
-    incoming = tuple(
-        tuple(status[(i, p)] for p in range(4)) for i in range(len(crossings))
-    )
-    for i, t in enumerate(crossings):
-        if incoming[i][1] == incoming[i][3]:
-            raise PDStructureError("over-strand at crossing %d has no direction" % i)
-    d = PDDiagram(
-        crossings=crossings, loops=loops, incoming=incoming,
-        components=_components(crossings, loops, status),
-    )
-    for e in d.edges:
-        if e in loops:
-            continue
-        flags = sorted(status[end] for end in d.ends[e])
-        if flags != [False, True]:
-            raise PDStructureError("edge %d does not run end to end" % e)
-    return d
+
+class ArcTraversal(NamedTuple):
+    """One arc's travel: the undercrossing it starts from, the crossings it
+    passes over in order, and the undercrossing it ends at.  A closed arc
+    (a crossingless loop, or a component that passes over everything it
+    meets) has no start or end."""
+
+    start: int | None
+    overs: tuple
+    end: int | None
+    closed: bool
 
 
 @dataclass(frozen=True)
@@ -251,28 +221,37 @@ class ArcSet:
 
     arcs: tuple  # sorted tuples of edge ids
     arc_of: dict  # edge id -> arc index
+    traversals: tuple  # per arc, its ArcTraversal
 
     def __len__(self):
         return len(self.arcs)
 
 
 def arcs(d):
-    parent = {e: e for e in d.edges}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, c, dd in d.crossings:
-        parent[find(b)] = find(dd)
-    groups = {}
-    for e in d.edges:
-        groups.setdefault(find(e), []).append(e)
-    blocks = sorted(tuple(sorted(g)) for g in groups.values())
+    """Cut each component's edge cycle where it passes under a crossing."""
+    heads = d.heads
+    found = []  # (sorted edge block, traversal)
+    for cycle in d.components:
+        cuts = [j for j, e in enumerate(cycle) if e in heads and heads[e][1] == 0]
+        if not cuts:
+            overs = tuple(heads[e][0] for e in cycle if e in heads)
+            found.append((tuple(sorted(cycle)), ArcTraversal(None, overs, None, True)))
+            continue
+        j = cuts[-1]  # start just after an undercrossing, so the cycle ends on one
+        start = heads[cycle[j]][0]
+        block, overs = [], []
+        for e in cycle[j + 1:] + cycle[:j + 1]:
+            block.append(e)
+            i, p = heads[e]
+            if p == 0:
+                found.append((tuple(sorted(block)), ArcTraversal(start, tuple(overs), i, False)))
+                start, block, overs = i, [], []
+            else:
+                overs.append(i)
+    found.sort(key=lambda f: f[0])
+    blocks = tuple(block for block, _ in found)
     arc_of = {e: i for i, block in enumerate(blocks) for e in block}
-    return ArcSet(arcs=tuple(blocks), arc_of=arc_of)
+    return ArcSet(arcs=blocks, arc_of=arc_of, traversals=tuple(t for _, t in found))
 
 
 @dataclass(frozen=True)
@@ -326,7 +305,7 @@ def faces(d):
         )
     fs = FaceSet(faces=tuple(out), outer_default=0)
     first = min(e2 for t in d.crossings for e2 in t)
-    outer = fs.face_of[d.head(first)]
+    outer = fs.face_of[d.heads[first]]
     return FaceSet(faces=fs.faces, outer_default=outer)
 
 

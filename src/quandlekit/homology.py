@@ -287,7 +287,11 @@ class Cochain2:
         values = doc["values"]
         if not (
             isinstance(values, list)
-            and all(isinstance(r, list) and all(isinstance(v, int) for v in r) for r in values)
+            and all(
+                isinstance(r, list)
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in r)
+                for r in values
+            )
         ):
             raise ValueError("cochain values must be integer rows")
         if any(values[a][a] if a < len(r) else True for a, r in enumerate(values)):
@@ -353,52 +357,45 @@ def coboundary_of(X, psi, sign, coeff=ZZ):
 
 
 def _delta1_matrix(X, sign):
-    """Coboundary C^1 -> C^2 as columns over the pair basis."""
-    cols = []
-    for a in range(X.n):
-        psi = [0] * X.n
-        psi[a] = 1
-        cols.append(coboundary_of(X, psi, sign).vector())
-    c2 = len(pair_basis(X.n))
-    return [[col[i] for col in cols] for i in range(c2)], c2
+    """Coboundary C^1 -> C^2 over the pair basis: the transpose of the
+    degree-2 quandle boundary, one row per pair."""
+    _, _, rows = boundary_columns(X, 2, sign, "quandle")
+    return [[row.get(a, 0) for a in range(X.n)] for row in rows]
 
 
 def coboundary_basis(X, sign, coeff=ZZ):
     """Degree-2 coboundaries: lattice basis over Z, spanning set over Z/m."""
     if coeff.kind == "Q":
         raise ValueError("coboundary bases are computed over Z or Z/m")
-    d, c2 = _delta1_matrix(X, sign)
+    d = _delta1_matrix(X, sign)
     if coeff.kind == "Z":
         cols = linalg.column_lattice_basis(d, ncols=X.n)
         return [Cochain2.from_vector(X.n, v, coeff) for v in cols]
-    m = coeff.modulus
     out = []
-    seen = set()
     for a in range(X.n):
-        psi = [0] * X.n
-        psi[a] = 1
-        phi = coboundary_of(X, psi, sign, coeff)
-        if any(any(r) for r in phi.values) and phi.values not in seen:
-            seen.add(phi.values)
+        phi = Cochain2.from_vector(X.n, [row[a] for row in d], coeff)
+        if any(phi.vector()) and phi not in out:
             out.append(phi)
     return out
 
 
 def cohomology_class_order(X, phi, sign):
-    """Least k >= 1 with k*phi a coboundary, or math.inf."""
+    """Least k >= 1 with k*phi a coboundary, or math.inf.
+
+    Appending phi to the generators of im(delta1) either raises the rank
+    (no multiple of phi is a coboundary) or enlarges the lattice by the
+    class order, which is then the ratio of the two products of elementary
+    divisors.  The sparse rows of delta1 are the degree-2 boundary columns.
+    """
     if phi.coeff.kind != "Z":
         raise ValueError("class orders are computed over Z")
-    d, c2 = _delta1_matrix(X, sign)
-    res = linalg.smith_normal_form(d, ncols=X.n)
-    c = linalg.mat_vec(res.U, phi.vector())
-    order = 1
-    for i in range(c2):
-        if i < res.rank:
-            s = res.S[i][i]
-            order = math.lcm(order, s // math.gcd(s, c[i]))
-        elif c[i]:
-            return math.inf
-    return order
+    rows = boundary_columns(X, 2, sign, "quandle")[2]
+    rank, divisors = linalg.elementary_divisors(rows)
+    with_phi = [{**row, X.n: v} for row, v in zip(rows, phi.vector())]
+    rank_phi, divisors_phi = linalg.elementary_divisors(with_phi)
+    if rank_phi > rank:
+        return math.inf
+    return math.prod(divisors) // math.prod(divisors_phi)
 
 
 def restrict_cocycle(X, phi, embedding):

@@ -365,63 +365,13 @@ def check_lemma_4_2(d, X, phi):
     return translation_lemmas(coloring_table(DiagramEngine(d), X), phi)[1]
 
 
-@dataclass(frozen=True)
-class ArcTraversal:
-    """One arc's travel: start undercrossing, over-passages in order, end."""
-
-    arc: int
-    start: int | None
-    overs: tuple
-    end: int | None
-    closed: bool
-
-
-def arc_traversals(d, arcset=None):
-    ar = arcset or arcs(d)
-    out = []
-    for idx, block in enumerate(ar.arcs):
-        if all(e in d.loops for e in block):
-            out.append(ArcTraversal(idx, None, (), None, True))
-            continue
-        starts = []
-        for e in block:
-            for i, p in d.ends[e]:
-                if p == 2 and not d.incoming[i][p]:
-                    starts.append((e, i))
-        if not starts:
-            # a component passing over everything it meets
-            e = min(block)
-            overs = []
-            cur = e
-            while True:
-                i, p = d.head(cur)
-                overs.append(i)
-                cur = d.successor(cur)
-                if cur == e:
-                    break
-            out.append(ArcTraversal(idx, None, tuple(overs), None, True))
-            continue
-        if len(starts) != 1:
-            raise AssertionError("arc %r has %d under-exits" % (block, len(starts)))
-        cur, start = starts[0]
-        overs = []
-        while True:
-            i, p = d.head(cur)
-            if p == 0:
-                out.append(ArcTraversal(idx, start, tuple(overs), i, False))
-                break
-            overs.append(i)
-            cur = d.successor(cur)
-    return out
-
-
 def check_eps_alternation(d, crossing_signs=None):
     """Do the shading signs alternate along every over-passing run?
 
     Closed all-over components need the alternation to close up cyclically.
     """
     sg = crossing_signs or signs(d, checkerboard(d))
-    for trav in arc_traversals(d):
+    for trav in arcs(d).traversals:
         run = [sg.eps[i] for i in trav.overs]
         for j in range(len(run) - 1):
             if run[j] == run[j + 1]:

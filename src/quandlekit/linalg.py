@@ -63,10 +63,6 @@ def matmul(a, b, bcols=None):
     return out
 
 
-def mat_vec(a, v):
-    return [sum(c * x for c, x in zip(row, v)) for row in a]
-
-
 @dataclass(frozen=True)
 class SNFResult:
     """U * M * V == S with U, V unimodular and S in Smith normal form.

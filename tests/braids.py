@@ -9,6 +9,8 @@ them.
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 
 def closure_crossings(word, strands):
     """The X terms of the closure of a braid word, as 4-tuples of edge ids.
@@ -47,3 +49,13 @@ def pd_text(crossings):
 def torus_2(n):
     """T(2, n): the closure of the 2-strand braid sigma_1^n."""
     return closure_crossings([1] * n, 2)
+
+
+@st.composite
+def braid_words(draw, max_strands=4, max_extra=4):
+    """A strand count and a word using every generator at least once."""
+    strands = draw(st.integers(2, max_strands))
+    extra = draw(st.lists(st.integers(1, strands - 1), max_size=max_extra))
+    gens = draw(st.permutations(list(range(1, strands)) + extra))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(gens), max_size=len(gens)))
+    return strands, [g * s for g, s in zip(gens, signs)]

@@ -243,6 +243,20 @@ def test_invariant_coeff_mismatch(capsys, files):
     assert rc == 2 and "match" in err
 
 
+def test_invariant_rejects_boolean_cochain_values(capsys, files, tmp_path):
+    # JSON booleans are ints to Python; a cochain file must not pass them off
+    phi = tmp_path / "bool.json"
+    rows = [[False, True, True], [True, False, True], [True, True, False]]
+    phi.write_text(json.dumps({"coeff": "Z", "values": rows}))
+    rc, doc, err = run(
+        capsys,
+        ["invariant", "-q", files["d3"], "-k", "trefoil", "--mode", "neg",
+         "--cocycle", str(phi)],
+    )
+    assert rc == 2 and doc is None
+    assert "integer rows" in err
+
+
 def test_verify_small_sweep_passes(capsys):
     rc, doc, _ = run(capsys, ["verify", "--max-order", "2", "--coeff", "Z", "--mode", "both"])
     assert rc == 0

@@ -6,7 +6,10 @@ were checked against the standard diagrams by hand.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from braids import braid_words, closure_crossings, pd_text
 from quandlekit.diagrams import (
     CORPUS_NAMES,
     PDStructureError,
@@ -105,6 +108,8 @@ def test_syntax_errors(text):
         "X[1,2,3,4]",  # dangling edge ends
         "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[1]",  # loop id collides
         "X[1,5,2,4] X[3,1,4,6]",  # open strands
+        "X[3,1,1,2] X[3,2,4,4]",  # no consistent orientation
+        "X[1,5,2,4] X[3,1,4,6] X[3,5,6,2]",  # edge 3 enters both its crossings
     ],
 )
 def test_structure_errors(text):
@@ -208,9 +213,68 @@ def test_arc_merging_matches_over_strand_passes():
         assert e in ar.arcs[ar.arc_of[e]]
 
 
+def assert_strands_follow_the_code(d):
+    """Each edge runs out of one end and into the other, and the strand
+    leaves every crossing by the end opposite the one it arrived at."""
+    for i, flags in enumerate(d.incoming):
+        assert flags[0] and not flags[2] and flags[1] != flags[3]
+    for e, slots in d.ends.items():
+        assert sorted(d.incoming[i][p] for i, p in slots) == [False, True]
+    for comp in d.components:
+        for j, e in enumerate(comp):
+            if e in d.loops:
+                assert comp == (e,)
+                continue
+            i, p = d.heads[e]
+            assert d.crossings[i][(p + 2) % 4] == comp[(j + 1) % len(comp)]
+
+
 def test_components_and_orientation():
     d = named_diagram("borromean")
     assert sorted(len(c) for c in d.components) == [4, 4, 4]
-    for comp in d.components:
-        for j, e in enumerate(comp):
-            assert d.successor(e) == comp[(j + 1) % len(comp)]
+    assert_strands_follow_the_code(d)
+
+
+def test_over_only_component_points_in_at_its_lowest_free_end():
+    # the closure of s1 s1^-1: strand (2, 4) passes over both crossings, so
+    # no under-end fixes its direction; position 1 of crossing 0 points in
+    d = parse_pd("X[1,2,3,4] X[3,2,1,4]")
+    assert d.incoming == ((True, True, False, False), (True, False, False, True))
+    assert d.components == ((1, 3), (2, 4))
+    ar = arcs(d)
+    assert ar.arcs == ((1,), (2, 4), (3,))
+    assert ar.traversals[1] == (None, (0, 1), None, True)
+
+
+def permutation_cycles(word, strands):
+    """The number of cycles of a braid's permutation of its strands."""
+    at = list(range(strands))
+    for g in word:
+        i = abs(g) - 1
+        at[i], at[i + 1] = at[i + 1], at[i]
+    seen, cycles = set(), 0
+    for k in range(strands):
+        if k not in seen:
+            cycles += 1
+            while k not in seen:
+                seen.add(k)
+                k = at[k]
+    return cycles
+
+
+@given(braid_words(max_strands=5, max_extra=10), st.randoms(use_true_random=False))
+def test_closures_walk_to_their_strands(braid, rng):
+    strands, word = braid
+    crossings = closure_crossings(word, strands)
+    ids = sorted({e for t in crossings for e in t})
+    renumber = dict(zip(ids, rng.sample(range(1, 3 * len(ids)), len(ids))))
+    crossings = [tuple(renumber[e] for e in t) for t in crossings]
+    rng.shuffle(crossings)
+    d = parse_pd(pd_text(crossings))
+    assert len(d.components) == permutation_cycles(word, strands)
+    assert sorted(e for comp in d.components for e in comp) == sorted(renumber.values())
+    assert_strands_follow_the_code(d)
+    ar = arcs(d)
+    assert sorted(e for block in ar.arcs for e in block) == sorted(renumber.values())
+    assert all(ar.arcs[ar.arc_of[e]].count(e) == 1 for e in renumber.values())
+    assert sorted(i for t in ar.traversals for i in t.overs) == list(range(d.n_crossings))

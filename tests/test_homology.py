@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import lattice_oracle
 import pytest
@@ -162,6 +163,32 @@ def test_class_orders():
         for phi in cocycle_basis(q, "plus", ZZ):
             orders.add(cohomology_class_order(q, phi, "plus"))
     assert 2 in orders
+
+
+def test_class_orders_are_the_least_solvable_multiples():
+    # oracle: k*phi is a coboundary iff delta1 * psi == k*phi has an integer
+    # solution, with delta1 built column by column from coboundary_of
+    rng = random.Random(4)
+    for q in (q for n in range(2, 5) for q in enumerate_quandles(n)):
+        units = [[int(a == b) for b in range(q.n)] for a in range(q.n)]
+        for sign in ("minus", "plus"):
+            delta1 = transpose([coboundary_of(q, psi, sign).vector() for psi in units])
+            phis = cocycle_basis(q, sign, ZZ) + [
+                Cochain2.from_vector(q.n, [rng.randrange(-2, 3) for _ in delta1])
+                for _ in range(3)
+            ]
+            for phi in phis:
+                order = cohomology_class_order(q, phi, sign)
+                vec = phi.vector()
+                if order == math.inf:
+                    with_phi = [row + [v] for row, v in zip(delta1, vec)]
+                    assert lattice_oracle.rank(with_phi) > lattice_oracle.rank(delta1)
+                    continue
+                solvable = [
+                    solve_matrix(delta1, [[k * v] for v in vec], ncols=q.n) is not None
+                    for k in range(1, order + 1)
+                ]
+                assert solvable == [False] * (order - 1) + [True]
 
 
 def test_restriction_to_an_orbit():

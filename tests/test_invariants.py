@@ -23,7 +23,6 @@ from quandlekit.invariants import (
     DiagramEngine,
     GroupRingValue,
     act_coloring,
-    arc_traversals,
     check_eps_alternation,
     check_lemma_4_1,
     check_lemma_4_2,
@@ -331,19 +330,22 @@ def test_arc_traversals_cover_each_arc():
     for name in ("trefoil", "figure8", "borromean", "trefoil_kinked", "unlink2"):
         d = named_diagram(name)
         ar = arcs(d)
-        travs = arc_traversals(d)
-        assert [t.arc for t in travs] == list(range(len(ar)))
+        travs = ar.traversals
+        assert len(travs) == len(ar)
         # every crossing is passed over exactly once in total
         overs = sorted(i for t in travs for i in t.overs)
         assert overs == list(range(d.n_crossings))
-        for t in travs:
+        for block, t in zip(ar.arcs, travs):
+            # each traversal belongs to its own arc
+            assert all(d.crossings[i][1] in block and d.crossings[i][3] in block for i in t.overs)
             if not t.closed:
                 assert t.start is not None and t.end is not None
+                assert d.crossings[t.start][2] in block and d.crossings[t.end][0] in block
 
 
 def test_kink_passes_over_its_own_crossing():
     d = named_diagram("trefoil_kinked")
-    travs = arc_traversals(d)
+    travs = arcs(d).traversals
     kink = [t for t in travs if t.start == 3]
     assert len(kink) == 1 and kink[0].overs[0] == 3
 
@@ -375,7 +377,7 @@ def test_arc_endpoint_eps_relation():
     # above is what the weighted sum relies on; here just pin alternation
     d = named_diagram("figure8")
     sg = signs(d, checkerboard(d))
-    for t in arc_traversals(d):
+    for t in arcs(d).traversals:
         run = [sg.eps[i] for i in t.overs]
         assert all(run[j] != run[j + 1] for j in range(len(run) - 1))
 

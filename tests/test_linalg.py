@@ -12,7 +12,6 @@ from quandlekit.linalg import (
     elementary_divisors,
     identity,
     kernel_basis,
-    mat_vec,
     matmul,
     smith_normal_form,
     zeros,
@@ -96,6 +95,10 @@ def test_elementary_divisors_of_small_examples():
     assert elementary_divisors([[0, 0], [0, 0]]) == (0, ())
     assert elementary_divisors([[2, 4], [6, 8]]) == (2, (2, 4))
     assert elementary_divisors([{5: 1, 9: 1}, {5: 1, 9: -1}]) == (2, (1, 2))
+
+
+def mat_vec(a, v):
+    return [sum(c * x for c, x in zip(row, v)) for row in a]
 
 
 @settings(max_examples=80, deadline=None)

@@ -7,7 +7,7 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from braids import closure_crossings, pd_text, torus_2
+from braids import braid_words, closure_crossings, pd_text, torus_2
 from quandlekit.diagrams import CORPUS_NAMES, named_diagram, parse_pd
 from quandlekit.invariants import (
     BACKWARD,
@@ -36,16 +36,6 @@ def exhaustive_colorings(engine, X):
 
 def closure_engine(word, strands):
     return DiagramEngine(parse_pd(pd_text(closure_crossings(word, strands))))
-
-
-@st.composite
-def braid_words(draw, max_strands=4, max_extra=4):
-    """A strand count and a word using every generator at least once."""
-    strands = draw(st.integers(2, max_strands))
-    extra = draw(st.lists(st.integers(1, strands - 1), max_size=max_extra))
-    gens = draw(st.permutations(list(range(1, strands)) + extra))
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(gens), max_size=len(gens)))
-    return strands, [g * s for g, s in zip(gens, signs)]
 
 
 def count(engine, X):
