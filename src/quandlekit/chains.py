@@ -42,7 +42,7 @@ class IntChain:
     """Finite integer combination of same-length tuples."""
 
     degree: int
-    coeffs: tuple  # sorted ((tuple, coefficient), ...) with no zeros
+    coeffs: tuple  # sorted ((tuple, coefficient), ...), every coefficient nonzero
 
     @classmethod
     def from_dict(cls, degree, d):
@@ -86,57 +86,8 @@ def _d2_terms(op, t):
         yield (-1) ** i, tuple(op(x, a) for x in t[:i - 1]) + t[i:]
 
 
-def _apply_terms(chain, term_fn):
-    out = {}
-    for t, c in chain.coeffs:
-        for sgn, u in term_fn(t):
-            out[u] = out.get(u, 0) + sgn * c
-    return IntChain.from_dict(chain.degree - 1, out)
-
-
-def d1_apply(chain):
-    """First boundary piece: drop one entry with alternating sign."""
-    if chain.degree <= 1:
-        return IntChain.from_dict(max(chain.degree - 1, 0), {})
-    return _apply_terms(chain, _d1_terms)
-
-
-def d2_apply(X, chain):
-    """Second boundary piece: act on the prefix by the dropped entry."""
-    if chain.degree <= 1:
-        return IntChain.from_dict(max(chain.degree - 1, 0), {})
-    return _apply_terms(chain, lambda t: _d2_terms(X.op, t))
-
-
-def boundary_apply(X, chain, sign):
-    if sign == "d1":
-        return d1_apply(chain)
-    if sign == "d2":
-        return d2_apply(X, chain)
-    if sign == "minus":
-        return d1_apply(chain) + d2_apply(X, chain).scaled(-1)
-    if sign == "plus":
-        return d1_apply(chain) + d2_apply(X, chain)
-    raise ValueError("unknown sign %r" % (sign,))
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Matrix of a boundary map C_n -> C_{n-1} in fixed lexicographic bases."""
-
-    n: int
-    sign: str
-    flavor: str
-    matrix: tuple  # rows, len(domain) columns each
-    domain: tuple  # degree-n basis tuples
-    codomain: tuple  # degree-(n-1) basis tuples
-
-    @property
-    def shape(self):
-        return len(self.codomain), len(self.domain)
-
-
 def _term_fn(op, sign):
+    """Signed terms of a generator's boundary: d1, d2, d1 - d2 or d1 + d2."""
     if sign == "d1":
         return _d1_terms
     if sign == "d2":
@@ -153,6 +104,43 @@ def _term_fn(op, sign):
             yield from _d2_terms(op, t)
         return both
     raise ValueError("unknown sign %r" % (sign,))
+
+
+def d1_apply(chain):
+    """First boundary piece: drop one entry with alternating sign."""
+    return boundary_apply(None, chain, "d1")
+
+
+def d2_apply(X, chain):
+    """Second boundary piece: act on the prefix by the dropped entry."""
+    return boundary_apply(X, chain, "d2")
+
+
+def boundary_apply(X, chain, sign):
+    """Boundary of an IntChain, from the same terms as the boundary matrices."""
+    terms = _term_fn(None if X is None else X.op, sign)
+    out = {}
+    if chain.degree > 1:
+        for t, c in chain.coeffs:
+            for sgn, u in terms(t):
+                out[u] = out.get(u, 0) + sgn * c
+    return IntChain.from_dict(max(chain.degree - 1, 0), out)
+
+
+@dataclass(frozen=True)
+class BoundaryMatrix:
+    """Matrix of a boundary map C_n -> C_{n-1} in fixed lexicographic bases."""
+
+    n: int
+    sign: str
+    flavor: str
+    matrix: tuple  # rows, len(domain) columns each
+    domain: tuple  # degree-n basis tuples
+    codomain: tuple  # degree-(n-1) basis tuples
+
+    @property
+    def shape(self):
+        return len(self.codomain), len(self.domain)
 
 
 def _columns(op, domain, codomain, sign, strict):
@@ -294,20 +282,17 @@ def verify_complex_identities(X, max_degree=4):
 
     for n in range(2, max_degree + 1):
         checked.append(("degenerate-closure", n))
-        for t in tuple_basis(size, n, "degenerate"):
-            for which, fn in (("d1", _d1_terms), ("d2", lambda u: _d2_terms(op, u))):
-                acc = {}
-                for sgn, u in fn(t):
-                    acc[u] = acc.get(u, 0) + sgn
-                stray = [u for u, c in acc.items() if c and not _has_adjacent_repeat(u)]
-                if stray:
-                    failures.append(
-                        IdentityFailure("degenerate-closure-" + which, n, t)
-                    )
-                    break
-            else:
-                continue
-            break
+        # the first degenerate tuple whose d1 or d2 has a non-degenerate term
+        stray = (
+            (which, t)
+            for j, t in enumerate(bases[n])
+            if _has_adjacent_repeat(t)
+            for which in ("d1", "d2")
+            if not all(_has_adjacent_repeat(bases[n - 1][i]) for i in maps[which, n][j])
+        )
+        hit = next(stray, None)
+        if hit:
+            failures.append(IdentityFailure("degenerate-closure-" + hit[0], n, hit[1]))
 
     return ComplexReport(
         order=size,

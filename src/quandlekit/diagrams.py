@@ -28,7 +28,7 @@ from importlib import resources
 from itertools import chain
 from typing import NamedTuple
 
-_TERM = re.compile(r"([XO])\[([0-9,\s]*)\]")
+_TERM = re.compile(r"\s*([XO])\s*\[([0-9,\s]*)\]\s*")
 
 CORPUS_NAMES = (
     "trefoil",
@@ -53,27 +53,27 @@ class PDStructureError(ValueError):
 
 
 def _tokenize(text):
-    stripped = re.sub(r"\s+", "", text)
+    """The terms of a code in one pass; whitespace may stand anywhere except
+    inside an edge id."""
     consumed = 0
     terms = []
-    for m in _TERM.finditer(stripped):
+    for m in _TERM.finditer(text):
         if m.start() != consumed:
-            raise PDSyntaxError("unexpected text %r" % stripped[consumed:m.start()])
+            raise PDSyntaxError("unexpected text %r" % text[consumed:m.start()])
         consumed = m.end()
-        kind = m.group(1)
-        body = m.group(2)
+        kind, body = m.groups()
         try:
-            ids = tuple(int(x) for x in body.split(",")) if body else ()
+            ids = tuple(int(x) for x in body.split(",")) if body.strip() else ()
         except ValueError:
-            raise PDSyntaxError("bad edge list in %r" % m.group(0))
+            raise PDSyntaxError("bad edge list in %r" % m.group(0).strip())
         want = 4 if kind == "X" else 1
         if len(ids) != want:
             raise PDSyntaxError("%s term needs %d edge ids, got %r" % (kind, want, ids))
         if any(e < 1 for e in ids):
             raise PDSyntaxError("edge ids are 1-based positive integers")
         terms.append((kind, ids))
-    if consumed != len(stripped):
-        raise PDSyntaxError("unexpected text %r" % stripped[consumed:])
+    if consumed != len(text):
+        raise PDSyntaxError("unexpected text %r" % text[consumed:])
     if not terms:
         raise PDSyntaxError("empty code (a crossingless unknot is written O[1])")
     return terms

@@ -299,38 +299,39 @@ class Cochain2:
         return cls(coeff, values)
 
 
-def _delta2_matrix(X, sign):
-    """Matrix of the coboundary C^2 -> C^3 on the off-diagonal pair basis."""
-    _, codomain, cols = boundary_columns(X, 3, sign, "quandle")
-    c2 = len(codomain)
-    return [[col.get(i, 0) for i in range(c2)] for col in cols], c2
+def _coboundary_matrix(X, n, sign):
+    """Dense coboundary C^(n-1) -> C^n on the quandle bases, with its width:
+    the transpose of the degree-n quandle boundary, one row per n-tuple."""
+    _, codomain, cols = boundary_columns(X, n, sign, "quandle")
+    width = len(codomain)
+    return [[col.get(i, 0) for i in range(width)] for col in cols], width
 
 
 def cocycle_basis(X, sign, coeff=ZZ):
     """Degree-2 cocycles, as Cochain2 values.
 
-    Over Z this is a lattice basis of the kernel; over Z/m a spanning set,
-    obtained from the integer SNF by keeping reduced kernel vectors and
-    adding the m-torsion lifts of the nonzero elementary divisors.
+    One Smith normal form of delta2 with its column transform V serves both
+    cases.  Over Z the columns of V past the rank are a lattice basis of the
+    kernel; over Z/m a spanning set keeps those reduced and adds the
+    m-torsion lifts of the columns at the nonzero elementary divisors.
     """
     if coeff.kind == "Q":
         raise ValueError("cocycle bases are computed over Z or Z/m")
-    delta2, c2 = _delta2_matrix(X, sign)
+    delta2, c2 = _coboundary_matrix(X, 3, sign)
+    s, v, rank = linalg._smith(delta2, c2, track_v=True)
     if coeff.kind == "Z":
-        cols = linalg.kernel_basis(delta2, ncols=c2)
-        return [Cochain2.from_vector(X.n, v, coeff) for v in cols]
+        return [Cochain2.from_vector(X.n, [row[j] for row in v], coeff) for j in range(rank, c2)]
     m = coeff.modulus
-    res = linalg._smith(delta2, c2, track_u=False, track_v=True)
     out = []
     for j in range(c2):
-        if j < res.rank:
-            g = math.gcd(res.S[j][j], m)
+        if j < rank:
+            g = math.gcd(s[j][j], m)
             if g == 1:
                 continue
             mult = m // g
         else:
             mult = 1
-        vec = [(mult * res.V[i][j]) % m for i in range(c2)]
+        vec = [(mult * row[j]) % m for row in v]
         if any(vec):
             out.append(Cochain2.from_vector(X.n, vec, coeff))
     return out
@@ -356,23 +357,21 @@ def coboundary_of(X, psi, sign, coeff=ZZ):
     return Cochain2(coeff, rows)
 
 
-def _delta1_matrix(X, sign):
-    """Coboundary C^1 -> C^2 over the pair basis: the transpose of the
-    degree-2 quandle boundary, one row per pair."""
-    _, _, rows = boundary_columns(X, 2, sign, "quandle")
-    return [[row.get(a, 0) for a in range(X.n)] for row in rows]
-
-
 def coboundary_basis(X, sign, coeff=ZZ):
-    """Degree-2 coboundaries: lattice basis over Z, spanning set over Z/m."""
+    """Degree-2 coboundaries: lattice basis over Z, spanning set over Z/m.
+
+    Over Z, delta1 * V == U^-1 * S for the Smith normal form of delta1, so
+    the first ``rank`` columns of delta1 * V are a basis of its image.
+    """
     if coeff.kind == "Q":
         raise ValueError("coboundary bases are computed over Z or Z/m")
-    d = _delta1_matrix(X, sign)
+    d, n = _coboundary_matrix(X, 2, sign)
     if coeff.kind == "Z":
-        cols = linalg.column_lattice_basis(d, ncols=X.n)
-        return [Cochain2.from_vector(X.n, v, coeff) for v in cols]
+        _, v, rank = linalg._smith(d, n, track_v=True)
+        image = [[sum(x * w[j] for x, w in zip(row, v)) for row in d] for j in range(rank)]
+        return [Cochain2.from_vector(X.n, vec, coeff) for vec in image]
     out = []
-    for a in range(X.n):
+    for a in range(n):
         phi = Cochain2.from_vector(X.n, [row[a] for row in d], coeff)
         if any(phi.vector()) and phi not in out:
             out.append(phi)

@@ -1,19 +1,16 @@
-"""Exact integer linear algebra built around Smith normal form.
+"""Exact integer linear algebra: one Smith normal form elimination.
 
 Matrices are plain lists of lists of Python ints, so nothing here ever
 rounds.  Zero-row and zero-column matrices come up constantly as boundary
 maps in or out of an empty chain group; pass ``ncols`` explicitly whenever
-a matrix has no rows to pin down its width.  ``elementary_divisors`` also
-takes sparse rows (dicts of nonzero entries).
+a matrix has no rows to pin down its width.  ``elementary_divisors`` gives
+ranks and invariant factors from sparse rows (dicts of nonzero entries)
+without any transform; ``_smith`` is the one elimination that also yields
+vectors, through the column transform V.  No row transform is ever formed:
+the tests keep a Smith normal form with both transforms as their oracle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-# When set, every smith_normal_form() call re-checks U*M*V == S and the
-# divisibility chain before returning.  The test suite turns this on.
-VERIFY_SNF = False
 
 
 def shape_of(mat, ncols=None):
@@ -34,51 +31,6 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def zeros(m, n):
-    return [[0] * n for _ in range(m)]
-
-
-def matmul(a, b, bcols=None):
-    m = len(a)
-    if m == 0:
-        return []
-    k = len(a[0])
-    if k == 0:
-        if bcols is None:
-            raise ValueError("inner dimension 0 needs explicit bcols")
-        return zeros(m, bcols)
-    if len(b) != k:
-        raise ValueError("dimension mismatch")
-    n = len(b[0])
-    out = zeros(m, n)
-    for i in range(m):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(n):
-                    oi[j] += c * bt[j]
-    return out
-
-
-@dataclass(frozen=True)
-class SNFResult:
-    """U * M * V == S with U, V unimodular and S in Smith normal form.
-
-    A transform that was not tracked is None.
-    """
-
-    U: list
-    S: list
-    V: list
-    rank: int
-
-    def diagonal(self):
-        return [row[i] for i, row in enumerate(self.S) if i < len(row)]
-
-
 def _min_abs_entry(s, t, m, n):
     best = None
     best_val = 0
@@ -94,24 +46,17 @@ def _min_abs_entry(s, t, m, n):
     return best
 
 
-def _row_add(s, u, i, k, c):
-    # row i += c * row k, mirrored on U when U is tracked
+def _row_add(s, i, k, c):
+    # row i += c * row k
     si, sk = s[i], s[k]
     for j in range(len(si)):
         si[j] += c * sk[j]
-    if u is not None:
-        ui, uk = u[i], u[k]
-        for j in range(len(ui)):
-            ui[j] += c * uk[j]
 
 
 def _col_add(s, v, j, k, c):
     # col j += c * col k, mirrored on V when V is tracked
-    for row in s:
+    for row in s if v is None else s + v:
         row[j] += c * row[k]
-    if v is not None:
-        for row in v:
-            row[j] += c * row[k]
 
 
 def _extended_gcd(a, b):
@@ -126,10 +71,10 @@ def _extended_gcd(a, b):
     return old_r, old_x, old_y
 
 
-def _bezout_pair(s, u, v, i, j):
+def _bezout_pair(s, v, i, j):
     """Replace diag entries (a, b) by (gcd, lcm) via unimodular moves."""
     a, b = s[i][i], s[j][j]
-    _row_add(s, u, i, j, 1)  # puts b at (i, j)
+    _row_add(s, i, j, 1)  # puts b at (i, j)
     g, x, y = _extended_gcd(a, b)
     p, q = -b // g, a // g
     # column pair transform with det x*q - p*y == 1
@@ -137,18 +82,18 @@ def _bezout_pair(s, u, v, i, j):
         ci, cj = row[i], row[j]
         row[i] = x * ci + y * cj
         row[j] = p * ci + q * cj
-    _row_add(s, u, j, i, -(y * b) // g)
+    _row_add(s, j, i, -(y * b) // g)
 
 
-def _smith(mat, ncols, track_u, track_v):
-    """Smith normal form, accumulating only the transforms asked for.
+def _smith(mat, ncols, track_v):
+    """(S, V, rank): U*M*V == S in Smith normal form for unimodular U and V.
 
-    U and V are None when not tracked; the pivot sequence, and so S and any
-    tracked transform, is the same either way.
+    U is never formed, and V is None unless tracked.  Since M*V == U^-1 * S,
+    the first ``rank`` columns of M*V are a basis of the column lattice and
+    the columns of V past the rank are a basis of the kernel.
     """
     m, n = shape_of(mat, ncols)
     s = [[int(x) for x in row] for row in mat]
-    u = identity(m) if track_u else None
     v = identity(n) if track_v else None
 
     t = 0
@@ -157,22 +102,17 @@ def _smith(mat, ncols, track_u, track_v):
         if piv is None:
             break
         pi, pj = piv
-        if pi != t:
-            s[t], s[pi] = s[pi], s[t]
-            if u is not None:
-                u[t], u[pi] = u[pi], u[t]
+        s[t], s[pi] = s[pi], s[t]
         if pj != t:
             for row in s if v is None else s + v:
                 row[t], row[pj] = row[pj], row[t]
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
         p = s[t][t]
         clean = True
         for i in range(m):
             if i != t and s[i][t]:
-                _row_add(s, u, i, t, -(s[i][t] // p))
+                _row_add(s, i, t, -(s[i][t] // p))
                 if s[i][t]:
                     clean = False
         for j in range(n):
@@ -188,35 +128,8 @@ def _smith(mat, ncols, track_u, track_v):
     for i in range(r):
         for j in range(i + 1, r):
             if s[j][j] % s[i][i]:
-                _bezout_pair(s, u, v, i, j)
-    return SNFResult(U=u, S=s, V=v, rank=r)
-
-
-def smith_normal_form(mat, ncols=None):
-    m, n = shape_of(mat, ncols)
-    result = _smith(mat, ncols, True, True)
-    if VERIFY_SNF:
-        _verify_snf(mat, result, m, n)
-    return result
-
-
-def _verify_snf(mat, res, m, n):
-    prod = matmul(matmul(res.U, mat, bcols=n), res.V, bcols=n)
-    if prod != res.S:
-        raise AssertionError("SNF transform check failed: U*M*V != S")
-    d = res.diagonal()
-    for i, x in enumerate(d):
-        if x < 0:
-            raise AssertionError("SNF diagonal has a negative entry")
-        if (x != 0) != (i < res.rank):
-            raise AssertionError("SNF rank does not match its diagonal")
-    for i in range(res.rank - 1):
-        if d[i + 1] % d[i]:
-            raise AssertionError("SNF divisibility chain broken")
-    for i in range(m):
-        for j in range(n):
-            if i != j and res.S[i][j]:
-                raise AssertionError("SNF result is not diagonal")
+                _bezout_pair(s, v, i, j)
+    return s, v, r
 
 
 def elementary_divisors(mat):
@@ -226,8 +139,8 @@ def elementary_divisors(mat):
     column index to entry.  A matrix and its transpose share their divisors,
     so sparse columns may be passed as rows.  Pivots of +-1 are eliminated
     sparsely, shortest row first and within a row on the column with the
-    fewest nonzeros, until none is left; a Smith normal form of the small
-    dense remainder, tracking no transforms, supplies the other factors.
+    fewest nonzero entries, until none is left; ``_smith`` of the small
+    dense remainder, tracking no transform, supplies the other factors.
     """
     rows = {}
     for i, row in enumerate(mat):
@@ -277,50 +190,6 @@ def elementary_divisors(mat):
     for d, row in zip(dense, left):
         for j, x in row.items():
             d[where[j]] = x
-    rest = _smith(dense, len(cols), False, False)
-    factors = (1,) * units + tuple(rest.S[i][i] for i in range(rest.rank))
+    rest, _, rank = _smith(dense, len(cols), False)
+    factors = (1,) * units + tuple(rest[i][i] for i in range(rank))
     return len(factors), factors
-
-
-def column_lattice_basis(mat, ncols=None):
-    """Basis of the lattice spanned by the columns (integer column echelon).
-
-    Only unimodular column operations are used, so the span is preserved
-    exactly; the returned vectors are the nonzero echelon columns.
-    """
-    m, n = shape_of(mat, ncols)
-    cols = [[mat[i][j] for i in range(m)] for j in range(n)]
-    r = 0
-    for row in range(m):
-        pivot = next((j for j in range(r, n) if cols[j][row]), None)
-        if pivot is None:
-            continue
-        cols[r], cols[pivot] = cols[pivot], cols[r]
-        for j in range(r + 1, n):
-            if not cols[j][row]:
-                continue
-            a, b = cols[r][row], cols[j][row]
-            g, x, y = _extended_gcd(a, b)
-            p, q = -b // g, a // g
-            cr, cj = cols[r], cols[j]
-            for i in range(m):
-                vi, vj = cr[i], cj[i]
-                cr[i] = x * vi + y * vj
-                cj[i] = p * vi + q * vj
-        if cols[r][row] < 0:
-            cols[r] = [-v for v in cols[r]]
-        r += 1
-        if r == n:
-            break
-    return cols[:r]
-
-
-def kernel_basis(mat, ncols=None):
-    """Basis of the integer kernel lattice, as a list of column vectors.
-
-    The columns of V past the rank span ker(M) exactly: M*V has the first
-    ``rank`` columns equal to U^-1 * S columns and the rest zero.
-    """
-    m, n = shape_of(mat, ncols)
-    res = _smith(mat, ncols, track_u=False, track_v=True)
-    return [[res.V[i][j] for i in range(n)] for j in range(res.rank, n)]

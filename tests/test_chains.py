@@ -88,16 +88,18 @@ def test_chain_arithmetic():
 
 
 def test_boundary_matrix_agrees_with_apply():
+    # both library paths against d1 and d2 written out from the definitions:
+    # drop entry i with sign (-1)^i, and act on the prefix by the dropped entry
     q = dihedral_quandle(3)
-    for sign in ("d1", "d2", "minus", "plus"):
+    for sign, (e1, e2) in {"d1": (1, 0), "d2": (0, 1), "minus": (1, -1), "plus": (1, 1)}.items():
         bm = boundary_matrix(q, 3, sign, "rack")
-        index = {t: i for i, t in enumerate(bm.codomain)}
         for j, t in enumerate(bm.domain):
-            image = boundary_apply(q, IntChain.generator(t), sign)
-            col = [0] * len(bm.codomain)
-            for u, c in image.coeffs:
-                col[index[u]] = c
-            assert [bm.matrix[i][j] for i in range(len(bm.codomain))] == col
+            want = dict.fromkeys(bm.codomain, 0)
+            for i in range(3):
+                want[t[:i] + t[i + 1:]] += e1 * (-1) ** (i + 1)
+                want[tuple(q.op(x, t[i]) for x in t[:i]) + t[i + 1:]] += e2 * (-1) ** (i + 1)
+            assert [row[j] for row in bm.matrix] == list(want.values())
+            assert boundary_apply(q, IntChain.generator(t), sign) == IntChain.from_dict(2, want)
 
 
 def test_quandle_flavor_is_the_projected_rack_matrix():

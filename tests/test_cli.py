@@ -243,6 +243,14 @@ def test_invariant_coeff_mismatch(capsys, files):
     assert rc == 2 and "match" in err
 
 
+def test_invariant_rejects_whitespace_inside_an_edge_id(capsys, files, tmp_path):
+    pd = tmp_path / "tref_loop.txt"
+    pd.write_text("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[1 2]\n")
+    argv = ["invariant", "-q", files["t2"], "-k", str(pd), "--mode", "neg"]
+    rc, doc, err = run(capsys, argv + ["--cocycle", files["ind01"]])
+    assert rc == 2 and doc is None and "O[1 2]" in err
+
+
 def test_invariant_rejects_boolean_cochain_values(capsys, files, tmp_path):
     # JSON booleans are ints to Python; a cochain file must not pass them off
     phi = tmp_path / "bool.json"

@@ -5,6 +5,9 @@ frozen; structural counts (components, arcs, Euler-consistent face counts)
 were checked against the standard diagrams by hand.
 """
 
+import re
+from importlib import resources
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from quandlekit.diagrams import (
     CORPUS_NAMES,
     PDStructureError,
     PDSyntaxError,
+    _tokenize,
     arcs,
     checkerboard,
     faces,
@@ -94,11 +98,30 @@ def test_unknot_loop():
         "X[1,2,3,-4]",
         "O[]",
         "O[1,2]",
+        "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[1 2]",  # whitespace inside an id
     ],
 )
 def test_syntax_errors(text):
     with pytest.raises(PDSyntaxError):
         parse_pd(text)
+
+
+def _terms_after_stripping(text):
+    # reference reading for codes with no whitespace inside an id: strip all
+    # whitespace, then scan the terms
+    found = re.findall(r"([XO])\[([0-9,]*)\]", re.sub(r"\s+", "", text))
+    return [(kind, tuple(int(x) for x in ids.split(","))) for kind, ids in found]
+
+
+def test_whitespace_may_separate_anything_but_the_digits_of_an_id():
+    spaced = " X [ 1 , 5,2 ,4 ]X[3,1,4,6]\tX[5,3,6,2]\n"
+    assert parse_pd(spaced) == parse_pd("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]")
+    for name in CORPUS_NAMES:
+        text = (resources.files("quandlekit") / "diagrams" / (name + ".txt")).read_text()
+        assert _tokenize(text) == _terms_after_stripping(text)
+        if name == "5_1":  # "1 0" is two tokens, not edge 10
+            with pytest.raises(PDSyntaxError):
+                parse_pd(text.replace("10", "1 0"))
 
 
 @pytest.mark.parametrize(
@@ -270,7 +293,9 @@ def test_closures_walk_to_their_strands(braid, rng):
     renumber = dict(zip(ids, rng.sample(range(1, 3 * len(ids)), len(ids))))
     crossings = [tuple(renumber[e] for e in t) for t in crossings]
     rng.shuffle(crossings)
-    d = parse_pd(pd_text(crossings))
+    text = pd_text(crossings)
+    assert _tokenize(text) == _terms_after_stripping(text)
+    d = parse_pd(text)
     assert len(d.components) == permutation_cycles(word, strands)
     assert sorted(e for comp in d.components for e in comp) == sorted(renumber.values())
     assert_strands_follow_the_code(d)

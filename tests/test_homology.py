@@ -191,6 +191,20 @@ def test_class_orders_are_the_least_solvable_multiples():
                 assert solvable == [False] * (order - 1) + [True]
 
 
+def test_integer_coboundary_basis_spans_the_unit_coboundaries():
+    # oracle: the columns coboundary_of(X, e_a) span im(delta1); the basis
+    # must be rank-many vectors spanning the same lattice, each way solvable
+    for q in (q for n in range(1, 5) for q in enumerate_quandles(n)):
+        units = [[int(a == b) for b in range(q.n)] for a in range(q.n)]
+        for sign in ("minus", "plus"):
+            basis = [phi.vector() for phi in coboundary_basis(q, sign, ZZ)]
+            delta1 = transpose([coboundary_of(q, psi, sign).vector() for psi in units])
+            assert len(basis) == lattice_oracle.rank(delta1, ncols=q.n)
+            if basis:
+                assert solve_matrix(transpose(basis), delta1) is not None
+                assert solve_matrix(delta1, transpose(basis), ncols=q.n) is not None
+
+
 def test_restriction_to_an_orbit():
     d4 = dihedral_quandle(4)
     sub, emb = subquandle_on_orbit(d4, 0)
