@@ -9,6 +9,7 @@ same numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,9 +177,10 @@ def cohomology_group(X, flavor, sign, n, coeff):
     return _group(X, flavor, sign, n, coeff, cohomology=True)
 
 
+@functools.lru_cache(maxsize=None)
 def pair_basis(n):
     """Off-diagonal pairs in lexicographic order: the degree-2 quandle basis."""
-    return tuple_basis(n, 2, "quandle")
+    return tuple(tuple_basis(n, 2, "quandle"))
 
 
 class Cochain2:

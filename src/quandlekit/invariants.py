@@ -11,6 +11,15 @@ State sums, sweeps, the lemma scans and the CLI share one engine:
 DiagramEngine and coloring_table().  ``contribution``, ``is_valid_coloring``
 and ``act_coloring`` work one coloring at a time as the tests' oracles.
 
+A coloring's weight under phi is the pairing of phi with the coloring's
+signed pair counts W, the cycle of the colored diagram, so
+``triviality_certificate`` decides "every weight is zero under every
+cocycle" with one span test of the W's against the columns of the degree-3
+boundary, and builds no cocycle basis.  Its answer does not change under
+relabeling, so ``verify`` asks it once per isomorphism class.  The tests
+hold it to the basis sweep (``sweep_entries`` on every cell) on all tables
+of order <= 4, to a perturbed W, and to seeded relabelings.
+
 Which arcs a crossing can decide depends only on which arcs are already
 colored, so each DiagramEngine compiles its colorings' search plan once:
 levels of a branch arc followed by the forward steps, backward steps and
@@ -23,12 +32,15 @@ about n^branches leaves times the crossings for a quandle of order n.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+from .chains import boundary_columns
 from .diagrams import arcs, checkerboard, load_diagram, signs
-from .homology import ZZ, cocycle_basis
+from .homology import ZZ, cocycle_basis, pair_basis
+from .linalg import elementary_divisors
 
 MODES = ("minus", "plus")
 
@@ -444,3 +456,48 @@ def theorem_sweep(quandles, diagrams, coeff, mode):
         for name, engine in engines:
             entries += sweep_entries(coloring_table(engine, X), name, basis, mode)
     return SweepReport(mode=mode, coeff=coeff, entries=tuple(entries))
+
+
+def triviality_certificate(X, tables, mode, coeff):
+    """(passes, cocycles): is every weight of every coloring in the tables
+    zero under every mode-cocycle over coeff, and how many cocycles would
+    ``cocycle_basis(X, mode, coeff)`` return?
+
+    A coloring's weight under phi is the pairing of phi with its pair-count
+    vector W, so all weights vanish exactly when every W lies in the span
+    of the columns of the degree-3 quandle boundary: the Q-span over Z
+    (equal ranks), the Z/m-span over Z/m (equal sizes, the product of
+    m/gcd(d, m) over the elementary divisors d; appending vectors never
+    shrinks a span).  The cocycle count is c2 - r over Z plus, over Z/m,
+    one per divisor sharing a factor with m.  Neither answer changes under
+    relabeling, and no basis is built.
+    """
+    if mode not in MODES:
+        raise ValueError("mode must be 'minus' or 'plus'")
+    if coeff.kind == "Q":
+        raise ValueError("certificates are computed over Z or Z/m")
+    pairs = pair_basis(X.n)
+    cols = boundary_columns(X, 3, mode, "quandle")[2]
+    rank, divisors = elementary_divisors(cols)
+    cocycles = len(pairs) - rank
+    if coeff.kind == "Zm":
+        m = coeff.modulus
+        cocycles += sum(math.gcd(d, m) > 1 for d in divisors)
+    if not cocycles:
+        # like a sweep over an empty basis, build no pair counts: plus mode
+        # needs the faces, which a disconnected code lacks
+        return True, 0
+    index = {pair: i for i, pair in enumerate(pairs)}
+    cycles = set()
+    for table in tables:
+        for counts in table.pair_counts(mode):
+            w = tuple(sorted((index[p], c) for p, c in counts if c and p[0] != p[1]))
+            if w:
+                cycles.add(w)
+    if not cycles:
+        return True, cocycles
+    rank_w, divisors_w = elementary_divisors(cols + [dict(w) for w in sorted(cycles)])
+    if coeff.kind == "Z":
+        return rank_w == rank, cocycles
+    sizes = [math.prod(m // math.gcd(d, m) for d in ds) for ds in (divisors, divisors_w)]
+    return sizes[0] == sizes[1], cocycles

@@ -265,6 +265,27 @@ def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> bool:
 MAX_ENUMERATION_ORDER = 5
 
 
+def quandle_classes(n: int) -> list[tuple[QuandleTable, int]]:
+    """One (lex-least table, class size) per isomorphism class of order n.
+
+    Walks the sorted labelled tables: the first one not yet seen is the
+    least member of its class, whose whole relabeling orbit is then marked
+    seen.  The class size is the orbit size, n!/|Aut X|, so the sizes sum
+    to the labelled count.
+    """
+    tables = enumerate_quandles(n)  # checks n before n! relabelings are listed
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    classes = []
+    for X in tables:
+        if X.table in seen:
+            continue
+        orbit = {X.relabeled(p).table for p in perms}
+        seen |= orbit
+        classes.append((X, len(orbit)))
+    return classes
+
+
 def enumerate_quandles(n: int, dedupe_iso: bool = False) -> list[QuandleTable]:
     """All quandle tables of order n <= 5, lexicographically sorted.
 
@@ -272,11 +293,13 @@ def enumerate_quandles(n: int, dedupe_iso: bool = False) -> list[QuandleTable]:
     (axioms 1 and 2 exactly), and partial column stacks are pruned with every
     axiom 3 instance whose three participating columns are already placed.
     Axiom 3 in column form: sigma_c . sigma_b == sigma_{sigma_c(b)} . sigma_c.
-    With dedupe_iso, one representative per relabeling class is kept (the
-    least table under the canonical form).
+    With dedupe_iso, one representative per relabeling class is kept: the
+    lex-least table of each class, from quandle_classes.
     """
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError("order must be between 1 and %d" % MAX_ENUMERATION_ORDER)
+    if dedupe_iso:
+        return [X for X, _ in quandle_classes(n)]
     candidates = {}
     for b in range(n):
         perms = []
@@ -316,11 +339,7 @@ def enumerate_quandles(n: int, dedupe_iso: bool = False) -> list[QuandleTable]:
             cols.pop()
 
     extend()
-    if dedupe_iso:
-        found = sorted({_canonical_form(t) for t in found})
-    else:
-        found = sorted(found)
-    return [QuandleTable(t) for t in found]
+    return [QuandleTable(t) for t in sorted(found)]
 
 
 # --- file format -----------------------------------------------------------

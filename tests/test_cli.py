@@ -296,6 +296,44 @@ def test_verify_expect_nontrivial_z2(capsys):
     assert w["diagram"] == "trefoil" and w["trivial"] is False
 
 
+@pytest.mark.parametrize(
+    "argv,note",
+    [
+        (["--max-order", "4", "--coeff", "Z", "--mode", "both"], "12 classes certified, 0 fallbacks"),
+        (["--max-order", "1", "--coeff", "Z3", "--mode", "pos"], "1 class certified, 0 fallbacks"),
+        (
+            ["--max-order", "4", "--coeff", "Z2", "--mode", "neg", "--expect-nontrivial", "trefoil"],
+            "11 classes certified, 1 fallback",
+        ),
+    ],
+)
+def test_verify_reports_classes_on_stderr(capsys, argv, note):
+    _, _, err = run(capsys, ["verify"] + argv)
+    assert err.splitlines()[0] == note
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-order", "4", "--coeff", "Z", "--mode", "both"],
+        ["--max-order", "4", "--coeff", "Z3", "--mode", "pos"],
+        ["--max-order", "3", "--coeff", "Z4", "--mode", "both"],
+    ],
+    ids=["Z-both", "Z3-pos", "Z4-both"],
+)
+def test_certified_verify_matches_the_labelled_sweep(capsys, monkeypatch, argv):
+    # oracle: with every certificate failing, verify runs the labelled sweep
+    # of every cell and the lemma scan; the document must not change
+    certified = run(capsys, ["verify"] + argv)
+    monkeypatch.setattr(
+        "quandlekit.cli.triviality_certificate",
+        lambda X, tables, mode, coeff: (False, 0),
+    )
+    labelled = run(capsys, ["verify"] + argv)
+    assert labelled[:2] == certified[:2]
+    assert "0 classes certified" in labelled[2]
+
+
 def test_verify_rejects_rational_sweep(capsys):
     rc, _, err = run(capsys, ["verify", "--coeff", "Q"])
     assert rc == 2 and "Z" in err
@@ -322,8 +360,16 @@ def test_verify_output_deterministic(capsys):
              "--expect-nontrivial", "trefoil"],
             "2b56a2bd6c4e6bf8a74f36034d72dd37555c070ef8dec806f6c445208e019b10",
         ),
+        (
+            ["verify", "--max-order", "5", "--coeff", "Z", "--mode", "both"],
+            "9ea25094408926c6320d2fcf62748aae7e1065ec218c25e295237722014f6979",
+        ),
+        (
+            ["verify", "--max-order", "5", "--coeff", "Z3", "--mode", "pos"],
+            "6bd1c5a4a4a3c09362618b749b4cf8a1f43193f84478133750574902a3ee0d93",
+        ),
     ],
-    ids=["Z-both", "Z2-neg-trefoil"],
+    ids=["Z-both", "Z2-neg-trefoil", "Z-both-5", "Z3-pos-5"],
 )
 def test_verify_output_pinned(capsys, argv, digest):
     # sha256 of the whole stdout document; any change to a cell, witness,

@@ -16,7 +16,7 @@ from quandlekit.diagrams import (
     parse_pd,
     signs,
 )
-from quandlekit.homology import ZZ, Cochain2, Zm, cocycle_basis, coboundary_of
+from quandlekit.homology import QQ, ZZ, Cochain2, Zm, cocycle_basis, coboundary_of
 from quandlekit.invariants import (
     MODES,
     Coloring,
@@ -33,8 +33,10 @@ from quandlekit.invariants import (
     is_trivial,
     is_valid_coloring,
     state_sum,
+    sweep_entries,
     theorem_sweep,
     translation_lemmas,
+    triviality_certificate,
 )
 from quandlekit.quandles import (
     QuandleTable,
@@ -439,3 +441,75 @@ def test_coboundary_state_sum_is_trivial_both_modes():
                 for mode in ("minus", "plus"):
                     v = state_sum(d, X, coboundary_of(X, psi, mode), mode)
                     assert is_trivial(v)
+
+
+# --- triviality certificate -----------------------------------------------------
+
+KNOTS = ("trefoil", "figure8", "5_1", "5_2", "trefoil_kinked", "figure8_kinked")
+ORDER_LE_4 = [X for n in (1, 2, 3, 4) for X in enumerate_quandles(n)]
+
+
+@pytest.mark.parametrize("coeff", [ZZ, Zm(2), Zm(3), Zm(4)], ids=str)
+def test_certificate_matches_the_basis_sweep(coeff):
+    # oracle: every cell of the labelled basis sweep; the Hopf link and the
+    # mod-2 trefoil make some verdicts fail
+    engines = {
+        key: [DiagramEngine(named_diagram(name)) for name in names]
+        for key, names in (("knots", KNOTS), ("trefoil", ("trefoil",)), ("hopf", ("hopf",)))
+    }
+    verdicts = set()
+    for X in ORDER_LE_4:
+        for mode in MODES:
+            basis = cocycle_basis(X, mode, coeff)
+            for key, group in engines.items():
+                tables = [coloring_table(engine, X) for engine in group]
+                passes, cocycles = triviality_certificate(X, tables, mode, coeff)
+                assert cocycles == len(basis)
+                cells = [e for t in tables for e in sweep_entries(t, key, basis, mode)]
+                assert passes == all(e.trivial for e in cells), (X.table, mode, key)
+                verdicts.add((key, passes))
+    assert ("hopf", False) in verdicts and ("knots", True) in verdicts
+    assert (("trefoil", False) in verdicts) == (coeff.kind == "Zm" and coeff.modulus % 2 == 0)
+
+
+class _Mutated:
+    """A coloring table whose first coloring's pair counts gain 1 at one pair."""
+
+    def __init__(self, table, pair):
+        self.table, self.pair = table, pair
+
+    def pair_counts(self, mode):
+        rows = [dict(counts) for counts in self.table.pair_counts(mode)]
+        rows[0][self.pair] = rows[0].get(self.pair, 0) + 1
+        return [tuple(row.items()) for row in rows]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_certificate_sees_a_perturbed_cycle(mode):
+    table = coloring_table(DiagramEngine(named_diagram("trefoil")), D3)
+    assert triviality_certificate(D3, [table], mode, ZZ) == (True, len(cocycle_basis(D3, mode, ZZ)))
+    passes, _ = triviality_certificate(D3, [_Mutated(table, (0, 1))], mode, ZZ)
+    assert not passes
+    # a diagonal pair carries no weight, so perturbing it changes nothing
+    assert triviality_certificate(D3, [_Mutated(table, (1, 1))], mode, ZZ)[0]
+
+
+def test_certificate_is_invariant_under_relabeling():
+    rng = random.Random(5)
+    engines = [DiagramEngine(named_diagram(name)) for name in KNOTS]
+    for X in enumerate_quandles(5, dedupe_iso=True):
+        perm = list(range(5))
+        rng.shuffle(perm)
+        Y = X.relabeled(perm)
+        for coeff in (ZZ, Zm(2), Zm(3)):
+            for mode in MODES:
+                answers = [
+                    triviality_certificate(Q, [coloring_table(e, Q) for e in engines], mode, coeff)
+                    for Q in (X, Y)
+                ]
+                assert answers[0] == answers[1]
+
+
+def test_certificate_rejects_rational_coefficients():
+    with pytest.raises(ValueError):
+        triviality_certificate(D3, [], "minus", QQ)

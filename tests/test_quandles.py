@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from quandlekit.quandles import (
     MalformedTableError,
     QuandleTable,
+    _canonical_form,
     are_isomorphic,
     conjugation_quandle,
     dihedral_quandle,
@@ -18,6 +20,7 @@ from quandlekit.quandles import (
     enumerate_quandles,
     load_quandle_file,
     orbits,
+    quandle_classes,
     rows_from_doc,
     subquandle_on_orbit,
     trivial_quandle,
@@ -182,11 +185,33 @@ def test_enumeration_order_4_all_valid_and_deduped_consistently():
         assert sum(are_isomorphic(q, rep) for rep in classes) == 1
 
 
+@pytest.mark.parametrize("n,classes,labelled", [(1, 1, 1), (2, 1, 1), (3, 3, 5), (4, 7, 36), (5, 22, 404)])
+def test_quandle_classes_sizes_are_orbit_sizes(n, classes, labelled):
+    found = quandle_classes(n)
+    assert len(found) == classes
+    assert sum(size for _, size in found) == labelled == len(enumerate_quandles(n))
+    for X, size in found:
+        # orbit-stabilizer: the class has n!/|Aut X| labelled tables
+        autos = sum(
+            X.relabeled(perm).table == X.table for perm in itertools.permutations(range(n))
+        )
+        assert size * autos == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_representatives_are_the_canonical_forms(n):
+    # oracle: the least relabeling of every labelled table, by brute force
+    canonical = sorted({_canonical_form(X.table) for X in enumerate_quandles(n)})
+    assert [X.table for X, _ in quandle_classes(n)] == canonical
+    assert [X.table for X in enumerate_quandles(n, dedupe_iso=True)] == canonical
+
+
 def test_enumeration_rejects_out_of_range_orders():
-    with pytest.raises(ValueError):
-        enumerate_quandles(0)
-    with pytest.raises(ValueError):
-        enumerate_quandles(6)
+    for n in (0, 6):
+        with pytest.raises(ValueError):
+            enumerate_quandles(n)
+        with pytest.raises(ValueError):
+            quandle_classes(n)
 
 
 @settings(max_examples=40, deadline=None)
