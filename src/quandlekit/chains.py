@@ -10,6 +10,7 @@ zero group, so boundaries out of degree 1 vanish identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .quandles import QuandleTable, _check_shape
@@ -24,17 +25,30 @@ def _has_adjacent_repeat(t):
 
 def tuple_basis(X, n, flavor="rack"):
     """Ordered (lexicographic) basis of C_n for the given flavor."""
+    size = X.n if isinstance(X, QuandleTable) else int(X)
+    return list(_basis(size, n, flavor))
+
+
+# Every boundary of a sweep over same-size quandles shares its bases, so
+# each (size, degree, flavor) builds its basis and index once.
+@lru_cache(maxsize=64)
+def _basis(size, n, flavor):
     if flavor not in FLAVORS:
         raise ValueError("unknown flavor %r" % (flavor,))
-    size = X.n if isinstance(X, QuandleTable) else int(X)
     if n <= 0:
-        return []
+        return ()
     tuples = product(range(size), repeat=n)
     if flavor == "rack":
-        return list(tuples)
+        return tuple(tuples)
     if flavor == "degenerate":
-        return [t for t in tuples if _has_adjacent_repeat(t)]
-    return [t for t in tuples if not _has_adjacent_repeat(t)]
+        return tuple(t for t in tuples if _has_adjacent_repeat(t))
+    return tuple(t for t in tuples if not _has_adjacent_repeat(t))
+
+
+@lru_cache(maxsize=64)
+def _index(size, n, flavor):
+    """Position of each tuple in _basis(size, n, flavor)."""
+    return {t: i for i, t in enumerate(_basis(size, n, flavor))}
 
 
 @dataclass(frozen=True)
@@ -143,14 +157,14 @@ class BoundaryMatrix:
         return len(self.codomain), len(self.domain)
 
 
-def _columns(op, domain, codomain, sign, strict):
-    """Boundaries of the domain generators as sparse columns {row: coeff}.
+def _columns(op, domain, index, sign, strict):
+    """Boundaries of the domain generators as sparse columns {row: coeff},
+    rows numbered by ``index``, the codomain basis's positions.
 
     With ``strict`` every image must be supported on the codomain basis
     exactly (the degenerate subcomplex property); otherwise stray tuples are
     dropped (the quandle quotient).
     """
-    index = {t: i for i, t in enumerate(codomain)}
     terms = _term_fn(op, sign)
     cols = []
     for t in domain:
@@ -178,10 +192,10 @@ def boundary_columns(X, n, sign, flavor="rack"):
         raise ValueError("boundary needs degree >= 1")
     if sign not in SIGNS:
         raise ValueError("unknown sign %r" % (sign,))
-    domain = tuple(tuple_basis(X, n, flavor))
-    codomain = tuple(tuple_basis(X, n - 1, flavor))
-    cols = _columns(X.op, domain, codomain, sign, strict=(flavor == "degenerate"))
-    return domain, codomain, cols
+    domain = _basis(X.n, n, flavor)
+    index = _index(X.n, n - 1, flavor)
+    cols = _columns(X.op, domain, index, sign, strict=(flavor == "degenerate"))
+    return domain, _basis(X.n, n - 1, flavor), cols
 
 
 def boundary_matrix(X, n, sign, flavor="rack"):
@@ -256,12 +270,12 @@ def verify_complex_identities(X, max_degree=4):
     def op(a, b):
         return table[a][b]
 
-    bases = {0: ()}
+    bases = {n: _basis(size, n, "rack") for n in range(max_degree + 1)}
     maps = {}
     for n in range(1, max_degree + 1):
-        bases[n] = tuple(tuple_basis(size, n, "rack"))
+        index = _index(size, n - 1, "rack")
         for sign in SIGNS:
-            maps[sign, n] = _columns(op, bases[n], bases[n - 1], sign, strict=False)
+            maps[sign, n] = _columns(op, bases[n], index, sign, strict=False)
 
     checked = []
     failures = []

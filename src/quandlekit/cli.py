@@ -35,6 +35,7 @@ from .invariants import (
     triviality_certificate,
 )
 from .quandles import (
+    MAX_ENUMERATION_ORDER,
     MalformedTableError,
     QuandleTable,
     enumerate_quandles,
@@ -63,8 +64,8 @@ class RunConfig:
     def __post_init__(self):
         if self.degree is not None and not 1 <= self.degree <= 3:
             raise ValueError("degree must be between 1 and 3")
-        if self.max_order is not None and not 1 <= self.max_order <= 5:
-            raise ValueError("max order must be between 1 and 5")
+        if self.max_order is not None and not 1 <= self.max_order <= MAX_ENUMERATION_ORDER:
+            raise ValueError("max order must be between 1 and %d" % MAX_ENUMERATION_ORDER)
 
 
 def _emit(doc):
@@ -382,7 +383,7 @@ def cmd_verify(args):
     if not args.expect_nontrivial:
         rng = random.Random(1729)
         corpus = [(name, load_diagram(name)) for name in CORPUS_NAMES]
-        small = [X for n in orders[:3] for X in enumerate_quandles(n)][:5]
+        small = [X for X, _ in classes if X.n <= 3]
         eps_failures = _eps_identity_report(corpus, small, rng)
         if eps_failures:
             failed = True

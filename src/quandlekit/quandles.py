@@ -126,9 +126,7 @@ class QuandleTable:
     def relabeled(self, perm) -> "QuandleTable":
         """Transport the table along the bijection a -> perm[a]."""
         n = self.n
-        inv = [0] * n
-        for a, pa in enumerate(perm):
-            inv[pa] = a
+        inv = _inverse(perm)
         rows = [[perm[self.table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
         return QuandleTable(tuple(tuple(r) for r in rows))
 
@@ -243,73 +241,78 @@ def subquandle_on_orbit(q: QuandleTable, a: int) -> tuple[QuandleTable, tuple[in
     return QuandleTable.from_rows(rows), block
 
 
-def _canonical_form(table):
-    n = len(table)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for a, pa in enumerate(perm):
-            inv[pa] = a
-        cand = tuple(tuple(perm[table[inv[a]][inv[b]]] for b in range(n)) for a in range(n))
-        if best is None or cand < best:
-            best = cand
+def _inverse(p):
+    inv = [0] * len(p)
+    for a, pa in enumerate(p):
+        inv[pa] = a
+    return tuple(inv)
+
+
+def _relabelings(n):
+    """Every relabeling p of 0..n-1, with its inverse, one at a time."""
+    return ((p, _inverse(p)) for p in itertools.permutations(range(n)))
+
+
+def _least_relabeling(table, relabelings):
+    """Row-major lex-least relabeling of a table.
+
+    Relabeled row i is p(T[p^-1(i)][p^-1(j)]) for j in order; a relabeling is
+    abandoned at its first row that differs from the best table so far, and
+    kept only if that row is smaller.
+    """
+    best = table  # the identity relabeling
+    for p, inv in relabelings:
+        rows = (tuple(map(p.__getitem__, map(table[a].__getitem__, inv))) for a in inv)
+        for i, row in enumerate(rows):
+            if row != best[i]:
+                if row < best[i]:
+                    best = best[:i] + (row,) + tuple(rows)
+                break
     return best
 
 
 def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> bool:
     if q1.n != q2.n:
         return False
-    return _canonical_form(q1.table) == _canonical_form(q2.table)
+    n = q1.n
+    return (_least_relabeling(q1.table, _relabelings(n))
+            == _least_relabeling(q2.table, _relabelings(n)))
 
 
-MAX_ENUMERATION_ORDER = 5
+MAX_ENUMERATION_ORDER = 6
 
 
 def quandle_classes(n: int) -> list[tuple[QuandleTable, int]]:
-    """One (lex-least table, class size) per isomorphism class of order n.
+    """One (lex-least table, class size) per isomorphism class of order n,
+    sorted by table.
 
-    Walks the sorted labelled tables: the first one not yet seen is the
-    least member of its class, whose whole relabeling orbit is then marked
-    seen.  The class size is the orbit size, n!/|Aut X|, so the sizes sum
-    to the labelled count.
-    """
-    tables = enumerate_quandles(n)  # checks n before n! relabelings are listed
-    perms = list(itertools.permutations(range(n)))
-    seen = set()
-    classes = []
-    for X in tables:
-        if X.table in seen:
-            continue
-        orbit = {X.relabeled(p).table for p in perms}
-        seen |= orbit
-        classes.append((X, len(orbit)))
-    return classes
+    An orderly search (Read 1978) over columns yields only tables that are
+    column-major least in their class.  The column for b is a permutation
+    sigma_b fixing b (axioms 1 and 2), and a stack of placed columns is
+    pruned by every axiom 3 instance whose three columns are placed.  Axiom
+    3 in column form: sigma_c . sigma_b == sigma_{sigma_c(b)} . sigma_c.
 
-
-def enumerate_quandles(n: int, dedupe_iso: bool = False) -> list[QuandleTable]:
-    """All quandle tables of order n <= 5, lexicographically sorted.
-
-    Search runs over columns: the column for b must be a permutation fixing b
-    (axioms 1 and 2 exactly), and partial column stacks are pruned with every
-    axiom 3 instance whose three participating columns are already placed.
-    Axiom 3 in column form: sigma_c . sigma_b == sigma_{sigma_c(b)} . sigma_c.
-    With dedupe_iso, one representative per relabeling class is kept: the
-    lex-least table of each class, from quandle_classes.
+    Relabeling by p turns column i into p . sigma_{p^-1(i)} . p^-1, so once
+    columns 0..k are placed, the relabeled columns 0..i are known whenever
+    p^-1(0..i) are all placed.  A stack is rejected when some relabeling
+    gives a smaller known prefix: no completion of it is least.  On a full
+    table every relabeling is compared, and those that tie are |Aut X|, so
+    the class size is n!/|Aut X|.  Each table found is then turned into its
+    row-major lex-least relabeling.
     """
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError("order must be between 1 and %d" % MAX_ENUMERATION_ORDER)
-    if dedupe_iso:
-        return [X for X, _ in quandle_classes(n)]
-    candidates = {}
-    for b in range(n):
-        perms = []
-        for p in itertools.permutations(range(n)):
-            if p[b] == b:
-                perms.append(p)
-        candidates[b] = perms
+    relabelings = list(_relabelings(n))
+    candidates = [[p for p, _ in relabelings if p[b] == b] for b in range(n)]
+    # waiting[c] holds the relabelings (p, p^-1, i) whose relabeled columns
+    # 0..i-1 tie with the placed ones and whose column i needs column
+    # c = p^-1(i); at first each waits at i = 0 for column p^-1(0)
+    waiting = [[] for _ in range(n)]
+    for p, inv in relabelings:
+        waiting[inv[0]].append((p, inv, 0))
 
     cols: list[tuple[int, ...]] = []
-    found: list[tuple[tuple[int, ...], ...]] = []
+    found = []
 
     def consistent_with(k):
         # check every axiom-3 pair (b, c) whose columns b, c, sigma_c(b) are
@@ -321,25 +324,65 @@ def enumerate_quandles(n: int, dedupe_iso: bool = False) -> list[QuandleTable]:
                     continue
                 if k not in (b, c, bc):
                     continue
-                sc, sb, sbc = cols[c], cols[b], cols[bc]
-                if any(sc[sb[a]] != sbc[sc[a]] for a in range(n)):
+                sc = cols[c]
+                if tuple(map(sc.__getitem__, cols[b])) != tuple(map(cols[bc].__getitem__, sc)):
                     return False
         return True
 
-    def extend():
+    def advance(k, waiting):
+        """Compare every relabeling waiting for column k as far as the placed
+        columns allow.  (None, 0) if one gives a smaller prefix; otherwise the
+        relabelings still tied, by the column they wait for next, and the
+        number that tie on the whole table, which is nonzero only once the
+        last column is placed."""
+        later = [list(w) for w in waiting]
+        autos = 0
+        for p, inv, i in waiting[k]:
+            while True:
+                image = tuple(map(p.__getitem__, map(cols[inv[i]].__getitem__, inv)))
+                if image != cols[i]:
+                    if image < cols[i]:
+                        return None, 0
+                    break
+                i += 1
+                if i == n:
+                    autos += 1
+                    break
+                if inv[i] > k:
+                    later[inv[i]].append((p, inv, i))
+                    break
+        return later, autos
+
+    def extend(waiting):
         k = len(cols)
-        if k == n:
-            table = tuple(tuple(cols[b][a] for b in range(n)) for a in range(n))
-            found.append(table)
-            return
-        for p in candidates[k]:
-            cols.append(p)
+        for col in candidates[k]:
+            cols.append(col)
             if consistent_with(k):
-                extend()
+                later, autos = advance(k, waiting)
+                if autos:  # a full table, least in its class
+                    table = tuple(zip(*cols))
+                    found.append((_least_relabeling(table, relabelings), len(relabelings) // autos))
+                elif later is not None:
+                    extend(later)
             cols.pop()
 
-    extend()
-    return [QuandleTable(t) for t in sorted(found)]
+    extend(waiting)
+    return [(QuandleTable(t), size) for t, size in sorted(found)]
+
+
+def enumerate_quandles(n: int, dedupe_iso: bool = False) -> list[QuandleTable]:
+    """All quandle tables of order n <= MAX_ENUMERATION_ORDER, lexicographically
+    sorted: the union of the relabeling orbits of quandle_classes(n).
+
+    With dedupe_iso, one representative per relabeling class is kept: the
+    lex-least table of each class.
+    """
+    classes = quandle_classes(n)
+    if dedupe_iso:
+        return [X for X, _ in classes]
+    perms = list(itertools.permutations(range(n)))
+    tables = {X.relabeled(p).table for X, _ in classes for p in perms}
+    return [QuandleTable(t) for t in sorted(tables)]
 
 
 # --- file format -----------------------------------------------------------

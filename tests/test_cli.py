@@ -8,6 +8,7 @@ import pytest
 
 from braids import pd_text, torus_2
 from quandlekit.cli import main
+from quandlekit.quandles import enumerate_quandles, orbits
 
 D3_ROWS = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 T2_ROWS = [[0, 0], [1, 1]]
@@ -78,7 +79,7 @@ def test_quandle_gen_writes_iso_classes(capsys, files, monkeypatch):
     for path in doc["files"]:
         loaded = json.loads(open(path).read())
         assert len(loaded["table"]) == 3
-    rc, doc, _ = run(capsys, ["quandle", "gen", "--order", "6"])
+    rc, doc, _ = run(capsys, ["quandle", "gen", "--order", "7"])
     assert rc == 2
 
 
@@ -349,33 +350,59 @@ def test_verify_output_deterministic(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,digest",
+    "argv,digest,note",
     [
         (
             ["verify", "--max-order", "4", "--coeff", "Z", "--mode", "both"],
             "1f1d2beddca48e2569ac9051a2f04dadef10455dac840e2e36ff21bccb0edf7e",
+            "12 classes certified, 0 fallbacks",
         ),
         (
             ["verify", "--max-order", "4", "--coeff", "Z2", "--mode", "neg",
              "--expect-nontrivial", "trefoil"],
             "2b56a2bd6c4e6bf8a74f36034d72dd37555c070ef8dec806f6c445208e019b10",
+            "11 classes certified, 1 fallback",
         ),
         (
             ["verify", "--max-order", "5", "--coeff", "Z", "--mode", "both"],
             "9ea25094408926c6320d2fcf62748aae7e1065ec218c25e295237722014f6979",
+            "34 classes certified, 0 fallbacks",
         ),
         (
             ["verify", "--max-order", "5", "--coeff", "Z3", "--mode", "pos"],
             "6bd1c5a4a4a3c09362618b749b4cf8a1f43193f84478133750574902a3ee0d93",
+            "34 classes certified, 0 fallbacks",
+        ),
+        (
+            ["verify", "--max-order", "6", "--coeff", "Z", "--mode", "both"],
+            "8c283ba0cbafd303f401f7ab721874ec972772fefbc58f91f49e10085e9c3ca9",
+            "107 classes certified, 0 fallbacks",
         ),
     ],
-    ids=["Z-both", "Z2-neg-trefoil", "Z-both-5", "Z3-pos-5"],
+    ids=["Z-both", "Z2-neg-trefoil", "Z-both-5", "Z3-pos-5", "Z-both-6"],
 )
-def test_verify_output_pinned(capsys, argv, digest):
+def test_verify_output_pinned(capsys, argv, digest, note):
     # sha256 of the whole stdout document; any change to a cell, witness,
     # lemma failure or their order shows here
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err.splitlines()[0] == note
+
+
+def test_verify_checks_the_eps_identities_on_every_class_of_order_le_3(capsys, monkeypatch):
+    seen = []
+
+    def record(diagrams, small, rng):
+        seen.extend(small)
+        return []
+
+    monkeypatch.setattr("quandlekit.cli._eps_identity_report", record)
+    assert main(["verify", "--max-order", "4", "--coeff", "Z", "--mode", "neg"]) == 0
+    tables = [X.table for X in seen]
+    assert tables == [X.table for n in (1, 2, 3) for X in enumerate_quandles(n, dedupe_iso=True)]
+    # R3 is the only connected quandle of order 3
+    assert any(X.n == 3 and orbits(X).connected for X in seen)
 
 
 @pytest.mark.parametrize("exc", [RecursionError, ZeroDivisionError, OverflowError])

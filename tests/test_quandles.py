@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from quandlekit.quandles import (
     MalformedTableError,
     QuandleTable,
-    _canonical_form,
+    _least_relabeling,
+    _relabelings,
     are_isomorphic,
     conjugation_quandle,
     dihedral_quandle,
@@ -162,9 +164,66 @@ def exhaustive_quandles(n):
     return sorted(out)
 
 
+def labelled_quandles(n):
+    """Oracle: every labelled table by a plain column search, sorted.
+
+    The column for b is a permutation fixing b, and a stack of columns is
+    pruned by every axiom 3 instance, sigma_c . sigma_b ==
+    sigma_{sigma_c(b)} . sigma_c, whose three columns are placed.
+    """
+    candidates = [[p for p in itertools.permutations(range(n)) if p[b] == b] for b in range(n)]
+    cols = []
+    found = []
+
+    def consistent_with(k):
+        for b in range(k + 1):
+            for c in range(k + 1):
+                bc = cols[c][b]
+                if bc > k or k not in (b, c, bc):
+                    continue
+                sc, sb, sbc = cols[c], cols[b], cols[bc]
+                if any(sc[sb[a]] != sbc[sc[a]] for a in range(n)):
+                    return False
+        return True
+
+    def extend():
+        k = len(cols)
+        if k == n:
+            found.append(tuple(tuple(cols[b][a] for b in range(n)) for a in range(n)))
+            return
+        for p in candidates[k]:
+            cols.append(p)
+            if consistent_with(k):
+                extend()
+            cols.pop()
+
+    extend()
+    return sorted(found)
+
+
+def canonical_form(table):
+    """Oracle: the row-major least relabeling, over every relabeling."""
+    n = len(table)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        inv = [0] * n
+        for a, pa in enumerate(perm):
+            inv[pa] = a
+        cand = tuple(tuple(perm[table[inv[a]][inv[b]]] for b in range(n)) for a in range(n))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
 def test_enumeration_matches_exhaustive_scan_small_orders():
     for n in (1, 2, 3):
         assert [q.table for q in enumerate_quandles(n)] == exhaustive_quandles(n)
+        assert labelled_quandles(n) == exhaustive_quandles(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumeration_matches_the_labelled_search(n):
+    assert [q.table for q in enumerate_quandles(n)] == labelled_quandles(n)
 
 
 def test_enumeration_iso_class_counts():
@@ -185,6 +244,10 @@ def test_enumeration_order_4_all_valid_and_deduped_consistently():
         assert sum(are_isomorphic(q, rep) for rep in classes) == 1
 
 
+def automorphism_count(X):
+    return sum(X.relabeled(p).table == X.table for p in itertools.permutations(range(X.n)))
+
+
 @pytest.mark.parametrize("n,classes,labelled", [(1, 1, 1), (2, 1, 1), (3, 3, 5), (4, 7, 36), (5, 22, 404)])
 def test_quandle_classes_sizes_are_orbit_sizes(n, classes, labelled):
     found = quandle_classes(n)
@@ -192,22 +255,36 @@ def test_quandle_classes_sizes_are_orbit_sizes(n, classes, labelled):
     assert sum(size for _, size in found) == labelled == len(enumerate_quandles(n))
     for X, size in found:
         # orbit-stabilizer: the class has n!/|Aut X| labelled tables
-        autos = sum(
-            X.relabeled(perm).table == X.table for perm in itertools.permutations(range(n))
-        )
-        assert size * autos == math.factorial(n)
+        assert size * automorphism_count(X) == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_class_representatives_are_the_canonical_forms(n):
     # oracle: the least relabeling of every labelled table, by brute force
-    canonical = sorted({_canonical_form(X.table) for X in enumerate_quandles(n)})
-    assert [X.table for X, _ in quandle_classes(n)] == canonical
-    assert [X.table for X in enumerate_quandles(n, dedupe_iso=True)] == canonical
+    labelled = labelled_quandles(n)
+    forms = [canonical_form(t) for t in labelled]
+    assert [X.table for X, _ in quandle_classes(n)] == sorted(set(forms))
+    assert [X.table for X in enumerate_quandles(n, dedupe_iso=True)] == sorted(set(forms))
+    # the early-exit pass behind are_isomorphic finds the same least tables
+    assert [_least_relabeling(t, _relabelings(n)) for t in labelled] == forms
+
+
+def test_order_6_classes():
+    found = quandle_classes(6)
+    assert len(found) == 73
+    assert sum(size for _, size in found) == 6658 == len(enumerate_quandles(6))
+    for X, _ in found:
+        assert validate_quandle(X.table).valid
+        # each representative is its own brute canonical form, and they are
+        # distinct, so no two are isomorphic
+        assert canonical_form(X.table) == X.table
+    assert len({X.table for X, _ in found}) == 73
+    for X, size in random.Random(6).sample(found, 8):
+        assert size * automorphism_count(X) == math.factorial(6)
 
 
 def test_enumeration_rejects_out_of_range_orders():
-    for n in (0, 6):
+    for n in (0, 7):
         with pytest.raises(ValueError):
             enumerate_quandles(n)
         with pytest.raises(ValueError):
