@@ -39,6 +39,7 @@ from .quandles import (
     MalformedTableError,
     QuandleTable,
     enumerate_quandles,
+    isomorphic_tables,
     load_quandle_file,
     orbits,
     quandle_classes,
@@ -295,55 +296,23 @@ def _lemma_failures(X, basis, tables):
     return out
 
 
-def _certified_sweep(classes, engines, mode_names, coeff):
-    """Per mode the cell count of a sweep over every labelled table, from
-    one triviality certificate per (class, mode); None when some class
-    fails.  Also the number of classes that pass in every mode."""
-    cells = dict.fromkeys(mode_names, 0)
-    certified = 0
-    for X, size in classes:
-        tables = [coloring_table(engine, X) for _, engine in engines]
-        passes = True
-        for mode_name in mode_names:
-            ok, cocycles = triviality_certificate(X, tables, MODE_OF[mode_name], coeff)
-            cells[mode_name] += size * len(tables) * cocycles
-            passes = passes and ok
-        certified += passes
-    return (cells if certified == len(classes) else None), certified
-
-
-def _labelled_sweep(quandles, engines, mode_names, coeff, scan_lemmas):
-    """Quandle-major sweep of every labelled table: one cocycle basis per
-    mode, one coloring table per diagram, one entry per cell."""
-    cells = {mode_name: [] for mode_name in mode_names}
-    lemma_failures = []
-    for X in quandles:
-        tables = [(name, coloring_table(engine, X)) for name, engine in engines]
-        for mode_name in mode_names:
-            mode = MODE_OF[mode_name]
-            basis = cocycle_basis(X, mode, coeff)
-            for name, table in tables:
-                cells[mode_name] += sweep_entries(table, name, basis, mode)
-            if scan_lemmas and mode == "plus":
-                lemma_failures += _lemma_failures(X, basis, tables)
-    return cells, lemma_failures
-
-
 def cmd_verify(args):
     """Sweep every quandle of order <= max order against the diagrams.
 
-    Each isomorphism class is certified once per mode.  When all pass,
-    every cell is trivial and, by a plus-mode pass over Z, every translated
-    weight is 0 too, so both lemmas hold; only the cell counts are needed.
-    Otherwise the labelled sweep runs and reports cells and witnesses.
+    Each isomorphism class is certified once per mode.  A pass means every
+    cell of every table in the class is trivial and, by a plus-mode pass
+    over Z, every translated weight is 0 too, so both lemmas hold; only
+    the cell count is needed.  Weights and cocycle counts do not change
+    under relabeling, so a class that fails in a mode can hold witnesses
+    only in its own labelled tables: those are swept in that mode, in
+    (order, table) order, for the cells, witnesses and lemma failures.
     """
     RunConfig(max_order=args.max_order)
     coeff = CoefficientGroup.parse(args.coeff)
     if coeff.kind == "Q":
         raise ValueError("verify sweeps run over Z or Z/m")
     mode_names = ("neg", "pos") if args.mode == "both" else (args.mode,)
-    orders = range(1, args.max_order + 1)
-    classes = [c for n in orders for c in quandle_classes(n)]
+    classes = [c for n in range(1, args.max_order + 1) for c in quandle_classes(n)]
 
     if args.expect_nontrivial:
         diagrams = [(args.expect_nontrivial, load_diagram(args.expect_nontrivial))]
@@ -351,16 +320,36 @@ def cmd_verify(args):
         diagrams = [(name, load_diagram(name)) for name in KNOT_NAMES]
 
     engines = [(name, DiagramEngine(d)) for name, d in diagrams]
-    counts, certified = _certified_sweep(classes, engines, mode_names, coeff)
-    if counts is not None:
-        bad = dict.fromkeys(mode_names, ())
-        lemma_failures = []
-    else:
-        quandles = [X for n in orders for X in enumerate_quandles(n)]
-        scan_lemmas = not args.expect_nontrivial and coeff == ZZ and "pos" in mode_names
-        cells, lemma_failures = _labelled_sweep(quandles, engines, mode_names, coeff, scan_lemmas)
-        counts = {mode_name: len(cells[mode_name]) for mode_name in mode_names}
-        bad = {mode_name: [e for e in cells[mode_name] if not e.trivial] for mode_name in mode_names}
+    counts = dict.fromkeys(mode_names, 0)
+    worklist = []  # (labelled table, the modes its class failed in)
+    certified = 0
+    for X, size in classes:
+        tables = [coloring_table(engine, X) for _, engine in engines]
+        failing = []
+        for mode_name in mode_names:
+            ok, cocycles = triviality_certificate(X, tables, MODE_OF[mode_name], coeff)
+            if ok:
+                counts[mode_name] += size * len(tables) * cocycles
+            else:
+                failing.append(mode_name)
+        certified += not failing
+        if failing:
+            worklist += [(Y, failing) for Y in isomorphic_tables(X)]
+
+    scan_lemmas = not args.expect_nontrivial and coeff == ZZ
+    bad = {mode_name: [] for mode_name in mode_names}
+    lemma_failures = []
+    for Y, failing in sorted(worklist, key=lambda item: (item[0].n, item[0].table)):
+        tables = [(name, coloring_table(engine, Y)) for name, engine in engines]
+        for mode_name in failing:
+            mode = MODE_OF[mode_name]
+            basis = cocycle_basis(Y, mode, coeff)
+            for name, table in tables:
+                cells = sweep_entries(table, name, basis, mode)
+                counts[mode_name] += len(cells)
+                bad[mode_name] += [e for e in cells if not e.trivial]
+            if scan_lemmas and mode == "plus":
+                lemma_failures += _lemma_failures(Y, basis, tables)
 
     mode_docs = []
     witnesses = []

@@ -370,6 +370,13 @@ def quandle_classes(n: int) -> list[tuple[QuandleTable, int]]:
     return [(QuandleTable(t), size) for t, size in sorted(found)]
 
 
+def isomorphic_tables(X: QuandleTable) -> list[QuandleTable]:
+    """Every labelled table isomorphic to X, lexicographically sorted: the
+    relabeling orbit of X, of size n!/|Aut X|."""
+    tables = {X.relabeled(p).table for p in itertools.permutations(range(X.n))}
+    return [QuandleTable(t) for t in sorted(tables)]
+
+
 def enumerate_quandles(n: int, dedupe_iso: bool = False) -> list[QuandleTable]:
     """All quandle tables of order n <= MAX_ENUMERATION_ORDER, lexicographically
     sorted: the union of the relabeling orbits of quandle_classes(n).
@@ -380,9 +387,7 @@ def enumerate_quandles(n: int, dedupe_iso: bool = False) -> list[QuandleTable]:
     classes = quandle_classes(n)
     if dedupe_iso:
         return [X for X, _ in classes]
-    perms = list(itertools.permutations(range(n)))
-    tables = {X.relabeled(p).table for X, _ in classes for p in perms}
-    return [QuandleTable(t) for t in sorted(tables)]
+    return sorted((Y for X, _ in classes for Y in isomorphic_tables(X)), key=lambda Y: Y.table)
 
 
 # --- file format -----------------------------------------------------------

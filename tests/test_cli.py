@@ -3,12 +3,14 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
 from braids import pd_text, torus_2
+from quandlekit import cli
 from quandlekit.cli import main
-from quandlekit.quandles import enumerate_quandles, orbits
+from quandlekit.quandles import enumerate_quandles, isomorphic_tables, orbits, quandle_classes
 
 D3_ROWS = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 T2_ROWS = [[0, 0], [1, 1]]
@@ -319,8 +321,10 @@ def test_verify_reports_classes_on_stderr(capsys, argv, note):
         ["--max-order", "4", "--coeff", "Z", "--mode", "both"],
         ["--max-order", "4", "--coeff", "Z3", "--mode", "pos"],
         ["--max-order", "3", "--coeff", "Z4", "--mode", "both"],
+        ["--max-order", "4", "--coeff", "Z2", "--mode", "neg", "--expect-nontrivial", "trefoil"],
+        ["--max-order", "3", "--coeff", "Z2", "--mode", "pos", "--expect-nontrivial", "hopf"],
     ],
-    ids=["Z-both", "Z3-pos", "Z4-both"],
+    ids=["Z-both", "Z3-pos", "Z4-both", "Z2-neg-trefoil", "Z2-pos-hopf"],
 )
 def test_certified_verify_matches_the_labelled_sweep(capsys, monkeypatch, argv):
     # oracle: with every certificate failing, verify runs the labelled sweep
@@ -333,6 +337,47 @@ def test_certified_verify_matches_the_labelled_sweep(capsys, monkeypatch, argv):
     labelled = run(capsys, ["verify"] + argv)
     assert labelled[:2] == certified[:2]
     assert "0 classes certified" in labelled[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-order", "4", "--coeff", "Z", "--mode", "both"],
+        ["--max-order", "4", "--coeff", "Z2", "--mode", "neg", "--expect-nontrivial", "trefoil"],
+    ],
+    ids=["Z-both", "Z2-neg-trefoil"],
+)
+def test_verify_with_a_seeded_half_of_the_classes_failing(capsys, monkeypatch, argv):
+    # a seeded half of the (class, mode) certificates fail; the labelled
+    # orbits of those classes interleave, and swept in (order, table) order,
+    # in the failing modes only, they must give the unforced run's document
+    classes = [X.table for n in range(1, 5) for X, _ in quandle_classes(n)]
+    pairs = [(t, mode) for t in classes for mode in ("minus", "plus")]
+    forced = set(random.Random(9).sample(pairs, len(classes)))
+    unforced = run(capsys, ["verify"] + argv)
+    certify, basis = cli.triviality_certificate, cli.cocycle_basis
+    failed, swept = set(), []
+
+    def half(X, tables, mode, coeff):
+        ok, cocycles = certify(X, tables, mode, coeff)
+        if not ok or (X.table, mode) in forced:
+            failed.add((X, mode))
+            return False, cocycles
+        return True, cocycles
+
+    def record(X, mode, coeff):
+        swept.append((X.table, mode))
+        return basis(X, mode, coeff)
+
+    monkeypatch.setattr("quandlekit.cli.triviality_certificate", half)
+    monkeypatch.setattr("quandlekit.cli.cocycle_basis", record)
+    mixed = run(capsys, ["verify"] + argv)
+    assert mixed[:2] == unforced[:2]
+    certified = len(classes) - len({X for X, _ in failed})
+    assert mixed[2].startswith("%d classes certified" % certified)
+    expected = {(Y.table, mode) for X, mode in failed for Y in isomorphic_tables(X)}
+    assert len({len(t) for t, _ in expected}) > 1
+    assert swept == sorted(expected, key=lambda item: (len(item[0]),) + item)
 
 
 def test_verify_rejects_rational_sweep(capsys):
@@ -378,8 +423,21 @@ def test_verify_output_deterministic(capsys):
             "8c283ba0cbafd303f401f7ab721874ec972772fefbc58f91f49e10085e9c3ca9",
             "107 classes certified, 0 fallbacks",
         ),
+        (
+            ["verify", "--max-order", "5", "--coeff", "Z2", "--mode", "neg",
+             "--expect-nontrivial", "trefoil"],
+            "6f75b617bc8e3820d194a8de94e9f409c479ac94ca173f01658b9b2dc5755adb",
+            "32 classes certified, 2 fallbacks",
+        ),
+        (
+            ["verify", "--max-order", "6", "--coeff", "Z2", "--mode", "neg",
+             "--expect-nontrivial", "trefoil"],
+            "16b1ed9791c8906377e3619605ad3e50a98ff6a5a82d2e293f249d0e94c55a5c",
+            "102 classes certified, 5 fallbacks",
+        ),
     ],
-    ids=["Z-both", "Z2-neg-trefoil", "Z-both-5", "Z3-pos-5", "Z-both-6"],
+    ids=["Z-both", "Z2-neg-trefoil", "Z-both-5", "Z3-pos-5", "Z-both-6", "Z2-neg-trefoil-5",
+         "Z2-neg-trefoil-6"],
 )
 def test_verify_output_pinned(capsys, argv, digest, note):
     # sha256 of the whole stdout document; any change to a cell, witness,

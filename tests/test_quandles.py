@@ -20,6 +20,7 @@ from quandlekit.quandles import (
     dihedral_quandle,
     dual,
     enumerate_quandles,
+    isomorphic_tables,
     load_quandle_file,
     orbits,
     quandle_classes,
@@ -256,6 +257,9 @@ def test_quandle_classes_sizes_are_orbit_sizes(n, classes, labelled):
     for X, size in found:
         # orbit-stabilizer: the class has n!/|Aut X| labelled tables
         assert size * automorphism_count(X) == math.factorial(n)
+        orbit = [Y.table for Y in isomorphic_tables(X)]
+        assert len(orbit) == size and orbit == sorted(orbit)
+        assert {canonical_form(t) for t in orbit} == {X.table}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
