@@ -5,6 +5,11 @@ elements.  The degenerate tuples (some adjacent pair equal) span a
 subcomplex; the quandle complex is the quotient, realized here on the
 complementary basis of tuples with no adjacent repeat.  Degree 0 is the
 zero group, so boundaries out of degree 1 vanish identically.
+
+Every boundary is w1*d1 + w2*d2 for a weight pair (w1, w2) in SIGNS: d1
+drops an entry, d2 drops it after acting on the prefix by it.  The paper's
+positive complex is d1 + d2 ("plus"); the quandle complex of Carter et al.
+is d1 - d2 ("minus").
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from itertools import product
 from .quandles import QuandleTable, _check_shape
 
 FLAVORS = ("rack", "degenerate", "quandle")
-SIGNS = ("d1", "d2", "minus", "plus")
+SIGNS = {"d1": (1, 0), "d2": (0, 1), "minus": (1, -1), "plus": (1, 1)}
 
 
 def _has_adjacent_repeat(t):
@@ -25,8 +30,7 @@ def _has_adjacent_repeat(t):
 
 def tuple_basis(X, n, flavor="rack"):
     """Ordered (lexicographic) basis of C_n for the given flavor."""
-    size = X.n if isinstance(X, QuandleTable) else int(X)
-    return list(_basis(size, n, flavor))
+    return list(_basis(X.n, n, flavor))
 
 
 # Every boundary of a sweep over same-size quandles shares its bases, so
@@ -88,36 +92,27 @@ class IntChain:
         return not self.coeffs
 
 
-def _d1_terms(t):
-    # i runs 1..n with sign (-1)^i
-    for i in range(1, len(t) + 1):
-        yield (-1) ** i, t[:i - 1] + t[i:]
+def _weights(sign):
+    if sign not in SIGNS:
+        raise ValueError("unknown sign %r" % (sign,))
+    return SIGNS[sign]
 
 
-def _d2_terms(op, t):
-    for i in range(1, len(t) + 1):
-        a = t[i - 1]
-        yield (-1) ** i, tuple(op(x, a) for x in t[:i - 1]) + t[i:]
-
-
-def _term_fn(op, sign):
-    """Signed terms of a generator's boundary: d1, d2, d1 - d2 or d1 + d2."""
-    if sign == "d1":
-        return _d1_terms
-    if sign == "d2":
-        return lambda t: _d2_terms(op, t)
-    if sign == "minus":
-        def both(t):
-            yield from _d1_terms(t)
-            for s, u in _d2_terms(op, t):
-                yield -s, u
-        return both
-    if sign == "plus":
-        def both(t):
-            yield from _d1_terms(t)
-            yield from _d2_terms(op, t)
-        return both
-    raise ValueError("unknown sign %r" % (sign,))
+def _boundary(rows, t, weights):
+    """Boundary of the generator t as {tuple: coefficient}: for i = 1..n,
+    (-1)^i times w1 copies of t with entry i dropped and w2 copies with it
+    dropped after acting on the prefix by it (x -> rows[x][t_i])."""
+    w1, w2 = weights
+    out = {}
+    for i, a in enumerate(t):
+        s = 1 if i % 2 else -1
+        if w1:
+            u = t[:i] + t[i + 1:]
+            out[u] = out.get(u, 0) + s * w1
+        if w2:
+            u = tuple(rows[x][a] for x in t[:i]) + t[i + 1:]
+            out[u] = out.get(u, 0) + s * w2
+    return out
 
 
 def d1_apply(chain):
@@ -132,12 +127,13 @@ def d2_apply(X, chain):
 
 def boundary_apply(X, chain, sign):
     """Boundary of an IntChain, from the same terms as the boundary matrices."""
-    terms = _term_fn(None if X is None else X.op, sign)
+    weights = _weights(sign)
+    rows = None if X is None else X.table
     out = {}
     if chain.degree > 1:
         for t, c in chain.coeffs:
-            for sgn, u in terms(t):
-                out[u] = out.get(u, 0) + sgn * c
+            for u, k in _boundary(rows, t, weights).items():
+                out[u] = out.get(u, 0) + k * c
     return IntChain.from_dict(max(chain.degree - 1, 0), out)
 
 
@@ -157,7 +153,7 @@ class BoundaryMatrix:
         return len(self.codomain), len(self.domain)
 
 
-def _columns(op, domain, index, sign, strict):
+def _columns(rows, domain, index, weights, strict):
     """Boundaries of the domain generators as sparse columns {row: coeff},
     rows numbered by ``index``, the codomain basis's positions.
 
@@ -165,14 +161,10 @@ def _columns(op, domain, index, sign, strict):
     exactly (the degenerate subcomplex property); otherwise stray tuples are
     dropped (the quandle quotient).
     """
-    terms = _term_fn(op, sign)
     cols = []
     for t in domain:
-        acc = {}
-        for sgn, u in terms(t):
-            acc[u] = acc.get(u, 0) + sgn
         col = {}
-        for u, c in acc.items():
+        for u, c in _boundary(rows, t, weights).items():
             if not c:
                 continue
             i = index.get(u)
@@ -190,11 +182,10 @@ def boundary_columns(X, n, sign, flavor="rack"):
     """Degree-n boundary as (domain, codomain, sparse columns {row: coeff})."""
     if n < 1:
         raise ValueError("boundary needs degree >= 1")
-    if sign not in SIGNS:
-        raise ValueError("unknown sign %r" % (sign,))
+    weights = _weights(sign)
     domain = _basis(X.n, n, flavor)
     index = _index(X.n, n - 1, flavor)
-    cols = _columns(X.op, domain, index, sign, strict=(flavor == "degenerate"))
+    cols = _columns(X.table, domain, index, weights, strict=(flavor == "degenerate"))
     return domain, _basis(X.n, n - 1, flavor), cols
 
 
@@ -266,16 +257,12 @@ def verify_complex_identities(X, max_degree=4):
     else:
         table = _check_shape(X)
     size = len(table)
-
-    def op(a, b):
-        return table[a][b]
-
     bases = {n: _basis(size, n, "rack") for n in range(max_degree + 1)}
     maps = {}
     for n in range(1, max_degree + 1):
         index = _index(size, n - 1, "rack")
-        for sign in SIGNS:
-            maps[sign, n] = _columns(op, bases[n], index, sign, strict=False)
+        for sign, weights in SIGNS.items():
+            maps[sign, n] = _columns(table, bases[n], index, weights, strict=False)
 
     checked = []
     failures = []

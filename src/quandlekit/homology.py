@@ -9,12 +9,11 @@ same numbers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 from . import linalg
-from .chains import FLAVORS, boundary_columns, tuple_basis
+from .chains import FLAVORS, _basis, boundary_columns
 from .quandles import QuandleTable
 
 
@@ -177,10 +176,9 @@ def cohomology_group(X, flavor, sign, n, coeff):
     return _group(X, flavor, sign, n, coeff, cohomology=True)
 
 
-@functools.lru_cache(maxsize=None)
 def pair_basis(n):
     """Off-diagonal pairs in lexicographic order: the degree-2 quandle basis."""
-    return tuple(tuple_basis(n, 2, "quandle"))
+    return _basis(n, 2, "quandle")
 
 
 class Cochain2:

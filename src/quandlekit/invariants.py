@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chains import boundary_columns
+from .chains import _index, boundary_columns
 from .diagrams import arcs, checkerboard, load_diagram, signs
 from .homology import ZZ, cocycle_basis, pair_basis
 from .linalg import elementary_divisors
@@ -487,7 +487,7 @@ def triviality_certificate(X, tables, mode, coeff):
         # like a sweep over an empty basis, build no pair counts: plus mode
         # needs the faces, which a disconnected code lacks
         return True, 0
-    index = {pair: i for i, pair in enumerate(pairs)}
+    index = _index(X.n, 2, "quandle")
     cycles = set()
     for table in tables:
         for counts in table.pair_counts(mode):

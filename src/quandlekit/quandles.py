@@ -408,9 +408,12 @@ def rows_from_doc(doc):
     if not isinstance(doc, dict) or "table" not in doc:
         raise MalformedTableError("document must be an object with a 'table' field")
     rows = _check_shape(doc["table"])
-    if "n" in doc and doc["n"] != len(rows):
+    n = doc.get("n", len(rows))
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise MalformedTableError("declared n=%r is not an integer" % (n,))
+    if n != len(rows):
         raise MalformedTableError("declared n=%r does not match table size %d"
-                                  % (doc["n"], len(rows)))
+                                  % (n, len(rows)))
     labels = doc.get("labels")
     if labels is not None:
         if (not isinstance(labels, list) or len(labels) != len(rows)

@@ -10,6 +10,7 @@ from quandlekit.chains import (
     BoundaryMatrix,
     IntChain,
     boundary_apply,
+    boundary_columns,
     boundary_matrix,
     d1_apply,
     d2_apply,
@@ -88,18 +89,37 @@ def test_chain_arithmetic():
 
 
 def test_boundary_matrix_agrees_with_apply():
-    # both library paths against d1 and d2 written out from the definitions:
-    # drop entry i with sign (-1)^i, and act on the prefix by the dropped entry
-    q = dihedral_quandle(3)
-    for sign, (e1, e2) in {"d1": (1, 0), "d2": (0, 1), "minus": (1, -1), "plus": (1, 1)}.items():
-        bm = boundary_matrix(q, 3, sign, "rack")
-        for j, t in enumerate(bm.domain):
-            want = dict.fromkeys(bm.codomain, 0)
-            for i in range(3):
-                want[t[:i] + t[i + 1:]] += e1 * (-1) ** (i + 1)
-                want[tuple(q.op(x, t[i]) for x in t[:i]) + t[i + 1:]] += e2 * (-1) ** (i + 1)
-            assert [row[j] for row in bm.matrix] == list(want.values())
-            assert boundary_apply(q, IntChain.generator(t), sign) == IntChain.from_dict(2, want)
+    # every library path against d1 and d2 written out from the definitions:
+    # drop entry i with sign (-1)^i, and act on the prefix by the dropped entry.
+    # The order-4 quandle is not involutory, so acting by the wrong side shows.
+    r3 = dihedral_quandle(3)
+    q4 = next(q for q in enumerate_quandles(4) if q.table != q.dual_table)
+    for q in (r3, q4):
+        for sign, (e1, e2) in {"d1": (1, 0), "d2": (0, 1), "minus": (1, -1), "plus": (1, 1)}.items():
+            for n in range(1, 5):
+                rack_codomain = tuple_basis(q, n - 1, "rack")
+                for flavor in ("rack", "degenerate", "quandle"):
+                    bm = boundary_matrix(q, n, sign, flavor)
+                    domain, codomain, cols = boundary_columns(q, n, sign, flavor)
+                    assert (bm.domain, bm.codomain) == (domain, codomain)
+                    assert list(domain) == tuple_basis(q, n, flavor)
+                    assert list(codomain) == tuple_basis(q, n - 1, flavor)
+                    for j, t in enumerate(domain):
+                        rack = dict.fromkeys(rack_codomain, 0)  # degree 0 is the zero group
+                        for i in range(n):
+                            for u, e in (
+                                (t[:i] + t[i + 1:], e1),
+                                (tuple(q.op(x, t[i]) for x in t[:i]) + t[i + 1:], e2),
+                            ):
+                                if u in rack:
+                                    rack[u] += e * (-1) ** (i + 1)
+                        if flavor == "degenerate":
+                            assert all(u in codomain for u, c in rack.items() if c)
+                        want = [rack[u] for u in codomain]
+                        assert [row[j] for row in bm.matrix] == want
+                        assert [cols[j].get(i, 0) for i in range(len(codomain))] == want
+                        got = boundary_apply(q, IntChain.generator(t), sign)
+                        assert got == IntChain.from_dict(max(n - 1, 0), rack)
 
 
 def test_quandle_flavor_is_the_projected_rack_matrix():
@@ -154,6 +174,16 @@ def test_boundary_matrix_rejects_bad_arguments():
         boundary_matrix(q, 0, "minus")
     with pytest.raises(ValueError):
         boundary_matrix(q, 2, "upside")
+    for degree in (1, 2):
+        with pytest.raises(ValueError, match="unknown sign"):
+            boundary_apply(q, IntChain.generator((0,) * degree), "upside")
+    # 0*0 = 1 is not idempotent, so d2 of the degenerate generator (0, 0)
+    # leaves the degenerate span; d1 alone keeps it there on any table
+    not_idempotent = QuandleTable(((1, 1), (0, 0)))
+    for sign in ("d2", "minus", "plus"):
+        with pytest.raises(ArithmeticError, match=r"of \(0, 0\) leaves the degenerate span"):
+            boundary_columns(not_idempotent, 2, sign, "degenerate")
+    assert boundary_columns(not_idempotent, 2, "d1", "degenerate")[2] == [{}, {}]
 
 
 @settings(max_examples=25, deadline=None)

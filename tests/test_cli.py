@@ -62,6 +62,20 @@ def test_missing_file_exits_2(capsys, files):
     assert "error" in err
 
 
+@pytest.mark.parametrize("n, rows", [
+    (True, [[0]]),  # JSON true is an int to Python, and equals 1
+    (2.0, T2_ROWS),
+    ("2", T2_ROWS),
+    (3, T2_ROWS),
+])
+def test_quandle_check_rejects_a_declared_n_that_is_not_the_integer_size(capsys, tmp_path, n, rows):
+    p = tmp_path / "q.json"
+    p.write_text(json.dumps({"n": n, "table": rows}))
+    rc, doc, err = run(capsys, ["quandle", "check", "-f", str(p)])
+    assert rc == 2 and doc is None
+    assert "declared n=%r" % (n,) in err
+
+
 def test_quandle_info(capsys, files):
     rc, doc, _ = run(capsys, ["quandle", "info", "-f", files["t3"]])
     assert rc == 0
