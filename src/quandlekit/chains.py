@@ -14,11 +14,11 @@ is d1 - d2 ("minus").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
-from .quandles import QuandleTable, _check_shape
+from .quandles import Frozen, QuandleTable, _check_shape
 
 FLAVORS = ("rack", "degenerate", "quandle")
 SIGNS = {"d1": (1, 0), "d2": (0, 1), "minus": (1, -1), "plus": (1, 1)}
@@ -55,12 +55,15 @@ def _index(size, n, flavor):
     return {t: i for i, t in enumerate(_basis(size, n, flavor))}
 
 
-@dataclass(frozen=True)
-class IntChain:
+class IntChain(Frozen):
     """Finite integer combination of same-length tuples."""
 
-    degree: int
-    coeffs: tuple  # sorted ((tuple, coefficient), ...), every coefficient nonzero
+    __slots__ = __match_args__ = ("degree", "coeffs")
+
+    def __init__(self, degree, coeffs):
+        object.__setattr__(self, "degree", degree)
+        # sorted ((tuple, coefficient), ...), every coefficient nonzero
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_dict(cls, degree, d):
@@ -137,8 +140,7 @@ def boundary_apply(X, chain, sign):
     return IntChain.from_dict(max(chain.degree - 1, 0), out)
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
+class BoundaryMatrix(NamedTuple):
     """Matrix of a boundary map C_n -> C_{n-1} in fixed lexicographic bases."""
 
     n: int
@@ -206,15 +208,13 @@ def boundary_matrix(X, n, sign, flavor="rack"):
     )
 
 
-@dataclass(frozen=True)
-class IdentityFailure:
+class IdentityFailure(NamedTuple):
     identity: str
     degree: int
     witness: tuple
 
 
-@dataclass(frozen=True)
-class ComplexReport:
+class ComplexReport(NamedTuple):
     order: int
     max_degree: int
     checked: tuple

@@ -13,7 +13,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diagrams import CORPUS_NAMES, PDStructureError, PDSyntaxError, load_diagram
 from .homology import (
@@ -55,18 +55,18 @@ MODE_OF = {"neg": "minus", "pos": "plus"}
 KNOT_NAMES = ("trefoil", "figure8", "5_1", "5_2", "trefoil_kinked", "figure8_kinked")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "degree max_order")):
     """Normalized numeric bounds shared by the computing subcommands."""
 
-    degree: int | None = None
-    max_order: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if self.degree is not None and not 1 <= self.degree <= 3:
+    def __new__(cls, degree=None, max_order=None):
+        if degree is not None and not 1 <= degree <= 3:
             raise ValueError("degree must be between 1 and 3")
-        if self.max_order is not None and not 1 <= self.max_order <= MAX_ENUMERATION_ORDER:
+        if max_order is not None and not 1 <= max_order <= MAX_ENUMERATION_ORDER:
             raise ValueError("max order must be between 1 and %d" % MAX_ENUMERATION_ORDER)
+        return super().__new__(cls, degree, max_order)
 
 
 def _emit(doc):

@@ -21,12 +21,13 @@ eps.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from itertools import chain
 from typing import NamedTuple
+
+from .quandles import Frozen
 
 _TERM = re.compile(r"\s*([XO])\s*\[([0-9,\s]*)\]\s*")
 
@@ -79,14 +80,18 @@ def _tokenize(text):
     return terms
 
 
-@dataclass(frozen=True)
-class PDDiagram:
+class PDDiagram(Frozen):
     """A validated, oriented planar-diagram code."""
 
-    crossings: tuple  # of (a, b, c, d)
-    loops: tuple  # O-term edge ids
-    incoming: tuple  # per crossing, 4 booleans: does that end point in?
-    components: tuple  # edge-id cycles, one per link component
+    __match_args__ = ("crossings", "loops", "incoming", "components")
+
+    def __init__(self, crossings, loops, incoming, components):
+        vars(self).update(
+            crossings=crossings,  # of (a, b, c, d)
+            loops=loops,  # O-term edge ids
+            incoming=incoming,  # per crossing, 4 booleans: does that end point in?
+            components=components,  # edge-id cycles, one per link component
+        )
 
     @property
     def n_crossings(self):
@@ -215,8 +220,7 @@ class ArcTraversal(NamedTuple):
     closed: bool
 
 
-@dataclass(frozen=True)
-class ArcSet:
+class ArcSet(NamedTuple):
     """Partition of the edges into arcs (cut only at under-passages)."""
 
     arcs: tuple  # sorted tuples of edge ids
@@ -254,19 +258,19 @@ def arcs(d):
     return ArcSet(arcs=blocks, arc_of=arc_of, traversals=tuple(t for _, t in found))
 
 
-@dataclass(frozen=True)
-class FaceSet:
-    """Faces of the sphere embedding, as cycles of arrival darts (i, p)."""
+class FaceSet(NamedTuple):
+    """Faces of the sphere embedding, as cycles of arrival darts (i, p), and
+    the face of each dart."""
 
     faces: tuple
     outer_default: int
+    face_of: dict  # dart -> face index; follows from faces, so left out of the hash
 
     def __len__(self):
         return len(self.faces)
 
-    @cached_property
-    def face_of(self):
-        return {dart: i for i, cyc in enumerate(self.faces) for dart in cyc}
+    def __hash__(self):
+        return hash((self.faces, self.outer_default))
 
 
 def _next_dart(d, dart):
@@ -280,7 +284,7 @@ def _next_dart(d, dart):
 def faces(d):
     """Faces via counterclockwise rotation; checks the Euler count."""
     if not d.crossings:
-        return FaceSet(faces=((),), outer_default=0)
+        return FaceSet(faces=((),), outer_default=0, face_of={})
     darts = [(i, p) for i in range(d.n_crossings) for p in range(4)]
     seen = set()
     out = []
@@ -303,14 +307,12 @@ def faces(d):
             "face count %d fails the Euler check (disconnected or nonplanar code)"
             % len(out)
         )
-    fs = FaceSet(faces=tuple(out), outer_default=0)
+    face_of = {dart: i for i, cyc in enumerate(out) for dart in cyc}
     first = min(e2 for t in d.crossings for e2 in t)
-    outer = fs.face_of[d.heads[first]]
-    return FaceSet(faces=fs.faces, outer_default=outer)
+    return FaceSet(faces=tuple(out), outer_default=face_of[d.heads[first]], face_of=face_of)
 
 
-@dataclass(frozen=True)
-class Shading:
+class Shading(NamedTuple):
     """Checkerboard 2-coloring of the faces; the outer face is white."""
 
     faceset: FaceSet
@@ -351,8 +353,7 @@ def checkerboard(d, outer_face=None):
     )
 
 
-@dataclass(frozen=True)
-class CrossingSigns:
+class CrossingSigns(NamedTuple):
     """w: writhe signs; eps: +1 where the quadrant between a and b is shaded."""
 
     w: tuple
@@ -377,8 +378,9 @@ def named_diagram(name):
     """Load a bundled corpus diagram by name."""
     if name not in CORPUS_NAMES:
         raise KeyError("unknown diagram %r (corpus: %s)" % (name, ", ".join(CORPUS_NAMES)))
-    text = resources.files(__package__).joinpath("diagrams/%s.txt" % name).read_text()
-    return parse_pd(text)
+    path = os.path.join(os.path.dirname(__file__), "diagrams", name + ".txt")
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_pd(fh.read())
 
 
 def load_diagram(source):

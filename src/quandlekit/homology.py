@@ -10,26 +10,28 @@ same numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .chains import FLAVORS, _basis, boundary_columns
-from .quandles import QuandleTable
+from .quandles import Frozen, QuandleTable
 
 
-@dataclass(frozen=True)
-class CoefficientGroup:
-    kind: str  # "Z", "Q", or "Zm"
-    modulus: int | None = None
+class CoefficientGroup(namedtuple("CoefficientGroup", "kind modulus")):
+    """Z, Q or Z/m: kind is "Z", "Q", or "Zm", and only Zm has a modulus."""
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Zm"):
-            raise ValueError("unknown coefficient kind %r" % (self.kind,))
-        if self.kind == "Zm":
-            if not isinstance(self.modulus, int) or self.modulus < 2:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, kind, modulus=None):
+        if kind not in ("Z", "Q", "Zm"):
+            raise ValueError("unknown coefficient kind %r" % (kind,))
+        if kind == "Zm":
+            if not isinstance(modulus, int) or modulus < 2:
                 raise ValueError("modulus must be an integer >= 2")
-        elif self.modulus is not None:
+        elif modulus is not None:
             raise ValueError("modulus only makes sense for Zm")
+        return super().__new__(cls, kind, modulus)
 
     @classmethod
     def parse(cls, text):
@@ -72,21 +74,22 @@ def _factor(n):
     return out
 
 
-@dataclass(frozen=True)
-class AbelianGroupDescriptor:
-    """Finitely generated abelian group in invariant-factor form."""
+class AbelianGroupDescriptor(namedtuple("AbelianGroupDescriptor", "free_rank torsion")):
+    """Finitely generated abelian group in invariant-factor form: the torsion
+    is a tuple of invariant factors > 1, each dividing the next."""
 
-    free_rank: int
-    torsion: tuple  # invariant factors > 1, each dividing the next
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank, torsion):
+        if free_rank < 0:
             raise ValueError("negative rank")
-        for i, t in enumerate(self.torsion):
+        for i, t in enumerate(torsion):
             if t < 2:
                 raise ValueError("torsion coefficients must exceed 1")
-            if i and t % self.torsion[i - 1]:
+            if i and t % torsion[i - 1]:
                 raise ValueError("torsion list is not a divisibility chain")
+        return super().__new__(cls, free_rank, torsion)
 
     @property
     def is_trivial(self):
@@ -181,10 +184,10 @@ def pair_basis(n):
     return _basis(n, 2, "quandle")
 
 
-class Cochain2:
+class Cochain2(Frozen):
     """A 2-cochain on a quandle: square table of values with a zero diagonal."""
 
-    __slots__ = ("coeff", "values")
+    __slots__ = __match_args__ = ("coeff", "values")
 
     def __init__(self, coeff, values):
         values = tuple(tuple(coeff.reduce(v) for v in row) for row in values)
@@ -198,25 +201,12 @@ class Cochain2:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "values", values)
 
-    def __setattr__(self, *_):
-        raise AttributeError("Cochain2 is immutable")
-
     @property
     def n(self):
         return len(self.values)
 
     def __call__(self, a, b):
         return self.values[a][b]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain2)
-            and self.coeff == other.coeff
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.coeff, self.values))
 
     def __repr__(self):
         return "Cochain2(%s, %r)" % (self.coeff, [list(r) for r in self.values])

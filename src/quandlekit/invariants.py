@@ -34,22 +34,25 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .chains import _index, boundary_columns
 from .diagrams import arcs, checkerboard, load_diagram, signs
 from .homology import ZZ, cocycle_basis, pair_basis
 from .linalg import elementary_divisors
+from .quandles import Frozen
 
 MODES = ("minus", "plus")
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Frozen):
     """Arc index -> quandle element."""
 
-    colors: tuple
+    __slots__ = __match_args__ = ("colors",)
+
+    def __init__(self, colors):
+        object.__setattr__(self, "colors", colors)
 
     def __getitem__(self, arc):
         return self.colors[arc]
@@ -278,8 +281,7 @@ def act_coloring(X, rho, a):
     return Coloring(tuple(X.op(c, a) for c in rho.colors))
 
 
-@dataclass(frozen=True)
-class GroupRingValue:
+class GroupRingValue(NamedTuple):
     """Multiset of coefficient-group elements, one per coloring."""
 
     coeff: object
@@ -333,8 +335,7 @@ def state_sum(d, X, phi, mode, coeff=None):
     return GroupRingValue.from_values(phi.coeff, weights)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     name: str
     pairs_checked: int
     failures: tuple  # ((coloring, element, value, translated value), ...)
@@ -393,8 +394,7 @@ def check_eps_alternation(d, crossing_signs=None):
     return True
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     quandle: tuple  # the table rows
     diagram: str
     cocycle: tuple  # value table rows
@@ -404,8 +404,7 @@ class SweepEntry:
     witnesses: tuple  # nontrivial (coloring, weight) pairs
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     mode: str
     coeff: object
     entries: tuple

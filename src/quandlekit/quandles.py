@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class MalformedTableError(ValueError):
@@ -38,14 +38,12 @@ def _check_shape(rows):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: int
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     n: int
     valid: bool
     violations: tuple[AxiomViolation, ...]
@@ -83,8 +81,34 @@ def validate_quandle(rows) -> ValidationReport:
     return ValidationReport(n=n, valid=not bad, violations=tuple(bad))
 
 
-@dataclass(frozen=True)
-class QuandleTable:
+class Frozen:
+    """Base of the immutable records that are not named tuples, because they
+    cache properties, index like a sequence or add.  The constructor sets
+    each field named in __match_args__ once, past __setattr__; the fields
+    give equality, hashing and repr, as in a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ("%s=%r" % (f, getattr(self, f)) for f in self.__match_args__)
+        return "%s(%s)" % (type(self).__name__, ", ".join(fields))
+
+
+class QuandleTable(Frozen):
     """Operation table wrapper.
 
     The plain constructor does not validate the axioms (deliberately: the
@@ -92,7 +116,10 @@ class QuandleTable:
     Use from_rows for checked construction.
     """
 
-    table: tuple[tuple[int, ...], ...]
+    __match_args__ = ("table",)
+
+    def __init__(self, table: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_rows(cls, rows) -> "QuandleTable":
@@ -187,8 +214,7 @@ def conjugation_quandle(group_rows, rep: int) -> tuple[QuandleTable, tuple[int, 
     return QuandleTable.from_rows(rows), tuple(cls)
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
     orbit_of: tuple[int, ...]
 

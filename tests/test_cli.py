@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -493,3 +495,17 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_the_cli_imports_neither_dataclasses_nor_importlib_resources():
+    # every command pays its imports in a fresh interpreter; -S keeps site's
+    # own imports out, and the corpus must load without importlib.resources
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys; sys.path.insert(0, %r); import quandlekit.cli; "
+        "quandlekit.cli.load_diagram('trefoil'); "
+        "print(sorted({'dataclasses', 'importlib.resources'} & set(sys.modules)))" % src
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
