@@ -17,17 +17,7 @@ from .quandles import (
     trivial_quandle,
     validate_quandle,
 )
-from .chains import (
-    BoundaryMatrix,
-    ComplexReport,
-    IntChain,
-    boundary_apply,
-    boundary_matrix,
-    d1_apply,
-    d2_apply,
-    tuple_basis,
-    verify_complex_identities,
-)
+from .chains import ComplexReport, boundary_columns, tuple_basis, verify_complex_identities
 from .homology import (
     QQ,
     ZZ,
@@ -64,19 +54,15 @@ from .diagrams import (
 )
 from .invariants import (
     Coloring,
+    DiagramEngine,
     GroupRingValue,
     LemmaReport,
-    SweepReport,
-    act_coloring,
     check_eps_alternation,
-    check_lemma_4_1,
-    check_lemma_4_2,
-    contribution,
+    coloring_table,
     enumerate_colorings,
     is_trivial,
-    is_valid_coloring,
     state_sum,
-    theorem_sweep,
+    translation_lemmas,
 )
 
 __version__ = "0.1.0"

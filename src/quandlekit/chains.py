@@ -9,16 +9,19 @@ zero group, so boundaries out of degree 1 vanish identically.
 Every boundary is w1*d1 + w2*d2 for a weight pair (w1, w2) in SIGNS: d1
 drops an entry, d2 drops it after acting on the prefix by it.  The paper's
 positive complex is d1 + d2 ("plus"); the quandle complex of Carter et al.
-is d1 - d2 ("minus").
+is d1 - d2 ("minus").  ``boundary_columns`` is the one evaluator of a
+boundary, as one sparse column per generator.  Homology, cocycle bases and
+the certificates eliminate those columns; the identity checker composes the
+same columns built from raw table rows.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
-from .quandles import Frozen, QuandleTable, _check_shape
+from .quandles import QuandleTable, _check_shape
 
 FLAVORS = ("rack", "degenerate", "quandle")
 SIGNS = {"d1": (1, 0), "d2": (0, 1), "minus": (1, -1), "plus": (1, 1)}
@@ -55,52 +58,6 @@ def _index(size, n, flavor):
     return {t: i for i, t in enumerate(_basis(size, n, flavor))}
 
 
-class IntChain(Frozen):
-    """Finite integer combination of same-length tuples."""
-
-    __slots__ = __match_args__ = ("degree", "coeffs")
-
-    def __init__(self, degree, coeffs):
-        object.__setattr__(self, "degree", degree)
-        # sorted ((tuple, coefficient), ...), every coefficient nonzero
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_dict(cls, degree, d):
-        items = tuple(sorted((t, c) for t, c in d.items() if c))
-        for t, _ in items:
-            if len(t) != degree:
-                raise ValueError("tuple %r does not have degree %d" % (t, degree))
-        return cls(degree, items)
-
-    @classmethod
-    def generator(cls, t):
-        return cls.from_dict(len(t), {tuple(t): 1})
-
-    def as_dict(self):
-        return dict(self.coeffs)
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        d = self.as_dict()
-        for t, c in other.coeffs:
-            d[t] = d.get(t, 0) + c
-        return IntChain.from_dict(self.degree, d)
-
-    def scaled(self, k):
-        return IntChain.from_dict(self.degree, {t: k * c for t, c in self.coeffs})
-
-    def is_zero(self):
-        return not self.coeffs
-
-
-def _weights(sign):
-    if sign not in SIGNS:
-        raise ValueError("unknown sign %r" % (sign,))
-    return SIGNS[sign]
-
-
 def _boundary(rows, t, weights):
     """Boundary of the generator t as {tuple: coefficient}: for i = 1..n,
     (-1)^i times w1 copies of t with entry i dropped and w2 copies with it
@@ -116,43 +73,6 @@ def _boundary(rows, t, weights):
             u = tuple(rows[x][a] for x in t[:i]) + t[i + 1:]
             out[u] = out.get(u, 0) + s * w2
     return out
-
-
-def d1_apply(chain):
-    """First boundary piece: drop one entry with alternating sign."""
-    return boundary_apply(None, chain, "d1")
-
-
-def d2_apply(X, chain):
-    """Second boundary piece: act on the prefix by the dropped entry."""
-    return boundary_apply(X, chain, "d2")
-
-
-def boundary_apply(X, chain, sign):
-    """Boundary of an IntChain, from the same terms as the boundary matrices."""
-    weights = _weights(sign)
-    rows = None if X is None else X.table
-    out = {}
-    if chain.degree > 1:
-        for t, c in chain.coeffs:
-            for u, k in _boundary(rows, t, weights).items():
-                out[u] = out.get(u, 0) + k * c
-    return IntChain.from_dict(max(chain.degree - 1, 0), out)
-
-
-class BoundaryMatrix(NamedTuple):
-    """Matrix of a boundary map C_n -> C_{n-1} in fixed lexicographic bases."""
-
-    n: int
-    sign: str
-    flavor: str
-    matrix: tuple  # rows, len(domain) columns each
-    domain: tuple  # degree-n basis tuples
-    codomain: tuple  # degree-(n-1) basis tuples
-
-    @property
-    def shape(self):
-        return len(self.codomain), len(self.domain)
 
 
 def _columns(rows, domain, index, weights, strict):
@@ -184,41 +104,27 @@ def boundary_columns(X, n, sign, flavor="rack"):
     """Degree-n boundary as (domain, codomain, sparse columns {row: coeff})."""
     if n < 1:
         raise ValueError("boundary needs degree >= 1")
-    weights = _weights(sign)
+    if sign not in SIGNS:
+        raise ValueError("unknown sign %r" % (sign,))
+    weights = SIGNS[sign]
     domain = _basis(X.n, n, flavor)
     index = _index(X.n, n - 1, flavor)
     cols = _columns(X.table, domain, index, weights, strict=(flavor == "degenerate"))
     return domain, _basis(X.n, n - 1, flavor), cols
 
 
-def boundary_matrix(X, n, sign, flavor="rack"):
-    """Matrix of the degree-n boundary in the chosen flavor and sign."""
-    domain, codomain, cols = boundary_columns(X, n, sign, flavor)
-    rows = [[0] * len(domain) for _ in codomain]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            rows[i][j] = c
-    return BoundaryMatrix(
-        n=n,
-        sign=sign,
-        flavor=flavor,
-        matrix=tuple(tuple(r) for r in rows),
-        domain=domain,
-        codomain=codomain,
-    )
+class IdentityFailure(namedtuple("IdentityFailure", "identity degree witness")):
+    """The first failing column of one identity in one degree: the identity's
+    name, the degree, and the tuple whose image does not vanish."""
+
+    __slots__ = ()
 
 
-class IdentityFailure(NamedTuple):
-    identity: str
-    degree: int
-    witness: tuple
+class ComplexReport(namedtuple("ComplexReport", "order max_degree checked failures")):
+    """Every (identity, degree) checked on a table of the given order, and the
+    IdentityFailure of each that fails."""
 
-
-class ComplexReport(NamedTuple):
-    order: int
-    max_degree: int
-    checked: tuple
-    failures: tuple
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -24,8 +24,8 @@ from __future__ import annotations
 import os
 import re
 from functools import cached_property
+from collections import namedtuple
 from itertools import chain
-from typing import NamedTuple
 
 from .quandles import Frozen
 
@@ -208,24 +208,21 @@ def parse_pd(text):
     )
 
 
-class ArcTraversal(NamedTuple):
+class ArcTraversal(namedtuple("ArcTraversal", "start overs end closed")):
     """One arc's travel: the undercrossing it starts from, the crossings it
     passes over in order, and the undercrossing it ends at.  A closed arc
     (a crossingless loop, or a component that passes over everything it
-    meets) has no start or end."""
+    meets) has no start or end: both are None."""
 
-    start: int | None
-    overs: tuple
-    end: int | None
-    closed: bool
+    __slots__ = ()
 
 
-class ArcSet(NamedTuple):
-    """Partition of the edges into arcs (cut only at under-passages)."""
+class ArcSet(namedtuple("ArcSet", "arcs arc_of traversals")):
+    """Partition of the edges into arcs (cut only at under-passages): the
+    arcs as sorted tuples of edge ids, the dict edge id -> arc index, and
+    each arc's ArcTraversal."""
 
-    arcs: tuple  # sorted tuples of edge ids
-    arc_of: dict  # edge id -> arc index
-    traversals: tuple  # per arc, its ArcTraversal
+    __slots__ = ()
 
     def __len__(self):
         return len(self.arcs)
@@ -258,13 +255,12 @@ def arcs(d):
     return ArcSet(arcs=blocks, arc_of=arc_of, traversals=tuple(t for _, t in found))
 
 
-class FaceSet(NamedTuple):
-    """Faces of the sphere embedding, as cycles of arrival darts (i, p), and
-    the face of each dart."""
+class FaceSet(namedtuple("FaceSet", "faces outer_default face_of")):
+    """Faces of the sphere embedding, as cycles of arrival darts (i, p), the
+    default outer face, and the dict dart -> face index.  face_of follows
+    from faces, so it is left out of the hash."""
 
-    faces: tuple
-    outer_default: int
-    face_of: dict  # dart -> face index; follows from faces, so left out of the hash
+    __slots__ = ()
 
     def __len__(self):
         return len(self.faces)
@@ -312,12 +308,11 @@ def faces(d):
     return FaceSet(faces=tuple(out), outer_default=face_of[d.heads[first]], face_of=face_of)
 
 
-class Shading(NamedTuple):
-    """Checkerboard 2-coloring of the faces; the outer face is white."""
+class Shading(namedtuple("Shading", "faceset outer shaded")):
+    """Checkerboard 2-coloring of the faces: the FaceSet, the outer face,
+    which is white, and the frozenset of shaded faces."""
 
-    faceset: FaceSet
-    outer: int
-    shaded: frozenset
+    __slots__ = ()
 
     def is_shaded(self, face):
         return face in self.shaded
@@ -353,11 +348,10 @@ def checkerboard(d, outer_face=None):
     )
 
 
-class CrossingSigns(NamedTuple):
+class CrossingSigns(namedtuple("CrossingSigns", "w eps")):
     """w: writhe signs; eps: +1 where the quadrant between a and b is shaded."""
 
-    w: tuple
-    eps: tuple
+    __slots__ = ()
 
     @property
     def writhe(self):

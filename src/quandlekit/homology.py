@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from . import linalg
 from .chains import FLAVORS, _basis, boundary_columns
-from .quandles import Frozen, QuandleTable
+from .quandles import Frozen
 
 
 class CoefficientGroup(namedtuple("CoefficientGroup", "kind modulus")):

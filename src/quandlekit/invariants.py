@@ -7,9 +7,10 @@ Each crossing then contributes s(tau) * phi(source, over) to its coloring's
 weight, where s is the writhe sign w in minus mode and the shading sign
 eps in plus mode, and the invariant is the multiset of weights.
 
-State sums, sweeps, the lemma scans and the CLI share one engine:
-DiagramEngine and coloring_table().  ``contribution``, ``is_valid_coloring``
-and ``act_coloring`` work one coloring at a time as the tests' oracles.
+State sums, the lemma scans, the sweep cells of ``verify`` and the CLI's
+``invariant`` share one engine: DiagramEngine and coloring_table().  The
+tests keep the one-coloring oracles (validity, translation and the weight
+of a single coloring) in tests/coloring_oracle.py.
 
 A coloring's weight under phi is the pairing of phi with the coloring's
 signed pair counts W, the cycle of the colored diagram, so
@@ -33,13 +34,12 @@ about n^branches leaves times the crossings for a quandle of order n.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .chains import _index, boundary_columns
-from .diagrams import arcs, checkerboard, load_diagram, signs
-from .homology import ZZ, cocycle_basis, pair_basis
+from .diagrams import arcs, checkerboard, signs
+from .homology import ZZ, pair_basis
 from .linalg import elementary_divisors
 from .quandles import Frozen
 
@@ -72,16 +72,6 @@ def crossing_roles(d, arcset):
         src, tgt = (under_in, under_out) if w == 1 else (under_out, under_in)
         out.append((src, over, tgt, w))
     return out
-
-
-def is_valid_coloring(d, X, rho):
-    ar = arcs(d)
-    if len(rho) != len(ar):
-        return False
-    for src, over, tgt, _ in crossing_roles(d, ar):
-        if X.op(rho[src], rho[over]) != rho[tgt]:
-            return False
-    return True
 
 
 # Step kinds of a coloring schedule; each step is (kind, x, over, y).
@@ -276,16 +266,11 @@ def enumerate_colorings(d, X):
     return [Coloring(rho) for rho in coloring_table(DiagramEngine(d), X).colorings]
 
 
-def act_coloring(X, rho, a):
-    """Translate every arc color by * a; stays a coloring (self-distributivity)."""
-    return Coloring(tuple(X.op(c, a) for c in rho.colors))
+class GroupRingValue(namedtuple("GroupRingValue", "coeff counts")):
+    """Multiset of coefficient-group elements, one per coloring: the group,
+    and the sorted ((element, multiplicity), ...)."""
 
-
-class GroupRingValue(NamedTuple):
-    """Multiset of coefficient-group elements, one per coloring."""
-
-    coeff: object
-    counts: tuple  # sorted ((element, multiplicity), ...)
+    __slots__ = ()
 
     @classmethod
     def from_values(cls, coeff, values):
@@ -313,18 +298,6 @@ def is_trivial(value):
     return value.support() == (0,)
 
 
-def contribution(d, rho, phi, mode, crossing_signs=None):
-    """Total weight of one coloring: sum of s(tau) * phi(source, over)."""
-    if mode not in MODES:
-        raise ValueError("mode must be 'minus' or 'plus'")
-    sg = crossing_signs or signs(d, checkerboard(d))
-    s = sg.w if mode == "minus" else sg.eps
-    total = 0
-    for i, (src, over, _, _) in enumerate(crossing_roles(d, arcs(d))):
-        total += s[i] * phi(rho[src], rho[over])
-    return phi.coeff.reduce(total)
-
-
 def state_sum(d, X, phi, mode, coeff=None):
     """The invariant: one weight per coloring, collected as a multiset."""
     if coeff is not None and coeff != phi.coeff:
@@ -335,10 +308,12 @@ def state_sum(d, X, phi, mode, coeff=None):
     return GroupRingValue.from_values(phi.coeff, weights)
 
 
-class LemmaReport(NamedTuple):
-    name: str
-    pairs_checked: int
-    failures: tuple  # ((coloring, element, value, translated value), ...)
+class LemmaReport(namedtuple("LemmaReport", "name pairs_checked failures")):
+    """One translation lemma on one coloring table: its name, the number of
+    (coloring, element) pairs whose translate is a coloring, and the failures
+    as ((coloring, element, value, translated value), ...)."""
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -368,16 +343,6 @@ def translation_lemmas(table, phi):
     return reports
 
 
-def check_lemma_4_1(d, X, phi):
-    """Translating a coloring negates its plus-mode weight."""
-    return translation_lemmas(coloring_table(DiagramEngine(d), X), phi)[0]
-
-
-def check_lemma_4_2(d, X, phi):
-    """Translating a coloring preserves its plus-mode weight."""
-    return translation_lemmas(coloring_table(DiagramEngine(d), X), phi)[1]
-
-
 def check_eps_alternation(d, crossing_signs=None):
     """Do the shading signs alternate along every over-passing run?
 
@@ -394,27 +359,14 @@ def check_eps_alternation(d, crossing_signs=None):
     return True
 
 
-class SweepEntry(NamedTuple):
-    quandle: tuple  # the table rows
-    diagram: str
-    cocycle: tuple  # value table rows
-    colorings: int
-    invariant: GroupRingValue
-    trivial: bool
-    witnesses: tuple  # nontrivial (coloring, weight) pairs
+class SweepEntry(
+    namedtuple("SweepEntry", "quandle diagram cocycle colorings invariant trivial witnesses")
+):
+    """One sweep cell: the table rows, the diagram's name, the cocycle's value
+    rows, the coloring count, the GroupRingValue, whether it is trivial, and
+    up to five nontrivial (coloring, weight) witnesses."""
 
-
-class SweepReport(NamedTuple):
-    mode: str
-    coeff: object
-    entries: tuple
-
-    @property
-    def all_trivial(self):
-        return all(e.trivial for e in self.entries)
-
-    def nontrivial(self):
-        return tuple(e for e in self.entries if not e.trivial)
+    __slots__ = ()
 
 
 def sweep_entries(table, name, basis, mode):
@@ -436,25 +388,6 @@ def sweep_entries(table, name, basis, mode):
             )
         )
     return entries
-
-
-def theorem_sweep(quandles, diagrams, coeff, mode):
-    """Evaluate every (quandle, diagram, basis cocycle) cell of a sweep.
-
-    Diagrams may be corpus names, file paths, or (name, diagram) pairs.
-    Over Z the basis-only sweep is exhaustive because weights are additive
-    in the cocycle.
-    """
-    if mode not in MODES:
-        raise ValueError("mode must be 'minus' or 'plus'")
-    named = [item if isinstance(item, tuple) else (item, load_diagram(item)) for item in diagrams]
-    engines = [(name, DiagramEngine(d)) for name, d in named]
-    entries = []
-    for X in quandles:
-        basis = cocycle_basis(X, mode, coeff)
-        for name, engine in engines:
-            entries += sweep_entries(coloring_table(engine, X), name, basis, mode)
-    return SweepReport(mode=mode, coeff=coeff, entries=tuple(entries))
 
 
 def triviality_certificate(X, tables, mode, coeff):

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 
 class MalformedTableError(ValueError):
@@ -38,15 +38,17 @@ def _check_shape(rows):
     return tuple(out)
 
 
-class AxiomViolation(NamedTuple):
-    axiom: int
-    witness: tuple[int, ...]
+class AxiomViolation(namedtuple("AxiomViolation", "axiom witness")):
+    """The axiom (1, 2 or 3) and the elements at which it fails."""
+
+    __slots__ = ()
 
 
-class ValidationReport(NamedTuple):
-    n: int
-    valid: bool
-    violations: tuple[AxiomViolation, ...]
+class ValidationReport(namedtuple("ValidationReport", "n valid violations")):
+    """The table's order, whether all three axioms hold, and every
+    AxiomViolation found."""
+
+    __slots__ = ()
 
     def for_axiom(self, k: int) -> list[AxiomViolation]:
         return [v for v in self.violations if v.axiom == k]
@@ -214,9 +216,11 @@ def conjugation_quandle(group_rows, rep: int) -> tuple[QuandleTable, tuple[int, 
     return QuandleTable.from_rows(rows), tuple(cls)
 
 
-class OrbitPartition(NamedTuple):
-    blocks: tuple[tuple[int, ...], ...]
-    orbit_of: tuple[int, ...]
+class OrbitPartition(namedtuple("OrbitPartition", "blocks orbit_of")):
+    """The orbits as sorted blocks, sorted by least element, and the block
+    index of each element."""
+
+    __slots__ = ()
 
     @property
     def count(self) -> int:

@@ -6,7 +6,8 @@ section 2.4) with both transforms.  It follows the pivot rule of
 U*M*V == S, the diagonal and the divisibility chain.  ``kernel_basis``
 reads the kernel off the library's V.  On top of it sit an exact solver and
 the kernel-lattice-plus-solve (co)homology the library used before it
-switched to elementary divisors.
+switched to elementary divisors, on dense matrices built here from the
+library's boundary columns.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from quandlekit import linalg
+from quandlekit.chains import boundary_columns
 from quandlekit.homology import TRIVIAL_GROUP, AbelianGroupDescriptor
 
 
@@ -204,14 +206,22 @@ def subquotient(a, b, mid, coeff):
     return _presented_group(mid, transpose(y, bcols + mid))
 
 
+def dense_boundary(X, n, sign, flavor):
+    """The degree-n boundary as (dense rows, column count), from its columns."""
+    domain, codomain, cols = boundary_columns(X, n, sign, flavor)
+    rows = [[0] * len(domain) for _ in codomain]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            rows[i][j] = c
+    return rows, len(domain)
+
+
 def homology_group(d_n, d_next, coeff):
-    """H_n as cycles modulo boundaries, from the BoundaryMatrix of d_n and d_{n+1}."""
-    return subquotient(d_n.matrix, d_next.matrix, len(d_n.domain), coeff)
+    """H_n as cycles modulo boundaries, from the dense_boundary of d_n and d_{n+1}."""
+    return subquotient(d_n[0], d_next[0], d_n[1], coeff)
 
 
 def cohomology_group(d_n, d_next, coeff):
     """H^n as cocycles modulo coboundaries, from transposed boundaries."""
-    mid = len(d_n.domain)
-    a = transpose([list(r) for r in d_next.matrix], ncols=len(d_next.domain))
-    b = transpose([list(r) for r in d_n.matrix], ncols=mid)
-    return subquotient(a, b, mid, coeff)
+    (out, mid), (into, width) = d_n, d_next
+    return subquotient(transpose(into, ncols=width), transpose(out, ncols=mid), mid, coeff)

@@ -5,10 +5,9 @@ exact integer linear algebra, diagram combinatorics, and the state-sum
 sweeps.  Randomized identities use fixed seeds.
 """
 
-import itertools
 import random
 
-import pytest
+from coloring_oracle import contribution, exhaustive_colorings, sweep_cells
 
 from quandlekit.chains import verify_complex_identities
 from quandlekit.diagrams import CORPUS_NAMES, arcs, checkerboard, named_diagram, signs
@@ -23,16 +22,13 @@ from quandlekit.homology import (
     homology_group,
 )
 from quandlekit.invariants import (
-    Coloring,
+    DiagramEngine,
     check_eps_alternation,
-    check_lemma_4_1,
-    check_lemma_4_2,
-    contribution,
+    coloring_table,
     enumerate_colorings,
     is_trivial,
-    is_valid_coloring,
     state_sum,
-    theorem_sweep,
+    translation_lemmas,
 )
 from quandlekit.quandles import dihedral_quandle, enumerate_quandles, orbits
 
@@ -81,18 +77,18 @@ def test_connected_quandles_have_no_rational_h2():
 
 
 def test_minus_state_sums_trivial_on_all_knots():
-    report = theorem_sweep(ALL_ORDER_LE_4, list(KNOTS), ZZ, "minus")
-    assert report.all_trivial
-    for e in report.entries:
+    cells = sweep_cells(ALL_ORDER_LE_4, KNOTS, ZZ, "minus")
+    assert all(e.trivial for e in cells)
+    for e in cells:
         # not just trivial in aggregate: every single coloring contributes 0
         assert e.invariant.counts == ((0, e.colorings),)
         assert e.witnesses == ()
 
 
 def test_plus_state_sums_trivial_on_all_knots():
-    report = theorem_sweep(ALL_ORDER_LE_4, list(KNOTS), ZZ, "plus")
-    assert report.all_trivial
-    for e in report.entries:
+    cells = sweep_cells(ALL_ORDER_LE_4, KNOTS, ZZ, "plus")
+    assert all(e.trivial for e in cells)
+    for e in cells:
         assert e.invariant.counts == ((0, e.colorings),)
         assert e.witnesses == ()
 
@@ -103,9 +99,9 @@ def test_translation_identities_across_the_plus_sweep():
         for name in KNOTS:
             d = named_diagram(name)
             expected_pairs = len(enumerate_colorings(d, X)) * X.n
+            table = coloring_table(DiagramEngine(d), X)
             for phi in basis:
-                cancel = check_lemma_4_1(d, X, phi)
-                agree = check_lemma_4_2(d, X, phi)
+                cancel, agree = translation_lemmas(table, phi)
                 assert cancel.ok, cancel.failures[:1]
                 assert agree.ok, agree.failures[:1]
                 assert cancel.pairs_checked == agree.pairs_checked == expected_pairs
@@ -168,8 +164,8 @@ def test_kinked_codes_give_identical_values():
 
 
 def test_mod2_minus_sweep_finds_a_nontrivial_value():
-    report = theorem_sweep(ALL_ORDER_LE_4, ["trefoil"], Zm(2), "minus")
-    bad = report.nontrivial()
+    cells = sweep_cells(ALL_ORDER_LE_4, ["trefoil"], Zm(2), "minus")
+    bad = [e for e in cells if not e.trivial]
     assert bad
     for e in bad:
         assert not is_trivial(e.invariant)
@@ -200,9 +196,9 @@ def test_links_are_separated_from_unlinks():
 
 
 def test_odd_modulus_plus_sweep_is_fully_trivial():
-    report = theorem_sweep(ALL_ORDER_LE_4, list(KNOT_CORPUS), Zm(3), "plus")
-    assert report.all_trivial
-    assert report.entries
+    cells = sweep_cells(ALL_ORDER_LE_4, KNOT_CORPUS, Zm(3), "plus")
+    assert all(e.trivial for e in cells)
+    assert cells
 
 
 def test_backtracking_matches_the_exhaustive_scan():
@@ -217,11 +213,5 @@ def test_backtracking_matches_the_exhaustive_scan():
     ]
     for name in small_diagrams:
         d = named_diagram(name)
-        k = len(arcs(d))
         for X in ALL_ORDER_LE_4:
-            scan = [
-                Coloring(combo)
-                for combo in itertools.product(range(X.n), repeat=k)
-                if is_valid_coloring(d, X, Coloring(combo))
-            ]
-            assert enumerate_colorings(d, X) == scan
+            assert enumerate_colorings(d, X) == exhaustive_colorings(d, X)

@@ -6,25 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.chains import (
-    BoundaryMatrix,
-    IntChain,
-    boundary_apply,
-    boundary_columns,
-    boundary_matrix,
-    d1_apply,
-    d2_apply,
-    tuple_basis,
-    verify_complex_identities,
-)
+from quandlekit.chains import boundary_columns, tuple_basis, verify_complex_identities
 from quandlekit.quandles import QuandleTable, dihedral_quandle, enumerate_quandles, trivial_quandle
 
 # structurally fine (idempotent, bijective columns) but self-distributivity fails
 NON_QUANDLE_ROWS = [[0, 2, 0], [2, 1, 1], [1, 0, 2]]
 
 
+def boundary_of(q, chain, sign):
+    """The boundary of a chain {tuple: coefficient}, read off the rack columns."""
+    out = {}
+    for t, c in chain.items():
+        domain, codomain, cols = boundary_columns(q, len(t), sign)
+        for i, k in cols[domain.index(t)].items():
+            out[codomain[i]] = out.get(codomain[i], 0) + k * c
+    return {u: c for u, c in out.items() if c}
+
+
 def gen(*t):
-    return IntChain.generator(t)
+    return {t: 1}
 
 
 def test_basis_sizes_and_partition():
@@ -45,9 +45,9 @@ def test_basis_sizes_and_partition():
 def test_low_degree_boundaries_vanish():
     q = dihedral_quandle(5)
     for a in range(5):
-        assert d1_apply(gen(a)).is_zero()
-        assert d2_apply(q, gen(a)).is_zero()
-        assert boundary_apply(q, gen(a, a), "minus").is_zero()
+        assert boundary_of(q, gen(a), "d1") == {}
+        assert boundary_of(q, gen(a), "d2") == {}
+        assert boundary_of(q, gen(a, a), "minus") == {}
 
 
 def test_degree_two_minus_boundary_formula():
@@ -55,12 +55,12 @@ def test_degree_two_minus_boundary_formula():
     for q in (dihedral_quandle(3), trivial_quandle(2), dihedral_quandle(4)):
         for a in range(q.n):
             for b in range(q.n):
-                got = boundary_apply(q, gen(a, b), "minus")
+                got = boundary_of(q, gen(a, b), "minus")
                 want = {}
                 want[(a,)] = want.get((a,), 0) + 1
                 ab = (q.op(a, b),)
                 want[ab] = want.get(ab, 0) - 1
-                assert got == IntChain.from_dict(1, want)
+                assert got == {u: c for u, c in want.items() if c}
 
 
 def test_degree_three_minus_boundary_on_repeats():
@@ -68,28 +68,18 @@ def test_degree_three_minus_boundary_on_repeats():
     for a in range(3):
         for b in range(3):
             # (a,a,b) maps to -(a,a) + (a*b,a*b)
-            got = boundary_apply(q, gen(a, a, b), "minus")
+            got = boundary_of(q, gen(a, a, b), "minus")
             c = q.op(a, b)
             want = {}
             want[(a, a)] = want.get((a, a), 0) - 1
             want[(c, c)] = want.get((c, c), 0) + 1
-            assert got == IntChain.from_dict(2, want)
+            assert got == {u: k for u, k in want.items() if k}
             # (a,b,b) dies
-            assert boundary_apply(q, gen(a, b, b), "minus").is_zero()
-
-
-def test_chain_arithmetic():
-    c = gen(0, 1) + gen(0, 1) + gen(1, 2).scaled(-1)
-    assert c.as_dict() == {(0, 1): 2, (1, 2): -1}
-    assert (c + c.scaled(-1)).is_zero()
-    with pytest.raises(ValueError):
-        gen(0, 1) + gen(0, 1, 2)
-    with pytest.raises(ValueError):
-        IntChain.from_dict(2, {(0, 1, 2): 1})
+            assert boundary_of(q, gen(a, b, b), "minus") == {}
 
 
 def test_boundary_matrix_agrees_with_apply():
-    # every library path against d1 and d2 written out from the definitions:
+    # the boundary columns against d1 and d2 written out from the definitions:
     # drop entry i with sign (-1)^i, and act on the prefix by the dropped entry.
     # The order-4 quandle is not involutory, so acting by the wrong side shows.
     r3 = dihedral_quandle(3)
@@ -99,9 +89,8 @@ def test_boundary_matrix_agrees_with_apply():
             for n in range(1, 5):
                 rack_codomain = tuple_basis(q, n - 1, "rack")
                 for flavor in ("rack", "degenerate", "quandle"):
-                    bm = boundary_matrix(q, n, sign, flavor)
                     domain, codomain, cols = boundary_columns(q, n, sign, flavor)
-                    assert (bm.domain, bm.codomain) == (domain, codomain)
+                    assert len(cols) == len(domain)
                     assert list(domain) == tuple_basis(q, n, flavor)
                     assert list(codomain) == tuple_basis(q, n - 1, flavor)
                     for j, t in enumerate(domain):
@@ -116,30 +105,29 @@ def test_boundary_matrix_agrees_with_apply():
                         if flavor == "degenerate":
                             assert all(u in codomain for u, c in rack.items() if c)
                         want = [rack[u] for u in codomain]
-                        assert [row[j] for row in bm.matrix] == want
                         assert [cols[j].get(i, 0) for i in range(len(codomain))] == want
-                        got = boundary_apply(q, IntChain.generator(t), sign)
-                        assert got == IntChain.from_dict(max(n - 1, 0), rack)
+                        assert all(0 <= i < len(codomain) for i in cols[j])
 
 
 def test_quandle_flavor_is_the_projected_rack_matrix():
     for q in (dihedral_quandle(3), trivial_quandle(3), dihedral_quandle(4)):
         for n in (2, 3):
             for sign in ("minus", "plus"):
-                rack = boundary_matrix(q, n, sign, "rack")
-                quot = boundary_matrix(q, n, sign, "quandle")
-                rk_cols = {t: j for j, t in enumerate(rack.domain)}
-                rk_rows = {t: i for i, t in enumerate(rack.codomain)}
-                for j, t in enumerate(quot.domain):
-                    for i, u in enumerate(quot.codomain):
-                        assert quot.matrix[i][j] == rack.matrix[rk_rows[u]][rk_cols[t]]
+                r_domain, r_codomain, r_cols = boundary_columns(q, n, sign, "rack")
+                q_domain, q_codomain, q_cols = boundary_columns(q, n, sign, "quandle")
+                rk_cols = {t: j for j, t in enumerate(r_domain)}
+                rk_rows = {t: i for i, t in enumerate(r_codomain)}
+                for j, t in enumerate(q_domain):
+                    for i, u in enumerate(q_codomain):
+                        assert q_cols[j].get(i, 0) == r_cols[rk_cols[t]].get(rk_rows[u], 0)
 
 
 def test_degenerate_flavor_closure_holds_for_valid_quandles():
     for q in enumerate_quandles(3):
         for n in (2, 3, 4):
-            bm = boundary_matrix(q, n, "minus", "degenerate")
-            assert bm.shape == (len(bm.codomain), len(bm.domain))
+            domain, codomain, cols = boundary_columns(q, n, "minus", "degenerate")
+            assert len(cols) == len(domain)
+            assert all(0 <= i < len(codomain) for col in cols for i in col)
 
 
 def test_identities_hold_for_reference_quandles():
@@ -171,12 +159,10 @@ def test_non_quandle_table_fails_some_identity():
 def test_boundary_matrix_rejects_bad_arguments():
     q = dihedral_quandle(3)
     with pytest.raises(ValueError):
-        boundary_matrix(q, 0, "minus")
-    with pytest.raises(ValueError):
-        boundary_matrix(q, 2, "upside")
+        boundary_columns(q, 0, "minus")
     for degree in (1, 2):
         with pytest.raises(ValueError, match="unknown sign"):
-            boundary_apply(q, IntChain.generator((0,) * degree), "upside")
+            boundary_columns(q, degree, "upside")
     # 0*0 = 1 is not idempotent, so d2 of the degenerate generator (0, 0)
     # leaves the degenerate span; d1 alone keeps it there on any table
     not_idempotent = QuandleTable(((1, 1), (0, 0)))
@@ -204,7 +190,6 @@ def test_signed_boundaries_square_to_zero_on_random_chains(q, degree, sign, data
     d = {}
     for t, c in coeffs:
         d[t] = d.get(t, 0) + c
-    chain = IntChain.from_dict(degree, d)
-    once = boundary_apply(q, chain, sign)
-    twice = boundary_apply(q, once, sign)
-    assert twice.is_zero()
+    once = boundary_of(q, d, sign)
+    twice = boundary_of(q, once, sign)
+    assert twice == {}

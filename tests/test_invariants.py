@@ -1,10 +1,15 @@
 """Colorings, contributions, state sums, and the translation lemmas."""
 
-import itertools
-import os
 import random
 
 import pytest
+from coloring_oracle import (
+    act_coloring,
+    contribution,
+    exhaustive_colorings,
+    is_valid_coloring,
+    sweep_cells,
+)
 
 from quandlekit.diagrams import (
     CORPUS_NAMES,
@@ -22,19 +27,13 @@ from quandlekit.invariants import (
     Coloring,
     DiagramEngine,
     GroupRingValue,
-    act_coloring,
     check_eps_alternation,
-    check_lemma_4_1,
-    check_lemma_4_2,
     coloring_table,
-    contribution,
     crossing_roles,
     enumerate_colorings,
     is_trivial,
-    is_valid_coloring,
     state_sum,
     sweep_entries,
-    theorem_sweep,
     translation_lemmas,
     triviality_certificate,
 )
@@ -53,16 +52,6 @@ ORDER_LE_3 = [X for n in (1, 2, 3) for X in enumerate_quandles(n)]
 # Columns are permutations, so colorings propagate, but the operation is not
 # self-distributive: some translated trefoil colorings are not colorings.
 NOT_A_QUANDLE = QuandleTable(((0, 0, 0, 1), (1, 1, 3, 2), (2, 3, 2, 0), (3, 2, 1, 3)))
-
-
-def brute_force_colorings(d, X):
-    """Oracle: scan every arc assignment."""
-    k = len(arcs(d))
-    return [
-        Coloring(combo)
-        for combo in itertools.product(range(X.n), repeat=k)
-        if is_valid_coloring(d, X, Coloring(combo))
-    ]
 
 
 # --- coloring counts --------------------------------------------------------
@@ -97,7 +86,7 @@ def test_trivial_quandle_counts_components():
 @pytest.mark.parametrize("X", [T2, D3, D4], ids=["T2", "D3", "D4"])
 def test_backtracking_matches_brute_force(name, X):
     d = named_diagram(name)
-    assert enumerate_colorings(d, X) == brute_force_colorings(d, X)
+    assert enumerate_colorings(d, X) == exhaustive_colorings(d, X)
 
 
 def test_colorings_are_valid_and_sorted():
@@ -297,21 +286,24 @@ def test_lemma_checks_on_knots():
         basis = cocycle_basis(Xq, "plus", ZZ)
         for name in ("trefoil", "figure8", "trefoil_kinked"):
             d = named_diagram(name)
+            table = coloring_table(DiagramEngine(d), Xq)
             for phi in basis:
-                r1 = check_lemma_4_1(d, Xq, phi)
-                r2 = check_lemma_4_2(d, Xq, phi)
+                r1, r2 = translation_lemmas(table, phi)
                 assert r1.ok and r2.ok
                 assert r1.pairs_checked == r2.pairs_checked > 0
 
 
 def test_lemma_checks_reject_links_and_mod_m():
+    def lemmas(name, phi):
+        return translation_lemmas(coloring_table(DiagramEngine(named_diagram(name)), T2), phi)
+
     phi = Cochain2.indicator(2, 0, 1)
     with pytest.raises(ValueError):
-        check_lemma_4_1(named_diagram("hopf"), T2, phi)
+        lemmas("hopf", phi)
     with pytest.raises(ValueError):
-        check_lemma_4_2(named_diagram("unlink2"), T2, phi)
+        lemmas("unlink2", phi)
     with pytest.raises(ValueError):
-        check_lemma_4_1(named_diagram("trefoil"), T2, Cochain2.indicator(2, 0, 1, coeff=Zm(2)))
+        lemmas("trefoil", Cochain2.indicator(2, 0, 1, coeff=Zm(2)))
 
 
 def test_lemma_scan_detects_violations():
@@ -320,8 +312,7 @@ def test_lemma_scan_detects_violations():
     d = named_diagram("trefoil")
     phi = Cochain2.indicator(3, 0, 1)
     assert not phi.is_cocycle(D3, "plus")
-    r1 = check_lemma_4_1(d, D3, phi)
-    r2 = check_lemma_4_2(d, D3, phi)
+    r1, r2 = translation_lemmas(coloring_table(DiagramEngine(d), D3), phi)
     assert not (r1.ok and r2.ok)
 
 
@@ -410,21 +401,21 @@ def test_contribution_respects_orbit_restriction():
 
 
 def test_theorem_sweep_minus_trivial_on_knots():
-    report = theorem_sweep([D3, T2], ["trefoil", "figure8"], ZZ, "minus")
-    assert report.all_trivial
+    cells = sweep_cells([D3, T2], ["trefoil", "figure8"], ZZ, "minus")
+    assert all(e.trivial for e in cells)
     basis_sizes = len(cocycle_basis(D3, "minus", ZZ)) + len(
         cocycle_basis(T2, "minus", ZZ)
     )
-    assert len(report.entries) == 2 * basis_sizes
-    for e in report.entries:
+    assert len(cells) == 2 * basis_sizes
+    for e in cells:
         assert e.invariant.total == e.colorings
         assert e.witnesses == ()
 
 
 def test_theorem_sweep_finds_hopf_witness():
-    report = theorem_sweep([T2], ["hopf", "unlink2"], ZZ, "minus")
-    assert not report.all_trivial
-    bad = report.nontrivial()
+    cells = sweep_cells([T2], ["hopf", "unlink2"], ZZ, "minus")
+    bad = [e for e in cells if not e.trivial]
+    assert bad
     assert all(e.diagram == "hopf" for e in bad)
     assert all(e.witnesses for e in bad)
 

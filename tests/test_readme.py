@@ -1,0 +1,49 @@
+"""README's library section against the package it documents."""
+
+import ast
+import contextlib
+import io
+import os
+import re
+import types
+
+import quandlekit
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def _readme():
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _value(text):
+    """A printed line or a comment as a Python value where it parses as one,
+    so that a printed ['0', 9] matches a comment written [["0", 9]]."""
+    try:
+        return ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        return text
+
+
+def test_the_quick_start_prints_what_its_comments_say():
+    section = _readme().split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    want = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert want == ["Z", "0", "9", '[["0", 9]]']
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README quick start", "exec"), {})
+    got = out.getvalue().splitlines()
+    assert [_value(g) for g in got] == [_value(w) for w in want]
+
+
+def test_every_public_name_of_the_package_is_in_the_readme():
+    text = _readme()
+    public = [
+        name
+        for name, value in vars(quandlekit).items()
+        if not name.startswith("__") and not isinstance(value, types.ModuleType)
+    ]
+    assert "enumerate_colorings" in public and "boundary_columns" in public
+    assert [name for name in public if not re.search(r"`%s`" % re.escape(name), text)] == []
