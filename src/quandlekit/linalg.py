@@ -5,8 +5,9 @@ rounds.  Zero-row and zero-column matrices come up constantly as boundary
 maps in or out of an empty chain group; pass ``ncols`` explicitly whenever
 a matrix has no rows to pin down its width.  ``elementary_divisors`` gives
 ranks and invariant factors from sparse rows (dicts of nonzero entries)
-without any transform; ``_smith`` is the one elimination that also yields
-vectors, through the column transform V.  No row transform is ever formed:
+without any transform, pivoting on +-1 entries of whichever row is shortest
+at the time; ``_smith`` is the one elimination that also yields vectors,
+through the column transform V.  No row transform is ever formed:
 the tests keep a Smith normal form with both transforms as their oracle.
 """
 
@@ -138,50 +139,71 @@ def elementary_divisors(mat):
     ``mat`` is a sequence of rows, each a sequence of ints or a dict from
     column index to entry.  A matrix and its transpose share their divisors,
     so sparse columns may be passed as rows.  Pivots of +-1 are eliminated
-    sparsely, shortest row first and within a row on the column with the
-    fewest nonzero entries, until none is left; ``_smith`` of the small
-    dense remainder, tracking no transform, supplies the other factors.
+    sparsely until none is left, always on a row that is shortest at that
+    moment, which keeps fill-in low (Markowitz), and within the row on the
+    column with the fewest nonzero entries.  Rows are filed by length: a row
+    that grew since it was filed is filed again when it comes up, and a row
+    with no +-1 entry waits aside until an update changes it.  ``_smith`` of
+    the small dense remainder, tracking no transform, supplies the other
+    factors.
     """
     rows = {}
     for i, row in enumerate(mat):
         entries = row.items() if isinstance(row, dict) else enumerate(row)
-        rows[i] = {j: x for j, x in entries if x}
+        row = {j: x for j, x in entries if x}
+        if row:
+            rows[i] = row
     holders = {}  # column -> rows with a nonzero in it
     for i, row in rows.items():
         for j in row:
             holders.setdefault(j, set()).add(i)
 
+    filed = [[] for _ in range(len(holders) + 1)]  # no row outgrows the columns
+    for i in reversed(rows):  # among equal lengths, the first row comes up first
+        filed[len(rows[i])].append(i)
+    aside = set()
     units = 0
-    progress = True
-    while progress:
-        progress = False
-        for i in sorted(rows, key=lambda i: len(rows[i])):
-            row = rows[i]
-            if not row:
-                del rows[i]
-                continue
-            pivots = [j for j, x in row.items() if x == 1 or x == -1]
-            if not pivots:
-                continue
-            j = min(pivots, key=lambda c: len(holders[c]))
-            del rows[i]
-            for c in row:
-                holders[c].discard(i)
-            p = row.pop(j)
-            for k in holders.pop(j):
-                other = rows[k]
-                f = other.pop(j) * p  # p is its own inverse
-                for c, x in row.items():
-                    y = other.get(c, 0) - f * x
-                    if y:
-                        if c not in other:
-                            holders[c].add(k)
-                        other[c] = y
-                    else:
-                        del other[c]
-                        holders[c].discard(k)
-            units += 1
-            progress = True
+    size = 0
+    while size < len(filed):
+        if not filed[size]:
+            size += 1
+            continue
+        i = filed[size].pop()
+        row = rows[i]
+        if len(row) > size:
+            filed[len(row)].append(i)
+            continue
+        pivots = [j for j, x in row.items() if x == 1 or x == -1]
+        if not pivots:
+            aside.add(i)
+            continue
+        j = min(pivots, key=lambda c: len(holders[c]))
+        del rows[i]
+        for c in row:
+            holders[c].discard(i)
+        p = row.pop(j)
+        changed = holders.pop(j)
+        for k in changed:
+            other = rows[k]
+            f = other.pop(j) * p  # p is its own inverse
+            for c, x in row.items():
+                y = other.get(c)
+                if y is None:
+                    other[c] = -f * x
+                    holders[c].add(k)
+                elif y == f * x:
+                    del other[c]
+                    holders[c].discard(k)
+                else:
+                    other[c] = y - f * x
+        back = aside & changed
+        aside -= back
+        for k in back:
+            n = len(rows[k])
+            filed[n].append(k)
+            if n < size:
+                size = n
+        units += 1
 
     left = [row for row in rows.values() if row]
     cols = sorted({j for row in left for j in row})

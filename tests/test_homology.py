@@ -394,3 +394,5 @@ def test_known_third_cohomology_values():
     assert cohomology_group(r6, "rack", "minus", 3, ZZ) == AbelianGroupDescriptor(8, ())
     assert cohomology_group(r6, "quandle", "plus", 3, ZZ) == AbelianGroupDescriptor(0, (3, 6))
     assert cohomology_group(r7, "rack", "minus", 3, ZZ) == AbelianGroupDescriptor(1, ())
+    assert cohomology_group(r7, "rack", "plus", 3, ZZ) == AbelianGroupDescriptor(0, (14,))
+    assert cohomology_group(r7, "quandle", "plus", 3, ZZ) == AbelianGroupDescriptor(0, (7,))

@@ -91,11 +91,57 @@ def test_elementary_divisors_match_the_snf_diagonal(shaped):
     assert elementary_divisors(cols) == want
 
 
+def snf_divisors(rows, ncols):
+    res = smith_normal_form([[row.get(j, 0) for j in range(ncols)] for row in rows], ncols=ncols)
+    return res.rank, tuple(res.diagonal()[: res.rank])
+
+
 def test_elementary_divisors_of_small_examples():
     assert elementary_divisors([]) == (0, ())
     assert elementary_divisors([[0, 0], [0, 0]]) == (0, ())
     assert elementary_divisors([[2, 4], [6, 8]]) == (2, (2, 4))
     assert elementary_divisors([{5: 1, 9: 1}, {5: 1, 9: -1}]) == (2, (1, 2))
+    # row 0 has no unit when it comes up; the pivot on row 1 leaves it {1: 1}
+    assert elementary_divisors([{0: 2, 1: 3}, {0: 1, 1: 1}]) == (2, (1, 1))
+    # the pivot on row 0 cancels row 1 to nothing, with pivots still to come
+    assert elementary_divisors([{0: 1, 1: 1}, {0: -1, 1: -1}, {1: 2, 2: 1}, {2: 3, 3: 1}]) == (
+        3,
+        (1, 1, 1),
+    )
+    # a row set aside for want of a unit cancels to nothing
+    assert elementary_divisors([{0: 2, 1: 2}, {0: 1, 1: 1}]) == (1, (1,))
+    # duplicate and negated rows, with and without units
+    rows = [{0: 1, 2: 3}, {0: -1, 2: -3}, {1: 2, 2: 2}, {0: 1, 2: 3}, {1: -2, 2: -2}, {0: 2, 3: 4}]
+    assert elementary_divisors(rows) == snf_divisors(rows, 4) == (3, (1, 2, 2))
+
+
+sparse_matrices = st.tuples(st.integers(10, 40), st.integers(5, 40)).flatmap(
+    lambda mn: st.tuples(
+        st.just(mn[1]),
+        st.lists(
+            st.dictionaries(
+                st.integers(0, mn[1] - 1), st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=5
+            ),
+            min_size=mn[0],
+            max_size=mn[0],
+        ),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices, st.randoms(use_true_random=False))
+def test_elementary_divisors_of_sparse_matrices_match_the_oracle(shaped, rnd):
+    # large enough for rows to grow, shrink, empty and gain a unit between pivots
+    ncols, rows = shaped
+    want = snf_divisors(rows, ncols)
+    assert elementary_divisors(rows) == want
+    # the pivot order follows the order of rows and columns; the divisors do not
+    perm = list(range(ncols))
+    rnd.shuffle(perm)
+    moved = [{perm[j]: x for j, x in row.items()} for row in rows]
+    rnd.shuffle(moved)
+    assert elementary_divisors(moved) == want
 
 
 def mat_vec(a, v):
