@@ -53,7 +53,6 @@ from .diagrams import (
     signs,
 )
 from .invariants import (
-    Coloring,
     DiagramEngine,
     GroupRingValue,
     LemmaReport,

@@ -130,9 +130,6 @@ class ComplexReport(namedtuple("ComplexReport", "order max_degree checked failur
     def ok(self):
         return not self.failures
 
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
-
 
 def _first_nonzero_column(pairs, ncols):
     """First column j where the sum of a o b over (a, b) in pairs is nonzero."""

@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from collections import namedtuple
 
 from .diagrams import CORPUS_NAMES, PDStructureError, PDSyntaxError, load_diagram
 from .homology import (
@@ -55,18 +54,9 @@ MODE_OF = {"neg": "minus", "pos": "plus"}
 KNOT_NAMES = ("trefoil", "figure8", "5_1", "5_2", "trefoil_kinked", "figure8_kinked")
 
 
-class RunConfig(namedtuple("RunConfig", "degree max_order")):
-    """Normalized numeric bounds shared by the computing subcommands."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def __new__(cls, degree=None, max_order=None):
-        if degree is not None and not 1 <= degree <= 3:
-            raise ValueError("degree must be between 1 and 3")
-        if max_order is not None and not 1 <= max_order <= MAX_ENUMERATION_ORDER:
-            raise ValueError("max order must be between 1 and %d" % MAX_ENUMERATION_ORDER)
-        return super().__new__(cls, degree, max_order)
+def _check_bound(name, value, top):
+    if not 1 <= value <= top:
+        raise ValueError("%s must be between 1 and %d" % (name, top))
 
 
 def _emit(doc):
@@ -85,7 +75,7 @@ def _load_valid_quandle(path):
         raise MalformedTableError(
             "table in %s violates axiom %d at %r" % (path, v.axiom, v.witness)
         )
-    return QuandleTable.from_rows(rows)
+    return QuandleTable(rows)
 
 
 # --- quandle ----------------------------------------------------------------
@@ -108,7 +98,7 @@ def cmd_quandle_check(args):
         v = report.violations[0]
         _note("not a quandle: axiom %d fails at %r" % (v.axiom, v.witness))
         return EXIT_PROPERTY
-    part = orbits(QuandleTable.from_rows(rows))
+    part = orbits(QuandleTable(rows))
     _note(
         "valid quandle of order %d, %d orbit%s%s"
         % (report.n, part.count, "s"[: part.count != 1], ", connected" if part.connected else "")
@@ -133,7 +123,7 @@ def cmd_quandle_info(args):
 
 
 def cmd_quandle_gen(args):
-    RunConfig(max_order=args.order)
+    _check_bound("max order", args.order, MAX_ENUMERATION_ORDER)
     found = enumerate_quandles(args.order, dedupe_iso=args.dedupe)
     outdir = args.out or "quandles%d" % args.order
     os.makedirs(outdir, exist_ok=True)
@@ -153,7 +143,7 @@ def cmd_quandle_gen(args):
 
 
 def cmd_cohomology(args):
-    RunConfig(degree=args.n)
+    _check_bound("degree", args.n, 3)
     X = _load_valid_quandle(args.file)
     coeff = CoefficientGroup.parse(args.coeff)
     group = cohomology_group(X, args.flavor, MODE_OF[args.sign], args.n, coeff)
@@ -307,7 +297,7 @@ def cmd_verify(args):
     only in its own labelled tables: those are swept in that mode, in
     (order, table) order, for the cells, witnesses and lemma failures.
     """
-    RunConfig(max_order=args.max_order)
+    _check_bound("max order", args.max_order, MAX_ENUMERATION_ORDER)
     coeff = CoefficientGroup.parse(args.coeff)
     if coeff.kind == "Q":
         raise ValueError("verify sweeps run over Z or Z/m")

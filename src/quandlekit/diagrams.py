@@ -353,10 +353,6 @@ class CrossingSigns(namedtuple("CrossingSigns", "w eps")):
 
     __slots__ = ()
 
-    @property
-    def writhe(self):
-        return sum(self.w)
-
 
 def signs(d, shading):
     w = tuple(d.writhe_sign(i) for i in range(d.n_crossings))

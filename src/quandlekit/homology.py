@@ -134,11 +134,17 @@ def _invariant_factors(orders):
     return tuple(reversed(factors))
 
 
+def _check_sign(sign):
+    """Reject every sign but the two complexes the library documents;
+    ``boundary_columns`` alone also takes the operators "d1" and "d2"."""
+    if sign not in ("minus", "plus"):
+        raise ValueError("sign must be 'minus' or 'plus'")
+
+
 def _check_args(flavor, sign, n, coeff):
     if flavor not in FLAVORS:
         raise ValueError("unknown flavor %r" % (flavor,))
-    if sign not in ("minus", "plus"):
-        raise ValueError("sign must be 'minus' or 'plus'")
+    _check_sign(sign)
     if n > 3:
         raise ValueError("degree capped at 3")
     if not isinstance(coeff, CoefficientGroup):
@@ -246,6 +252,7 @@ class Cochain2(Frozen):
 
     def is_cocycle(self, X, sign):
         """Direct all-triples check of the degree-2 cocycle condition."""
+        _check_sign(sign)
         red = self.coeff.reduce
         op = X.op
         f = self.__call__
@@ -284,7 +291,9 @@ class Cochain2(Frozen):
             )
         ):
             raise ValueError("cochain values must be integer rows")
-        if any(values[a][a] if a < len(r) else True for a, r in enumerate(values)):
+        if any(len(r) != len(values) for r in values):
+            raise ValueError("cochain values must form a square table")
+        if any(r[a] for a, r in enumerate(values)):
             raise ValueError("cochain diagonal must be zero")
         return cls(coeff, values)
 
@@ -305,6 +314,7 @@ def cocycle_basis(X, sign, coeff=ZZ):
     kernel; over Z/m a spanning set keeps those reduced and adds the
     m-torsion lifts of the columns at the nonzero elementary divisors.
     """
+    _check_sign(sign)
     if coeff.kind == "Q":
         raise ValueError("cocycle bases are computed over Z or Z/m")
     delta2, c2 = _coboundary_matrix(X, 3, sign)
@@ -329,6 +339,7 @@ def cocycle_basis(X, sign, coeff=ZZ):
 
 def coboundary_of(X, psi, sign, coeff=ZZ):
     """Coboundary of a 1-cochain psi (a sequence over the quandle elements)."""
+    _check_sign(sign)
     n = X.n
     if len(psi) != n:
         raise ValueError("psi must assign a value to every element")
@@ -338,10 +349,8 @@ def coboundary_of(X, psi, sign, coeff=ZZ):
         for y in range(n):
             if sign == "minus":
                 v = psi[x] - psi[X.op(x, y)]
-            elif sign == "plus":
-                v = psi[x] + psi[X.op(x, y)] - 2 * psi[y]
             else:
-                raise ValueError("sign must be 'minus' or 'plus'")
+                v = psi[x] + psi[X.op(x, y)] - 2 * psi[y]
             row.append(v)
         rows.append(row)
     return Cochain2(coeff, rows)
@@ -353,6 +362,7 @@ def coboundary_basis(X, sign, coeff=ZZ):
     Over Z, delta1 * V == U^-1 * S for the Smith normal form of delta1, so
     the first ``rank`` columns of delta1 * V are a basis of its image.
     """
+    _check_sign(sign)
     if coeff.kind == "Q":
         raise ValueError("coboundary bases are computed over Z or Z/m")
     d, n = _coboundary_matrix(X, 2, sign)
@@ -376,6 +386,7 @@ def cohomology_class_order(X, phi, sign):
     class order, which is then the ratio of the two products of elementary
     divisors.  The sparse rows of delta1 are the degree-2 boundary columns.
     """
+    _check_sign(sign)
     if phi.coeff.kind != "Z":
         raise ValueError("class orders are computed over Z")
     rows = boundary_columns(X, 2, sign, "quandle")[2]

@@ -1,11 +1,13 @@
 """Quandle colorings of diagrams and the 2-cocycle state-sum invariants.
 
-A coloring assigns a quandle element to every arc.  At a crossing the
-source under-arc is the incoming one when the writhe sign is +1 and the
-outgoing one when it is -1; the other under-arc must carry source * over.
-Each crossing then contributes s(tau) * phi(source, over) to its coloring's
-weight, where s is the writhe sign w in minus mode and the shading sign
-eps in plus mode, and the invariant is the multiset of weights.
+A coloring assigns a quandle element to every arc.  It is a plain tuple
+of colors indexed by arc, and ``enumerate_colorings`` and every
+ColoringTable list colorings sorted.  At a crossing the source under-arc
+is the incoming one when the writhe sign is +1 and the outgoing one when
+it is -1; the other under-arc must carry source * over.  Each crossing
+then contributes s(tau) * phi(source, over) to its coloring's weight,
+where s is the writhe sign w in minus mode and the shading sign eps in
+plus mode, and the invariant is the multiset of weights.
 
 State sums, the lemma scans, the sweep cells of ``verify`` and the CLI's
 ``invariant`` share one engine: DiagramEngine and coloring_table().  The
@@ -41,24 +43,8 @@ from .chains import _index, boundary_columns
 from .diagrams import arcs, checkerboard, signs
 from .homology import ZZ, pair_basis
 from .linalg import elementary_divisors
-from .quandles import Frozen
 
 MODES = ("minus", "plus")
-
-
-class Coloring(Frozen):
-    """Arc index -> quandle element."""
-
-    __slots__ = __match_args__ = ("colors",)
-
-    def __init__(self, colors):
-        object.__setattr__(self, "colors", colors)
-
-    def __getitem__(self, arc):
-        return self.colors[arc]
-
-    def __len__(self):
-        return len(self.colors)
 
 
 def crossing_roles(d, arcset):
@@ -262,8 +248,8 @@ def coloring_table(engine, X):
 
 
 def enumerate_colorings(d, X):
-    """All valid colorings, sorted."""
-    return [Coloring(rho) for rho in coloring_table(DiagramEngine(d), X).colorings]
+    """All valid colorings, as sorted tuples of arc colors."""
+    return coloring_table(DiagramEngine(d), X).colorings
 
 
 class GroupRingValue(namedtuple("GroupRingValue", "coeff counts")):
@@ -298,10 +284,8 @@ def is_trivial(value):
     return value.support() == (0,)
 
 
-def state_sum(d, X, phi, mode, coeff=None):
+def state_sum(d, X, phi, mode):
     """The invariant: one weight per coloring, collected as a multiset."""
-    if coeff is not None and coeff != phi.coeff:
-        raise ValueError("coefficient group does not match the cocycle")
     if phi.n != X.n:
         raise ValueError("cocycle size does not match the quandle")
     weights = coloring_table(DiagramEngine(d), X).weights(phi, mode)
@@ -359,12 +343,9 @@ def check_eps_alternation(d, crossing_signs=None):
     return True
 
 
-class SweepEntry(
-    namedtuple("SweepEntry", "quandle diagram cocycle colorings invariant trivial witnesses")
-):
+class SweepEntry(namedtuple("SweepEntry", "quandle diagram cocycle colorings invariant trivial")):
     """One sweep cell: the table rows, the diagram's name, the cocycle's value
-    rows, the coloring count, the GroupRingValue, whether it is trivial, and
-    up to five nontrivial (coloring, weight) witnesses."""
+    rows, the coloring count, the GroupRingValue and whether it is trivial."""
 
     __slots__ = ()
 
@@ -373,9 +354,7 @@ def sweep_entries(table, name, basis, mode):
     """One sweep cell per basis cocycle on one coloring table."""
     entries = []
     for phi in basis:
-        weights = table.weights(phi, mode)
-        value = GroupRingValue.from_values(phi.coeff, weights)
-        witnesses = [(rho, v) for rho, v in zip(table.colorings, weights) if v]
+        value = GroupRingValue.from_values(phi.coeff, table.weights(phi, mode))
         entries.append(
             SweepEntry(
                 quandle=table.X.table,
@@ -384,7 +363,6 @@ def sweep_entries(table, name, basis, mode):
                 colorings=len(table.colorings),
                 invariant=value,
                 trivial=is_trivial(value),
-                witnesses=tuple(witnesses[:5]),
             )
         )
     return entries

@@ -50,9 +50,6 @@ class ValidationReport(namedtuple("ValidationReport", "n valid violations")):
 
     __slots__ = ()
 
-    def for_axiom(self, k: int) -> list[AxiomViolation]:
-        return [v for v in self.violations if v.axiom == k]
-
 
 def validate_quandle(rows) -> ValidationReport:
     """Check the three axioms, collecting every violation.
@@ -85,9 +82,9 @@ def validate_quandle(rows) -> ValidationReport:
 
 class Frozen:
     """Base of the immutable records that are not named tuples, because they
-    cache properties, index like a sequence or add.  The constructor sets
-    each field named in __match_args__ once, past __setattr__; the fields
-    give equality, hashing and repr, as in a frozen dataclass."""
+    cache properties or add.  The constructor sets each field named in
+    __match_args__ once, past __setattr__; the fields give equality, hashing
+    and repr, as in a frozen dataclass."""
 
     __slots__ = ()
 

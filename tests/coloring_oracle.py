@@ -15,7 +15,6 @@ from quandlekit.diagrams import arcs, checkerboard, load_diagram, signs
 from quandlekit.homology import cocycle_basis
 from quandlekit.invariants import (
     MODES,
-    Coloring,
     DiagramEngine,
     coloring_table,
     crossing_roles,
@@ -36,12 +35,12 @@ def is_valid_coloring(d, X, rho):
 def exhaustive_colorings(d, X):
     """Every arc assignment that is a coloring, in scan order."""
     combos = itertools.product(range(X.n), repeat=len(arcs(d)))
-    return [Coloring(c) for c in combos if is_valid_coloring(d, X, Coloring(c))]
+    return [c for c in combos if is_valid_coloring(d, X, c)]
 
 
 def act_coloring(X, rho, a):
     """Translate every arc color by * a; stays a coloring (self-distributivity)."""
-    return Coloring(tuple(X.op(c, a) for c in rho.colors))
+    return tuple(X.op(c, a) for c in rho)
 
 
 def contribution(d, rho, phi, mode, crossing_signs=None):

@@ -48,7 +48,7 @@ def test_full_enumeration_size():
 def test_boundary_identities_for_every_small_quandle():
     for X in ALL_ORDER_LE_4:
         report = verify_complex_identities(X, max_degree=4)
-        assert report.ok, report.first_failure()
+        assert report.ok, report.failures
         assert report.max_degree == 4
     broken = verify_complex_identities(NON_QUANDLE_ROWS, max_degree=3)
     assert not broken.ok
@@ -82,7 +82,6 @@ def test_minus_state_sums_trivial_on_all_knots():
     for e in cells:
         # not just trivial in aggregate: every single coloring contributes 0
         assert e.invariant.counts == ((0, e.colorings),)
-        assert e.witnesses == ()
 
 
 def test_plus_state_sums_trivial_on_all_knots():
@@ -90,7 +89,6 @@ def test_plus_state_sums_trivial_on_all_knots():
     assert all(e.trivial for e in cells)
     for e in cells:
         assert e.invariant.counts == ((0, e.colorings),)
-        assert e.witnesses == ()
 
 
 def test_translation_identities_across_the_plus_sweep():
@@ -169,7 +167,7 @@ def test_mod2_minus_sweep_finds_a_nontrivial_value():
     assert bad
     for e in bad:
         assert not is_trivial(e.invariant)
-        assert e.witnesses
+        assert any(v for v, _ in e.invariant.counts)
 
 
 def test_links_are_separated_from_unlinks():

@@ -124,6 +124,22 @@ def test_cohomology_rejects_degree_4(capsys, files):
     assert rc == 2 and "degree" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--max-order", "0"], "max order must be between 1 and 6"),
+    (["verify", "--max-order", "7"], "max order must be between 1 and 6"),
+    (["quandle", "gen", "--order", "0"], "max order must be between 1 and 6"),
+    (["cohomology", "-f", "d3", "-n", "0", "--sign", "neg"], "degree must be between 1 and 3"),
+    (["cohomology", "-f", "d3", "-n", "4", "--sign", "neg"], "degree must be between 1 and 3"),
+])
+def test_out_of_range_bounds_exit_2_before_any_work(capsys, files, monkeypatch, argv, message):
+    monkeypatch.chdir(files["dir"])
+    before = sorted(os.listdir(files["dir"]))
+    rc, doc, err = run(capsys, [files["d3"] if a == "d3" else a for a in argv])
+    assert rc == 2 and doc is None
+    assert err == "error: %s\n" % message
+    assert sorted(os.listdir(files["dir"])) == before
+
+
 def test_cocycles_inline_and_files(capsys, files):
     rc, doc, _ = run(capsys, ["cocycles", "-f", files["t2"], "--sign", "neg", "--coeff", "Z"])
     assert rc == 0
@@ -282,6 +298,41 @@ def test_invariant_rejects_boolean_cochain_values(capsys, files, tmp_path):
     )
     assert rc == 2 and doc is None
     assert "integer rows" in err
+
+
+@pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0, 1], [1, 0], [0, 0]]])
+def test_invariant_rejects_a_cochain_table_that_is_not_square(capsys, files, tmp_path, rows):
+    phi = tmp_path / "ragged.json"
+    phi.write_text(json.dumps({"coeff": "Z", "values": rows}))
+    rc, doc, err = run(
+        capsys,
+        ["invariant", "-q", files["t2"], "-k", "hopf", "--mode", "neg", "--cocycle", str(phi)],
+    )
+    assert rc == 2 and doc is None
+    assert err == "error: cochain values must form a square table\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["quandle", "check", "-f", "d3"],
+    ["quandle", "info", "-f", "d3"],
+    ["cohomology", "-f", "d3", "-n", "2", "--sign", "neg"],
+    ["cocycles", "-f", "d3", "--sign", "pos"],
+    ["invariant", "-q", "t2", "-k", "hopf", "--mode", "neg", "--cocycle", "ind01"],
+])
+def test_each_command_scans_the_axioms_once_per_load(capsys, files, monkeypatch, argv):
+    from quandlekit import quandles
+
+    scans = []
+    validate = quandles.validate_quandle
+
+    def counted(rows):
+        scans.append(rows)
+        return validate(rows)
+
+    monkeypatch.setattr(quandles, "validate_quandle", counted)
+    monkeypatch.setattr(cli, "validate_quandle", counted)
+    rc, _, _ = run(capsys, [files.get(a, a) for a in argv])
+    assert rc == 0 and len(scans) == 1
 
 
 def test_verify_small_sweep_passes(capsys):

@@ -147,6 +147,22 @@ def test_coboundary_formulas():
         coboundary_of(d3, [1, 2], "minus")
 
 
+@pytest.mark.parametrize("sign", ["d1", "bogus"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda X, sign: Cochain2.zero(X.n).is_cocycle(X, sign),
+        lambda X, sign: cocycle_basis(X, sign),
+        lambda X, sign: coboundary_basis(X, sign),
+        lambda X, sign: cohomology_class_order(X, Cochain2.zero(X.n), sign),
+    ],
+    ids=["is_cocycle", "cocycle_basis", "coboundary_basis", "cohomology_class_order"],
+)
+def test_cochain_functions_take_only_minus_or_plus(call, sign):
+    with pytest.raises(ValueError, match="sign must be 'minus' or 'plus'"):
+        call(dihedral_quandle(3), sign)
+
+
 def test_class_orders():
     d3 = dihedral_quandle(3)
     assert cohomology_class_order(d3, Cochain2.zero(3), "minus") == 1

@@ -4,11 +4,18 @@ compare and hash by value, and the validating constructors reject bad input."""
 import pytest
 
 from quandlekit.chains import verify_complex_identities
-from quandlekit.cli import RunConfig
 from quandlekit.diagrams import arcs, checkerboard, faces, named_diagram, signs
-from quandlekit.homology import ZZ, Cochain2, CoefficientGroup, cocycle_basis, cohomology_group
+from quandlekit.homology import (
+    QQ,
+    ZZ,
+    AbelianGroupDescriptor,
+    Cochain2,
+    CoefficientGroup,
+    Zm,
+    cocycle_basis,
+    cohomology_group,
+)
 from quandlekit.invariants import (
-    Coloring,
     DiagramEngine,
     GroupRingValue,
     coloring_table,
@@ -48,11 +55,9 @@ def every_record():
         "FaceSet": faces(d),
         "Shading": checkerboard(d),
         "CrossingSigns": signs(d, checkerboard(d)),
-        "Coloring": Coloring(table.colorings[0]),
         "GroupRingValue": GroupRingValue.from_values(ZZ, table.weights(phi, "minus")),
         "LemmaReport": translation_lemmas(table, phi)[0],
         "SweepEntry": sweep_entries(table, "trefoil", basis, "plus")[0],
-        "RunConfig": RunConfig(max_order=3),
     }
 
 
@@ -60,7 +65,7 @@ RECORDS = every_record()
 
 
 def test_every_record_type_is_covered():
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 16
     assert all(type(r).__name__ == name for name, r in RECORDS.items())
 
 
@@ -82,9 +87,10 @@ def test_records_are_immutable(name):
     [
         (lambda: QuandleTable.from_rows([[0, 0], [1, 1]]), trivial_quandle(3)),
         (lambda: named_diagram("trefoil"), named_diagram("figure8")),
-        (lambda: Coloring(tuple(range(3))), Coloring((0, 1, 1))),
         (lambda: CoefficientGroup.parse("Z/4"), CoefficientGroup("Zm", 6)),
         (lambda: Cochain2.indicator(3, 0, 1), Cochain2.indicator(3, 1, 0)),
+        # the same values over another group are another cochain
+        (lambda: Cochain2.indicator(2, 0, 1, Zm(2)), Cochain2.indicator(2, 0, 1)),
     ],
 )
 def test_records_compare_and_hash_by_value(make, other):
@@ -101,11 +107,11 @@ def test_records_compare_and_hash_by_value(make, other):
         lambda: CoefficientGroup("Zm", 1),
         lambda: CoefficientGroup("Q", 3),
         lambda: CoefficientGroup("R"),
-        lambda: RunConfig(max_order=0),
-        lambda: RunConfig(degree=4),
+        lambda: AbelianGroupDescriptor(-1, ()),
+        lambda: Cochain2(ZZ, [[0, 1], [1]]),
         lambda: ZZ._replace(modulus=2),
         lambda: cohomology_group(dihedral_quandle(3), "rack", "minus", 1, ZZ)._replace(torsion=(2, 3)),
-        lambda: RunConfig(max_order=3)._replace(degree=0),
+        lambda: Cochain2(QQ, [[0]]),
     ],
 )
 def test_validating_constructors_reject_bad_arguments(make):
