@@ -247,9 +247,6 @@ class Cochain2(Frozen):
             [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.values, other.values)],
         )
 
-    def scaled(self, k):
-        return Cochain2(self.coeff, [[k * v for v in row] for row in self.values])
-
     def is_cocycle(self, X, sign):
         """Direct all-triples check of the degree-2 cocycle condition."""
         _check_sign(sign)

@@ -10,8 +10,9 @@ where s is the writhe sign w in minus mode and the shading sign eps in
 plus mode, and the invariant is the multiset of weights.
 
 State sums, the lemma scans, the sweep cells of ``verify`` and the CLI's
-``invariant`` share one engine: DiagramEngine and coloring_table().  The
-tests keep the one-coloring oracles (validity, translation and the weight
+``invariant`` share one engine: DiagramEngine and coloring_table().  Each
+state sum is ColoringTable.state_sum, the multiset of a table's weights.
+The tests keep the one-coloring oracles (validity, translation and the weight
 of a single coloring) in tests/coloring_oracle.py.
 
 A coloring's weight under phi is the pairing of phi with the coloring's
@@ -193,6 +194,10 @@ class ColoringTable:
             for counts in self.pair_counts(mode)
         ]
 
+    def state_sum(self, phi, mode):
+        """The invariant on this table: its weights as a GroupRingValue."""
+        return GroupRingValue.from_values(phi.coeff, self.weights(phi, mode))
+
     @cached_property
     def translations(self):
         """Per coloring and element a: the index of its translate by * a, or
@@ -288,8 +293,7 @@ def state_sum(d, X, phi, mode):
     """The invariant: one weight per coloring, collected as a multiset."""
     if phi.n != X.n:
         raise ValueError("cocycle size does not match the quandle")
-    weights = coloring_table(DiagramEngine(d), X).weights(phi, mode)
-    return GroupRingValue.from_values(phi.coeff, weights)
+    return coloring_table(DiagramEngine(d), X).state_sum(phi, mode)
 
 
 class LemmaReport(namedtuple("LemmaReport", "name pairs_checked failures")):
@@ -330,15 +334,13 @@ def translation_lemmas(table, phi):
 def check_eps_alternation(d, crossing_signs=None):
     """Do the shading signs alternate along every over-passing run?
 
-    Closed all-over components need the alternation to close up cyclically.
+    A closed all-over component crosses the other components an even number
+    of times, so alternation along its run closes up by itself.
     """
     sg = crossing_signs or signs(d, checkerboard(d))
     for trav in arcs(d).traversals:
         run = [sg.eps[i] for i in trav.overs]
-        for j in range(len(run) - 1):
-            if run[j] == run[j + 1]:
-                return False
-        if trav.closed and len(run) > 1 and run[0] == run[-1]:
+        if any(u == v for u, v in zip(run, run[1:])):
             return False
     return True
 
@@ -354,7 +356,7 @@ def sweep_entries(table, name, basis, mode):
     """One sweep cell per basis cocycle on one coloring table."""
     entries = []
     for phi in basis:
-        value = GroupRingValue.from_values(phi.coeff, table.weights(phi, mode))
+        value = table.state_sum(phi, mode)
         entries.append(
             SweepEntry(
                 quandle=table.X.table,

@@ -15,6 +15,7 @@ from quandlekit.homology import (
     QQ,
     ZZ,
     AbelianGroupDescriptor,
+    Cochain2,
     Zm,
     coboundary_of,
     cocycle_basis,
@@ -139,7 +140,7 @@ def test_cohomologous_cocycles_give_equal_state_sums():
                         want = (
                             state_sum(d, X, phi, mode)
                             if phi is not None
-                            else state_sum(d, X, delta.scaled(0), mode)
+                            else state_sum(d, X, Cochain2.zero(X.n), mode)
                         )
                         assert state_sum(d, X, shifted, mode) == want
 

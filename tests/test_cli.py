@@ -12,6 +12,8 @@ import pytest
 from braids import pd_text, torus_2
 from quandlekit import cli
 from quandlekit.cli import main
+from quandlekit.diagrams import CORPUS_NAMES, named_diagram
+from quandlekit.homology import Cochain2
 from quandlekit.quandles import enumerate_quandles, isomorphic_tables, orbits, quandle_classes
 
 D3_ROWS = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
@@ -335,6 +337,18 @@ def test_each_command_scans_the_axioms_once_per_load(capsys, files, monkeypatch,
     assert rc == 0 and len(scans) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["quandle", "info", "-f", "bad"],
+    ["cohomology", "-f", "bad", "-n", "2", "--sign", "neg"],
+    ["cocycles", "-f", "bad", "--sign", "pos"],
+    ["invariant", "-q", "bad", "-k", "trefoil", "--mode", "neg", "--cocycle", "ind01"],
+])
+def test_each_loader_rejects_a_table_that_is_not_a_quandle(capsys, files, argv):
+    rc, doc, err = run(capsys, [files.get(a, a) for a in argv])
+    assert rc == 2 and doc is None
+    assert err == "error: table in %s violates axiom 1 at (2,)\n" % files["bad"]
+
+
 def test_verify_small_sweep_passes(capsys):
     rc, doc, _ = run(capsys, ["verify", "--max-order", "2", "--coeff", "Z", "--mode", "both"])
     assert rc == 0
@@ -518,7 +532,7 @@ def test_verify_output_pinned(capsys, argv, digest, note):
 def test_verify_checks_the_eps_identities_on_every_class_of_order_le_3(capsys, monkeypatch):
     seen = []
 
-    def record(diagrams, small, rng):
+    def record(engines, small):
         seen.extend(small)
         return []
 
@@ -528,6 +542,74 @@ def test_verify_checks_the_eps_identities_on_every_class_of_order_le_3(capsys, m
     assert tables == [X.table for n in (1, 2, 3) for X in enumerate_quandles(n, dedupe_iso=True)]
     # R3 is the only connected quandle of order 3
     assert any(X.n == 3 and orbits(X).connected for X in seen)
+
+
+def test_default_verify_reads_and_compiles_each_corpus_code_once(capsys, monkeypatch):
+    from quandlekit import diagrams, invariants
+
+    parsed, compiled = [], []
+    parse_pd, init = diagrams.parse_pd, invariants.DiagramEngine.__init__
+
+    def counted_parse(text):
+        parsed.append(text)
+        return parse_pd(text)
+
+    def counted_init(self, d, outer_face=None):
+        compiled.append(d)
+        init(self, d, outer_face)
+
+    monkeypatch.setattr(diagrams, "parse_pd", counted_parse)
+    monkeypatch.setattr(invariants.DiagramEngine, "__init__", counted_init)
+    rc, doc, _ = run(capsys, ["verify", "--max-order", "2"])
+    assert rc == 0
+    assert len(parsed) == len(compiled) == len(CORPUS_NAMES) == 10
+    assert doc["diagrams"] == ["trefoil", "figure8", "5_1", "5_2", "trefoil_kinked", "figure8_kinked"]
+
+
+def test_verify_fails_when_a_required_state_sum_is_nontrivial(capsys, monkeypatch):
+    # no class is certified, and the swept "basis" is an indicator, which is
+    # no cocycle: its sums on R3 are not trivial and break the lemmas
+    monkeypatch.setattr("quandlekit.cli.triviality_certificate", lambda X, tables, mode, coeff: (False, 0))
+    monkeypatch.setattr(
+        "quandlekit.cli.cocycle_basis",
+        lambda X, mode, coeff: [Cochain2.indicator(X.n, 0, 1)] if X.n > 1 else [],
+    )
+    rc, doc, err = run(capsys, ["verify", "--max-order", "3", "--mode", "pos"])
+    assert rc == 1 and doc["ok"] is False
+    (mode_doc,) = doc["modes"]
+    assert mode_doc["triviality_required"] and mode_doc["nontrivial"] > 0
+    assert doc["witnesses"] and not any(w["trivial"] for w in doc["witnesses"])
+    assert doc["lemma_failures"] and doc["eps_failures"] == []
+    assert {f["lemma"] for f in doc["lemma_failures"]} <= {"weights-cancel", "weights-agree"}
+    assert "verify failed" in err
+
+
+def test_verify_reports_each_shading_identity_a_flipped_sign_breaks(capsys, monkeypatch):
+    # flipping eps at one crossing of trefoil leaves its single-crossing runs
+    # alternating but not constant, and flipping crossing 1 of trefoil_kinked
+    # breaks the kinked arc's run; both break the unit-psi sums
+    from quandlekit import invariants
+
+    flips = {named_diagram("trefoil").crossings: 0, named_diagram("trefoil_kinked").crossings: 1}
+    signs = invariants.signs
+
+    def flipped(d, shading):
+        sg = signs(d, shading)
+        if d.crossings not in flips:
+            return sg
+        i = flips[d.crossings]
+        return sg._replace(eps=sg.eps[:i] + (-sg.eps[i],) + sg.eps[i + 1:])
+
+    monkeypatch.setattr(invariants, "signs", flipped)
+    rc, doc, _ = run(capsys, ["verify", "--max-order", "3", "--mode", "neg"])
+    assert rc == 1 and doc["ok"] is False
+    assert doc["witnesses"] == [] and doc["lemma_failures"] == []
+    assert doc["eps_failures"] == [
+        {"diagram": "trefoil", "check": "constant-on-alternating"},
+        {"diagram": "trefoil", "check": "psi-zero-sum"},
+        {"diagram": "trefoil_kinked", "check": "alternation"},
+        {"diagram": "trefoil_kinked", "check": "psi-zero-sum"},
+    ]
 
 
 @pytest.mark.parametrize("exc", [RecursionError, ZeroDivisionError, OverflowError])

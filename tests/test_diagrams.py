@@ -140,6 +140,16 @@ def test_structure_errors(text):
         parse_pd(text)
 
 
+def test_a_repeated_loop_id_is_rejected():
+    with pytest.raises(PDStructureError, match="repeated O-component edge id"):
+        parse_pd("O[1] O[1]")
+
+
+def test_text_between_terms_is_rejected():
+    with pytest.raises(PDSyntaxError, match="unexpected text 'junk'"):
+        parse_pd("X[1,4,2,5] junk X[3,6,4,1] X[5,2,6,3]")
+
+
 def test_two_circles_crossing_once_rejected_at_faces():
     # orientable as a code, but two closed curves cannot cross exactly once
     # in the plane; the Euler count catches it

@@ -354,6 +354,8 @@ def test_cochain_serialization():
         Cochain2.from_doc({"coeff": "Z", "values": [[0, "x"], [0, 0]]})
     with pytest.raises(ValueError):
         Cochain2(ZZ, [[0, 1], [1, 0], [0, 0]])
+    with pytest.raises(ValueError, match="diagonal must vanish"):
+        Cochain2(ZZ, [[1]])
     with pytest.raises(ValueError):
         Cochain2.indicator(3, 1, 1)
     assert Cochain2(Zm(3), [[0, 4], [-1, 0]]).values == ((0, 1), (2, 0))

@@ -348,6 +348,22 @@ def test_eps_alternates_along_every_corpus_arc():
         assert check_eps_alternation(named_diagram(name))
 
 
+@pytest.mark.parametrize(
+    "code, crossing",
+    [
+        ("trefoil_kinked", 1),  # the kinked arc passes over crossings 3 and 1
+        ("X[3,1,4,2] X[4,1,3,2]", 0),  # a closed circle lying over another
+    ],
+)
+def test_a_flipped_shading_sign_breaks_the_alternation(code, crossing):
+    d = named_diagram(code) if code == "trefoil_kinked" else parse_pd(code)
+    sg = signs(d, checkerboard(d))
+    assert check_eps_alternation(d, sg)
+    eps = list(sg.eps)
+    eps[crossing] = -eps[crossing]
+    assert not check_eps_alternation(d, sg._replace(eps=tuple(eps)))
+
+
 def test_eps_psi_sum_vanishes():
     rng = random.Random(20240814)
     for name in ("trefoil", "figure8", "hopf", "borromean", "5_2", "figure8_kinked"):
