@@ -6,18 +6,14 @@ from .quandles import (
     OrbitPartition,
     QuandleTable,
     ValidationReport,
-    are_isomorphic,
-    conjugation_quandle,
     dihedral_quandle,
-    dual,
     enumerate_quandles,
     load_quandle_file,
     orbits,
-    subquandle_on_orbit,
     trivial_quandle,
     validate_quandle,
 )
-from .chains import ComplexReport, boundary_columns, tuple_basis, verify_complex_identities
+from .chains import boundary_columns
 from .homology import (
     QQ,
     ZZ,
@@ -25,14 +21,10 @@ from .homology import (
     Cochain2,
     CoefficientGroup,
     Zm,
-    coboundary_basis,
     coboundary_of,
     cocycle_basis,
-    cohomology_class_order,
     cohomology_group,
     homology_group,
-    rank_split_check,
-    restrict_cocycle,
 )
 
 from .diagrams import (

@@ -244,18 +244,20 @@ def _triviality_required(mode, coeff):
 def _eps_identity_report(engines, small):
     """Failures of the shading-sign identities on each engine's diagram.
 
-    The plus weight of the coboundary of psi, eps * (psi(source) +
-    psi(target) - 2 psi(over)) summed over the crossings, is linear in psi:
-    checking it on each unit cochain e_a checks it for every psi."""
+    small holds each class of order <= 3 with the coloring tables the sweep
+    already built for it, by diagram name; only the other diagrams are
+    searched here.  The plus weight of the coboundary of psi, eps *
+    (psi(source) + psi(target) - 2 psi(over)) summed over the crossings, is
+    linear in psi: checking it on each unit cochain e_a checks it for
+    every psi."""
     bad = []
     for name, engine in engines:
-        d, sg = engine.diagram, engine.crossing_signs
-        if not check_eps_alternation(d, sg):
+        if not check_eps_alternation(engine):
             bad.append({"diagram": name, "check": "alternation"})
-        if d.alternating and len(set(sg.eps)) > 1:
+        if engine.diagram.alternating and len(set(engine.crossing_signs.eps)) > 1:
             bad.append({"diagram": name, "check": "constant-on-alternating"})
-        for X in small:
-            table = coloring_table(engine, X)
+        for X, swept in small:
+            table = swept[name] if name in swept else coloring_table(engine, X)
             for a in range(X.n):
                 psi = [int(b == a) for b in range(X.n)]
                 if any(table.weights(coboundary_of(X, psi, "plus"), "plus")):
@@ -311,8 +313,11 @@ def cmd_verify(args):
     counts = dict.fromkeys(mode_names, 0)
     worklist = []  # (labelled table, the modes its class failed in)
     certified = 0
+    small = []  # (class of order <= 3, its coloring tables by diagram name)
     for X, size in classes:
         tables = [coloring_table(engine, X) for _, engine in engines]
+        if X.n <= 3:
+            small.append((X, {name: t for (name, _), t in zip(engines, tables)}))
         failing = []
         for mode_name in mode_names:
             ok, cocycles = triviality_certificate(X, tables, MODE_OF[mode_name], coeff)
@@ -360,7 +365,7 @@ def cmd_verify(args):
         eps_failures = []
         failed = failed or not witnesses
     else:
-        eps_failures = _eps_identity_report(corpus, [X for X, _ in classes if X.n <= 3])
+        eps_failures = _eps_identity_report(corpus, small)
         failed = failed or bool(eps_failures)
 
     doc = {

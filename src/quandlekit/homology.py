@@ -95,14 +95,6 @@ class AbelianGroupDescriptor(namedtuple("AbelianGroupDescriptor", "free_rank tor
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
-    def prime_powers(self):
-        """Multiset of prime-power cyclic factors, canonical for comparisons."""
-        parts = []
-        for t in self.torsion:
-            for p, e in _factor(t).items():
-                parts.append(p ** e)
-        return tuple(sorted(parts))
-
     def __str__(self):
         parts = []
         if self.free_rank == 1:
@@ -135,8 +127,8 @@ def _invariant_factors(orders):
 
 
 def _check_sign(sign):
-    """Reject every sign but the two complexes the library documents;
-    ``boundary_columns`` alone also takes the operators "d1" and "d2"."""
+    """Reject every sign but the two complexes, "minus" and "plus": the
+    operators "d1" and "d2" of ``boundary_columns`` are not complexes."""
     if sign not in ("minus", "plus"):
         raise ValueError("sign must be 'minus' or 'plus'")
 
@@ -295,26 +287,21 @@ class Cochain2(Frozen):
         return cls(coeff, values)
 
 
-def _coboundary_matrix(X, n, sign):
-    """Dense coboundary C^(n-1) -> C^n on the quandle bases, with its width:
-    the transpose of the degree-n quandle boundary, one row per n-tuple."""
-    _, codomain, cols = boundary_columns(X, n, sign, "quandle")
-    width = len(codomain)
-    return [[col.get(i, 0) for i in range(width)] for col in cols], width
-
-
 def cocycle_basis(X, sign, coeff=ZZ):
     """Degree-2 cocycles, as Cochain2 values.
 
-    One Smith normal form of delta2 with its column transform V serves both
-    cases.  Over Z the columns of V past the rank are a lattice basis of the
-    kernel; over Z/m a spanning set keeps those reduced and adds the
-    m-torsion lifts of the columns at the nonzero elementary divisors.
+    One Smith normal form of delta2, the dense transpose of the degree-3
+    quandle boundary, with its column transform V serves both cases.  Over
+    Z the columns of V past the rank are a lattice basis of the kernel;
+    over Z/m a spanning set keeps those reduced and adds the m-torsion
+    lifts of the columns at the nonzero elementary divisors.
     """
     _check_sign(sign)
     if coeff.kind == "Q":
         raise ValueError("cocycle bases are computed over Z or Z/m")
-    delta2, c2 = _coboundary_matrix(X, 3, sign)
+    _, pairs, cols = boundary_columns(X, 3, sign, "quandle")
+    c2 = len(pairs)
+    delta2 = [[col.get(i, 0) for i in range(c2)] for col in cols]
     s, v, rank = linalg._smith(delta2, c2, track_v=True)
     if coeff.kind == "Z":
         return [Cochain2.from_vector(X.n, [row[j] for row in v], coeff) for j in range(rank, c2)]
@@ -351,69 +338,3 @@ def coboundary_of(X, psi, sign, coeff=ZZ):
             row.append(v)
         rows.append(row)
     return Cochain2(coeff, rows)
-
-
-def coboundary_basis(X, sign, coeff=ZZ):
-    """Degree-2 coboundaries: lattice basis over Z, spanning set over Z/m.
-
-    Over Z, delta1 * V == U^-1 * S for the Smith normal form of delta1, so
-    the first ``rank`` columns of delta1 * V are a basis of its image.
-    """
-    _check_sign(sign)
-    if coeff.kind == "Q":
-        raise ValueError("coboundary bases are computed over Z or Z/m")
-    d, n = _coboundary_matrix(X, 2, sign)
-    if coeff.kind == "Z":
-        _, v, rank = linalg._smith(d, n, track_v=True)
-        image = [[sum(x * w[j] for x, w in zip(row, v)) for row in d] for j in range(rank)]
-        return [Cochain2.from_vector(X.n, vec, coeff) for vec in image]
-    out = []
-    for a in range(n):
-        phi = Cochain2.from_vector(X.n, [row[a] for row in d], coeff)
-        if any(phi.vector()) and phi not in out:
-            out.append(phi)
-    return out
-
-
-def cohomology_class_order(X, phi, sign):
-    """Least k >= 1 with k*phi a coboundary, or math.inf.
-
-    Appending phi to the generators of im(delta1) either raises the rank
-    (no multiple of phi is a coboundary) or enlarges the lattice by the
-    class order, which is then the ratio of the two products of elementary
-    divisors.  The sparse rows of delta1 are the degree-2 boundary columns.
-    """
-    _check_sign(sign)
-    if phi.coeff.kind != "Z":
-        raise ValueError("class orders are computed over Z")
-    rows = boundary_columns(X, 2, sign, "quandle")[2]
-    rank, divisors = linalg.elementary_divisors(rows)
-    with_phi = [{**row, X.n: v} for row, v in zip(rows, phi.vector())]
-    rank_phi, divisors_phi = linalg.elementary_divisors(with_phi)
-    if rank_phi > rank:
-        return math.inf
-    return math.prod(divisors) // math.prod(divisors_phi)
-
-
-def restrict_cocycle(X, phi, embedding):
-    """Pull a cochain back to a subquandle given by an element embedding."""
-    emb = list(embedding)
-    if len(set(emb)) != len(emb) or any(not 0 <= e < X.n for e in emb):
-        raise ValueError("embedding must be a list of distinct elements")
-    rows = [[phi(a, b) for b in emb] for a in emb]
-    return Cochain2(phi.coeff, rows)
-
-
-def rank_split_check(X, n, sign):
-    """Does H_n of the rack complex split as degenerate + quandle parts?
-
-    Compares free ranks and the prime-power decompositions of the torsion,
-    which is exactly isomorphism of the direct sum.
-    """
-    parts = {f: homology_group(X, f, sign, n, ZZ) for f in FLAVORS}
-    rack, degen, quandle = parts["rack"], parts["degenerate"], parts["quandle"]
-    if rack.free_rank != degen.free_rank + quandle.free_rank:
-        return False
-    return rack.prime_powers() == tuple(
-        sorted(degen.prime_powers() + quandle.prime_powers())
-    )

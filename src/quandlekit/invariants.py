@@ -66,7 +66,7 @@ FORWARD, BACKWARD, CHECK = 0, 1, 2
 
 
 class DiagramEngine:
-    """A diagram's crossing roles, coloring schedule and signs, once.
+    """A diagram's arcs, crossing roles, coloring schedule and signs, once.
 
     The shading signs need the faces, which a disconnected code lacks, so
     they wait for first use in plus mode; ``outer_face`` picks the shading's
@@ -74,11 +74,11 @@ class DiagramEngine:
     """
 
     def __init__(self, d, outer_face=None):
-        ar = arcs(d)
         self.diagram = d
         self.outer_face = outer_face
-        self.arc_count = len(ar)
-        self.roles = crossing_roles(d, ar)
+        self.arcset = arcs(d)
+        self.arc_count = len(self.arcset)
+        self.roles = crossing_roles(d, self.arcset)
 
     @cached_property
     def crossing_signs(self):
@@ -331,15 +331,16 @@ def translation_lemmas(table, phi):
     return reports
 
 
-def check_eps_alternation(d, crossing_signs=None):
-    """Do the shading signs alternate along every over-passing run?
+def check_eps_alternation(engine):
+    """Do the shading signs alternate along every over-passing run of the
+    engine's diagram?
 
     A closed all-over component crosses the other components an even number
     of times, so alternation along its run closes up by itself.
     """
-    sg = crossing_signs or signs(d, checkerboard(d))
-    for trav in arcs(d).traversals:
-        run = [sg.eps[i] for i in trav.overs]
+    eps = engine.crossing_signs.eps
+    for trav in engine.arcset.traversals:
+        run = [eps[i] for i in trav.overs]
         if any(u == v for u, v in zip(run, run[1:])):
             return False
     return True

@@ -90,8 +90,8 @@ def _smith(mat, ncols, track_v):
     """(S, V, rank): U*M*V == S in Smith normal form for unimodular U and V.
 
     U is never formed, and V is None unless tracked.  Since M*V == U^-1 * S,
-    the first ``rank`` columns of M*V are a basis of the column lattice and
-    the columns of V past the rank are a basis of the kernel.
+    the columns of V past the rank are a basis of the kernel: the cocycle
+    basis reads them.
     """
     m, n = shape_of(mat, ncols)
     s = [[int(x) for x in row] for row in mat]

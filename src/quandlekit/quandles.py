@@ -110,23 +110,15 @@ class Frozen:
 class QuandleTable(Frozen):
     """Operation table wrapper.
 
-    The plain constructor does not validate the axioms (deliberately: the
-    chain machinery is also exercised on non-quandles as negative controls).
-    Use from_rows for checked construction.
+    The constructor does not validate the axioms (deliberately: the chain
+    machinery is also exercised on non-quandles as negative controls).
+    validate_quandle checks them; the CLI's loaders run it first.
     """
 
     __match_args__ = ("table",)
 
     def __init__(self, table: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "table", table)
-
-    @classmethod
-    def from_rows(cls, rows) -> "QuandleTable":
-        report = validate_quandle(rows)
-        if not report.valid:
-            v = report.violations[0]
-            raise ValueError("not a quandle: axiom %d fails at %s" % (v.axiom, v.witness))
-        return cls(_check_shape(rows))
 
     @property
     def n(self) -> int:
@@ -157,11 +149,6 @@ class QuandleTable(Frozen):
         return QuandleTable(tuple(tuple(r) for r in rows))
 
 
-def dual(q: QuandleTable) -> QuandleTable:
-    """The dual quandle: same set, operation a -> a dual b."""
-    return QuandleTable(q.dual_table)
-
-
 def trivial_quandle(n: int) -> QuandleTable:
     if n < 1:
         raise ValueError("order must be positive")
@@ -173,44 +160,6 @@ def dihedral_quandle(n: int) -> QuandleTable:
     if n < 1:
         raise ValueError("order must be positive")
     return QuandleTable(tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)))
-
-
-def conjugation_quandle(group_rows, rep: int) -> tuple[QuandleTable, tuple[int, ...]]:
-    """Conjugation quandle a*b = b^-1 a b on the conjugacy class of rep.
-
-    group_rows is a full multiplication table; it is checked to be a group
-    (associativity, identity, inverses).  Returns the quandle on the class,
-    relabeled to 0..k-1 in increasing group-element order, together with the
-    class itself as the embedding back into the group.
-    """
-    mul = _check_shape(group_rows)
-    m = len(mul)
-    e = None
-    for g in range(m):
-        if all(mul[g][h] == h and mul[h][g] == h for h in range(m)):
-            e = g
-            break
-    if e is None:
-        raise ValueError("no identity element: not a group table")
-    inv = [None] * m
-    for g in range(m):
-        for h in range(m):
-            if mul[g][h] == e and mul[h][g] == e:
-                inv[g] = h
-                break
-        if inv[g] is None:
-            raise ValueError("element %d has no inverse: not a group table" % g)
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise ValueError("multiplication is not associative at (%d,%d,%d)" % (a, b, c))
-    if not 0 <= rep < m:
-        raise ValueError("class representative out of range")
-    cls = sorted({mul[mul[inv[g]][rep]][g] for g in range(m)})
-    index = {g: i for i, g in enumerate(cls)}
-    rows = [[index[mul[mul[inv[b]][a]][b]] for b in cls] for a in cls]
-    return QuandleTable.from_rows(rows), tuple(cls)
 
 
 class OrbitPartition(namedtuple("OrbitPartition", "blocks orbit_of")):
@@ -256,18 +205,6 @@ def orbits(q: QuandleTable) -> OrbitPartition:
     return OrbitPartition(blocks=tuple(blocks), orbit_of=tuple(orbit_of))
 
 
-def subquandle_on_orbit(q: QuandleTable, a: int) -> tuple[QuandleTable, tuple[int, ...]]:
-    """The induced quandle on the orbit of a, plus the embedding into q.
-
-    Orbits are closed under the operation, so the restriction is a quandle.
-    """
-    part = orbits(q)
-    block = part.blocks[part.orbit_of[a]]
-    index = {x: i for i, x in enumerate(block)}
-    rows = [[index[q.table[x][y]] for y in block] for x in block]
-    return QuandleTable.from_rows(rows), block
-
-
 def _inverse(p):
     inv = [0] * len(p)
     for a, pa in enumerate(p):
@@ -296,14 +233,6 @@ def _least_relabeling(table, relabelings):
                     best = best[:i] + (row,) + tuple(rows)
                 break
     return best
-
-
-def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> bool:
-    if q1.n != q2.n:
-        return False
-    n = q1.n
-    return (_least_relabeling(q1.table, _relabelings(n))
-            == _least_relabeling(q2.table, _relabelings(n)))
 
 
 MAX_ENUMERATION_ORDER = 6

@@ -8,8 +8,8 @@ sweeps.  Randomized identities use fixed seeds.
 import random
 
 from coloring_oracle import contribution, exhaustive_colorings, sweep_cells
+from test_chains import NON_QUANDLE_ROWS, identity_failures
 
-from quandlekit.chains import verify_complex_identities
 from quandlekit.diagrams import CORPUS_NAMES, arcs, checkerboard, named_diagram, signs
 from quandlekit.homology import (
     QQ,
@@ -31,14 +31,11 @@ from quandlekit.invariants import (
     state_sum,
     translation_lemmas,
 )
-from quandlekit.quandles import dihedral_quandle, enumerate_quandles, orbits
+from quandlekit.quandles import QuandleTable, dihedral_quandle, enumerate_quandles, orbits
 
 ALL_ORDER_LE_4 = [X for n in range(1, 5) for X in enumerate_quandles(n)]
 KNOTS = ("trefoil", "figure8", "5_1", "5_2", "trefoil_kinked")
 KNOT_CORPUS = KNOTS + ("figure8_kinked",)
-
-# a table satisfying only the first two axioms; the complex must detect it
-NON_QUANDLE_ROWS = [[0, 2, 0], [2, 1, 1], [1, 0, 2]]
 
 
 def test_full_enumeration_size():
@@ -47,12 +44,12 @@ def test_full_enumeration_size():
 
 
 def test_boundary_identities_for_every_small_quandle():
+    # d1d1 = d2d2 = d1d2 + d2d1 = 0 on every generator of degrees 2..4, and
+    # every degenerate boundary stays in the degenerate span
     for X in ALL_ORDER_LE_4:
-        report = verify_complex_identities(X, max_degree=4)
-        assert report.ok, report.failures
-        assert report.max_degree == 4
-    broken = verify_complex_identities(NON_QUANDLE_ROWS, max_degree=3)
-    assert not broken.ok
+        assert identity_failures(X, 4) == {}
+    # a table satisfying only the first two axioms; the complex must detect it
+    assert identity_failures(QuandleTable(NON_QUANDLE_ROWS), 3)
 
 
 def test_rack_betti_numbers_are_orbit_count_powers():
@@ -111,7 +108,7 @@ def test_shading_sign_structure_on_the_corpus():
     X = dihedral_quandle(3)
     for name in CORPUS_NAMES:
         d = named_diagram(name)
-        assert check_eps_alternation(d)
+        assert check_eps_alternation(DiagramEngine(d))
         sg = signs(d, checkerboard(d))
         if d.alternating and d.n_crossings:
             assert len(set(sg.eps)) == 1

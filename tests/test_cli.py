@@ -538,10 +538,38 @@ def test_verify_checks_the_eps_identities_on_every_class_of_order_le_3(capsys, m
 
     monkeypatch.setattr("quandlekit.cli._eps_identity_report", record)
     assert main(["verify", "--max-order", "4", "--coeff", "Z", "--mode", "neg"]) == 0
-    tables = [X.table for X in seen]
+    tables = [X.table for X, _ in seen]
     assert tables == [X.table for n in (1, 2, 3) for X in enumerate_quandles(n, dedupe_iso=True)]
     # R3 is the only connected quandle of order 3
-    assert any(X.n == 3 and orbits(X).connected for X in seen)
+    assert any(X.n == 3 and orbits(X).connected for X, _ in seen)
+    # each class comes with the sweep's coloring tables of the six knots
+    knots = ["trefoil", "figure8", "5_1", "5_2", "trefoil_kinked", "figure8_kinked"]
+    assert all(list(swept) == knots and all(t.X is X for t in swept.values()) for X, swept in seen)
+
+
+def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypatch):
+    # the eps report reuses the sweep's tables of the six knots on the five
+    # classes of order <= 3 and searches only the four links (30 + 20
+    # searches), and the alternation check reads each engine's arcs
+    from quandlekit import diagrams, invariants
+
+    calls = {"coloring_table": 0, "arcs": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(cli, "coloring_table")
+    counted(invariants, "arcs")
+    monkeypatch.setattr(diagrams, "arcs", invariants.arcs)  # calls from inside diagrams count too
+    rc, doc, _ = run(capsys, ["verify", "--max-order", "3"])
+    assert rc == 0 and doc["eps_failures"] == []
+    assert calls == {"coloring_table": 50, "arcs": 10}
 
 
 def test_default_verify_reads_and_compiles_each_corpus_code_once(capsys, monkeypatch):

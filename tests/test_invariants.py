@@ -345,7 +345,7 @@ def test_eps_alternates_along_every_corpus_arc():
     from quandlekit.diagrams import CORPUS_NAMES
 
     for name in CORPUS_NAMES:
-        assert check_eps_alternation(named_diagram(name))
+        assert check_eps_alternation(DiagramEngine(named_diagram(name)))
 
 
 @pytest.mark.parametrize(
@@ -355,13 +355,18 @@ def test_eps_alternates_along_every_corpus_arc():
         ("X[3,1,4,2] X[4,1,3,2]", 0),  # a closed circle lying over another
     ],
 )
-def test_a_flipped_shading_sign_breaks_the_alternation(code, crossing):
+def test_a_flipped_shading_sign_breaks_the_alternation(code, crossing, monkeypatch):
+    from quandlekit import invariants
+
     d = named_diagram(code) if code == "trefoil_kinked" else parse_pd(code)
-    sg = signs(d, checkerboard(d))
-    assert check_eps_alternation(d, sg)
-    eps = list(sg.eps)
-    eps[crossing] = -eps[crossing]
-    assert not check_eps_alternation(d, sg._replace(eps=tuple(eps)))
+    assert check_eps_alternation(DiagramEngine(d))
+
+    def flipped(d, shading):
+        sg = signs(d, shading)
+        return sg._replace(eps=sg.eps[:crossing] + (-sg.eps[crossing],) + sg.eps[crossing + 1:])
+
+    monkeypatch.setattr(invariants, "signs", flipped)
+    assert not check_eps_alternation(DiagramEngine(d))
 
 
 def test_eps_psi_sum_vanishes():
@@ -393,14 +398,18 @@ def test_arc_endpoint_eps_relation():
 
 
 def test_contribution_respects_orbit_restriction():
-    from quandlekit.homology import restrict_cocycle
-    from quandlekit.quandles import orbits, subquandle_on_orbit
+    from quandlekit.quandles import orbits, validate_quandle
 
     d = named_diagram("trefoil")
-    assert orbits(D4).count == 2
-    sub, emb = subquandle_on_orbit(D4, 0)
+    part = orbits(D4)
+    assert part.count == 2
+    # the orbit of 0 and the quandle and cocycles it restricts to
+    emb = part.blocks[part.orbit_of[0]]
+    index = {x: i for i, x in enumerate(emb)}
+    sub = QuandleTable(tuple(tuple(index[D4.op(x, y)] for y in emb) for x in emb))
+    assert validate_quandle(sub.table).valid
     for phi in cocycle_basis(D4, "minus", ZZ):
-        small = restrict_cocycle(D4, phi, emb)
+        small = Cochain2(phi.coeff, [[phi(a, b) for b in emb] for a in emb])
         for rho in enumerate_colorings(d, D4):
             if not all(c in emb for c in rho):
                 continue

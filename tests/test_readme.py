@@ -47,3 +47,42 @@ def test_every_public_name_of_the_package_is_in_the_readme():
     ]
     assert "enumerate_colorings" in public and "boundary_columns" in public
     assert [name for name in public if not re.search(r"`%s`" % re.escape(name), text)] == []
+
+
+def _imported_names(tree):
+    """Names a module imports from quandlekit or one of its modules."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quandlekit"
+        for alias in node.names
+    }
+
+
+def test_every_public_name_of_the_package_has_a_user():
+    # a name at the package root is loaded or imported by another module of
+    # the package, imported by the benchmark or by the quick start, or is
+    # one of three kept on purpose: the paper's other named family, the
+    # Z/m constructor, and homology beside cohomology (one shared _group)
+    package = os.path.dirname(os.path.abspath(quandlekit.__file__))
+    used = set()
+    for name in os.listdir(package):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            used |= _imported_names(tree)
+            used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    bench = os.path.join(os.path.dirname(README), "bench")
+    for name in os.listdir(bench):
+        if name.endswith(".py"):
+            with open(os.path.join(bench, name), encoding="utf-8") as fh:
+                used |= _imported_names(ast.parse(fh.read()))
+    section = _readme().split("## Library quick start", 1)[1]
+    used |= _imported_names(ast.parse(re.search(r"```python\n(.*?)```", section, re.S).group(1)))
+    used |= {"trivial_quandle", "Zm", "homology_group"}
+    public = [
+        name
+        for name, value in vars(quandlekit).items()
+        if not name.startswith("__") and not isinstance(value, types.ModuleType)
+    ]
+    assert [name for name in public if name not in used] == []
