@@ -35,11 +35,11 @@ from .quandles import (
     MAX_ENUMERATION_ORDER,
     MalformedTableError,
     QuandleTable,
+    class_representatives,
     enumerate_quandles,
     isomorphic_tables,
     load_quandle_file,
     orbits,
-    quandle_classes,
     table_doc,
     validate_quandle,
 )
@@ -290,20 +290,21 @@ def _lemma_failures(X, basis, tables):
 def cmd_verify(args):
     """Sweep every quandle of order <= max order against the diagrams.
 
-    Each isomorphism class is certified once per mode.  A pass means every
-    cell of every table in the class is trivial and, by a plus-mode pass
-    over Z, every translated weight is 0 too, so both lemmas hold; only
-    the cell count is needed.  Weights and cocycle counts do not change
-    under relabeling, so a class that fails in a mode can hold witnesses
-    only in its own labelled tables: those are swept in that mode, in
-    (order, table) order, for the cells, witnesses and lemma failures.
+    Each isomorphism class is certified once per mode, on the table
+    class_representatives yields for it.  A pass means every cell of every
+    table in the class is trivial and, by a plus-mode pass over Z, every
+    translated weight is 0 too, so both lemmas hold; only the cell count
+    is needed.  Weights and cocycle counts do not change under relabeling,
+    so a class that fails in a mode can hold witnesses only in its own
+    labelled tables: those are swept in that mode, in (order, table)
+    order, for the cells, witnesses and lemma failures.
     """
     _check_bound("max order", args.max_order, MAX_ENUMERATION_ORDER)
     coeff = CoefficientGroup.parse(args.coeff)
     if coeff.kind == "Q":
         raise ValueError("verify sweeps run over Z or Z/m")
     mode_names = ("neg", "pos") if args.mode == "both" else (args.mode,)
-    classes = [c for n in range(1, args.max_order + 1) for c in quandle_classes(n)]
+    classes = [c for n in range(1, args.max_order + 1) for c in class_representatives(n)]
 
     # each diagram is read and compiled once; the sweep runs on the knots
     # of the corpus, or on the one --expect-nontrivial diagram

@@ -235,40 +235,88 @@ def _least_relabeling(table, relabelings):
     return best
 
 
+def _cycle_type(p):
+    """The cycle lengths of a permutation, sorted."""
+    seen = set()
+    lengths = []
+    for start in range(len(p)):
+        a, length = start, 0
+        while a not in seen:
+            seen.add(a)
+            a = p[a]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _least_with_cycle_type(lengths):
+    """The lex-least permutation that fixes 0 and has these cycle lengths,
+    one of them the 1 of 0: the other cycles on consecutive points,
+    shortest first, each as a -> a+1 -> ... -> a."""
+    p = [0]
+    rest = list(lengths)
+    rest.remove(1)
+    for length in rest:
+        a = len(p)
+        p += range(a + 1, a + length)
+        p.append(a)
+    return tuple(p)
+
+
 MAX_ENUMERATION_ORDER = 6
 
 
-def quandle_classes(n: int) -> list[tuple[QuandleTable, int]]:
-    """One (lex-least table, class size) per isomorphism class of order n,
-    sorted by table.
+def class_representatives(n: int) -> list[tuple[QuandleTable, int]]:
+    """One (column-major least table, class size) per isomorphism class of
+    order n, in column-major order.
 
     An orderly search (Read 1978) over columns yields only tables that are
     column-major least in their class.  The column for b is a permutation
     sigma_b fixing b (axioms 1 and 2), and a stack of placed columns is
     pruned by every axiom 3 instance whose three columns are placed.  Axiom
-    3 in column form: sigma_c . sigma_b == sigma_{sigma_c(b)} . sigma_c.
+    3 in column form: sigma_c . sigma_b == sigma_{sigma_c(b)} . sigma_c.  So
+    when placed columns b and c have sigma_c(b) = k, column k is forced to
+    sigma_c . sigma_b . sigma_c^-1 and is the only candidate tried.
 
     Relabeling by p turns column i into p . sigma_{p^-1(i)} . p^-1, so once
     columns 0..k are placed, the relabeled columns 0..i are known whenever
     p^-1(0..i) are all placed.  A stack is rejected when some relabeling
-    gives a smaller known prefix: no completion of it is least.  On a full
-    table every relabeling is compared, and those that tie are |Aut X|, so
-    the class size is n!/|Aut X|.  Each table found is then turned into its
-    row-major lex-least relabeling.
+    gives a smaller known prefix: no completion of it is least.  The
+    relabelings with p^-1(0) = k turn column k into every permutation that
+    fixes 0 and has sigma_k's cycle type; when that type is not sigma_0's,
+    the least such permutation decides the whole group at once: below
+    sigma_0 it rejects the stack, above it none of the group can tie.  The
+    other relabelings are compared one at a time.  On a full table those
+    that tie are |Aut X|, so the class size is n!/|Aut X|.
     """
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError("order must be between 1 and %d" % MAX_ENUMERATION_ORDER)
     relabelings = list(_relabelings(n))
     candidates = [[p for p, _ in relabelings if p[b] == b] for b in range(n)]
-    # waiting[c] holds the relabelings (p, p^-1, i) whose relabeled columns
-    # 0..i-1 tie with the placed ones and whose column i needs column
-    # c = p^-1(i); at first each waits at i = 0 for column p^-1(0)
-    waiting = [[] for _ in range(n)]
+    cycle_type = {p: _cycle_type(p) for p, _ in relabelings}
+    least = {t: _least_with_cycle_type(t) for t in set(cycle_type.values()) if 1 in t}
+    # groups[k] holds the relabelings (p, p^-1, 0) with p^-1(0) = k, which
+    # start by comparing their column 0, made from column k
+    groups = [[] for _ in range(n)]
     for p, inv in relabelings:
-        waiting[inv[0]].append((p, inv, 0))
+        groups[inv[0]].append((p, inv, 0))
 
     cols: list[tuple[int, ...]] = []
     found = []
+
+    def forced(k):
+        # sigma_k = sigma_c . sigma_b . sigma_c^-1 for placed b, c with
+        # sigma_c(b) = k, or None if no placed pair names k
+        for c in range(k):
+            sc = cols[c]
+            for b in range(k):
+                if sc[b] == k:
+                    col = [0] * n
+                    for a, sb in enumerate(cols[b]):
+                        col[sc[a]] = sc[sb]
+                    return tuple(col)
+        return None
 
     def consistent_with(k):
         # check every axiom-3 pair (b, c) whose columns b, c, sigma_c(b) are
@@ -291,9 +339,16 @@ def quandle_classes(n: int) -> list[tuple[QuandleTable, int]]:
         relabelings still tied, by the column they wait for next, and the
         number that tie on the whole table, which is nonzero only once the
         last column is placed."""
+        kind = cycle_type[cols[k]]
+        if kind == cycle_type[cols[0]]:
+            pending = itertools.chain(groups[k], waiting[k])
+        elif least[kind] < cols[0]:
+            return None, 0
+        else:
+            pending = waiting[k]
         later = [list(w) for w in waiting]
         autos = 0
-        for p, inv, i in waiting[k]:
+        for p, inv, i in pending:
             while True:
                 image = tuple(map(p.__getitem__, map(cols[inv[i]].__getitem__, inv)))
                 if image != cols[i]:
@@ -311,19 +366,32 @@ def quandle_classes(n: int) -> list[tuple[QuandleTable, int]]:
 
     def extend(waiting):
         k = len(cols)
-        for col in candidates[k]:
+        only = forced(k)
+        for col in candidates[k] if only is None else (only,):
             cols.append(col)
             if consistent_with(k):
                 later, autos = advance(k, waiting)
                 if autos:  # a full table, least in its class
-                    table = tuple(zip(*cols))
-                    found.append((_least_relabeling(table, relabelings), len(relabelings) // autos))
+                    found.append((QuandleTable(tuple(zip(*cols))), len(relabelings) // autos))
                 elif later is not None:
                     extend(later)
             cols.pop()
 
-    extend(waiting)
-    return [(QuandleTable(t), size) for t, size in sorted(found)]
+    # waiting[c] holds the relabelings (p, p^-1, i) whose relabeled columns
+    # 0..i-1 tie with the placed ones and whose column i needs column
+    # c = p^-1(i); none waits before column 0 is placed
+    extend([[] for _ in range(n)])
+    return found
+
+
+def quandle_classes(n: int) -> list[tuple[QuandleTable, int]]:
+    """One (lex-least table, class size) per isomorphism class of order n,
+    sorted by table: class_representatives(n), each turned into its
+    row-major lex-least relabeling by one early-exit pass."""
+    relabelings = list(_relabelings(n))
+    classes = class_representatives(n)
+    forms = sorted((_least_relabeling(X.table, relabelings), size) for X, size in classes)
+    return [(QuandleTable(t), size) for t, size in forms]
 
 
 def isomorphic_tables(X: QuandleTable) -> list[QuandleTable]:
@@ -335,14 +403,14 @@ def isomorphic_tables(X: QuandleTable) -> list[QuandleTable]:
 
 def enumerate_quandles(n: int, dedupe_iso: bool = False) -> list[QuandleTable]:
     """All quandle tables of order n <= MAX_ENUMERATION_ORDER, lexicographically
-    sorted: the union of the relabeling orbits of quandle_classes(n).
+    sorted: the union of the relabeling orbits of class_representatives(n).
 
     With dedupe_iso, one representative per relabeling class is kept: the
     lex-least table of each class.
     """
-    classes = quandle_classes(n)
     if dedupe_iso:
-        return [X for X, _ in classes]
+        return [X for X, _ in quandle_classes(n)]
+    classes = class_representatives(n)
     return sorted((Y for X, _ in classes for Y in isomorphic_tables(X)), key=lambda Y: Y.table)
 
 

@@ -14,7 +14,8 @@ from quandlekit import cli
 from quandlekit.cli import main
 from quandlekit.diagrams import CORPUS_NAMES, named_diagram
 from quandlekit.homology import Cochain2
-from quandlekit.quandles import enumerate_quandles, isomorphic_tables, orbits, quandle_classes
+from quandlekit.quandles import class_representatives, enumerate_quandles, isomorphic_tables, orbits
+from test_quandles import canonical_form
 
 D3_ROWS = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 T2_ROWS = [[0, 0], [1, 1]]
@@ -431,8 +432,9 @@ def test_certified_verify_matches_the_labelled_sweep(capsys, monkeypatch, argv):
 def test_verify_with_a_seeded_half_of_the_classes_failing(capsys, monkeypatch, argv):
     # a seeded half of the (class, mode) certificates fail; the labelled
     # orbits of those classes interleave, and swept in (order, table) order,
-    # in the failing modes only, they must give the unforced run's document
-    classes = [X.table for n in range(1, 5) for X, _ in quandle_classes(n)]
+    # in the failing modes only, they must give the unforced run's document;
+    # the classes are drawn as verify certifies them
+    classes = [X.table for n in range(1, 5) for X, _ in class_representatives(n)]
     pairs = [(t, mode) for t in classes for mode in ("minus", "plus")]
     forced = set(random.Random(9).sample(pairs, len(classes)))
     unforced = run(capsys, ["verify"] + argv)
@@ -538,13 +540,30 @@ def test_verify_checks_the_eps_identities_on_every_class_of_order_le_3(capsys, m
 
     monkeypatch.setattr("quandlekit.cli._eps_identity_report", record)
     assert main(["verify", "--max-order", "4", "--coeff", "Z", "--mode", "neg"]) == 0
-    tables = [X.table for X, _ in seen]
-    assert tables == [X.table for n in (1, 2, 3) for X in enumerate_quandles(n, dedupe_iso=True)]
+    # each class once, in whichever labelling verify certifies it
+    forms = sorted((canonical_form(X.table) for X, _ in seen), key=lambda t: (len(t), t))
+    assert forms == [X.table for n in (1, 2, 3) for X in enumerate_quandles(n, dedupe_iso=True)]
     # R3 is the only connected quandle of order 3
     assert any(X.n == 3 and orbits(X).connected for X, _ in seen)
     # each class comes with the sweep's coloring tables of the six knots
     knots = ["trefoil", "figure8", "5_1", "5_2", "trefoil_kinked", "figure8_kinked"]
     assert all(list(swept) == knots and all(t.X is X for t in swept.values()) for X, swept in seen)
+
+
+def test_verify_certifies_one_table_per_class(capsys, monkeypatch):
+    certify = cli.triviality_certificate
+    seen = {"minus": [], "plus": []}
+
+    def record(X, tables, mode, coeff):
+        seen[mode].append(X.table)
+        return certify(X, tables, mode, coeff)
+
+    monkeypatch.setattr("quandlekit.cli.triviality_certificate", record)
+    rc, _, _ = run(capsys, ["verify", "--max-order", "5", "--coeff", "Z", "--mode", "both"])
+    assert rc == 0
+    classes = [X.table for n in range(1, 6) for X in enumerate_quandles(n, dedupe_iso=True)]
+    for tables in seen.values():
+        assert sorted(map(canonical_form, tables), key=lambda t: (len(t), t)) == classes
 
 
 def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypatch):

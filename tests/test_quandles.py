@@ -14,7 +14,9 @@ from quandlekit.quandles import (
     MalformedTableError,
     QuandleTable,
     _least_relabeling,
+    _least_with_cycle_type,
     _relabelings,
+    class_representatives,
     dihedral_quandle,
     enumerate_quandles,
     isomorphic_tables,
@@ -248,12 +250,73 @@ def test_order_6_classes():
         assert size * automorphism_count(X) == math.factorial(6)
 
 
+def cycle_lengths(p):
+    """Oracle: the sorted cycle lengths of p, by following each point."""
+    cycles = []
+    for a in range(len(p)):
+        if all(a not in cycle for cycle in cycles):
+            cycle = [a]
+            while p[cycle[-1]] != a:
+                cycle.append(p[cycle[-1]])
+            cycles.append(cycle)
+    return tuple(sorted(map(len, cycles)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_least_permutation_of_each_cycle_type(n):
+    # oracle: the minimum of every permutation fixing 0, type by type
+    brute = {}
+    for p in itertools.permutations(range(n)):
+        if p[0] == 0:
+            t = cycle_lengths(p)
+            brute[t] = min(brute.get(t, p), p)
+    for t, p in brute.items():
+        assert _least_with_cycle_type(t) == p
+
+
+def columns(table):
+    return tuple(zip(*table))
+
+
+def column_major_classes(n):
+    """Oracle: each relabeling class of the labelled tables, as its
+    column-major least table and its size, in column-major order."""
+    seen, found = set(), []
+    for t in labelled_quandles(n):
+        if t in seen:
+            continue
+        orbit = {QuandleTable(t).relabeled(p).table for p in itertools.permutations(range(n))}
+        seen |= orbit
+        found.append((min(orbit, key=columns), len(orbit)))
+    return sorted(found, key=lambda item: columns(item[0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_search_representatives_are_the_column_major_least_tables(n):
+    found = class_representatives(n)
+    assert [(X.table, size) for X, size in found] == column_major_classes(n)
+    for X, size in found:
+        assert size * automorphism_count(X) == math.factorial(n)
+
+
+def test_order_6_representatives():
+    found = class_representatives(6)
+    assert len(found) == 73
+    assert sum(size for _, size in found) == 6658
+    assert [columns(X.table) for X, _ in found] == sorted(columns(X.table) for X, _ in found)
+    # the row-major pass turns them into quandle_classes' tables
+    forms = sorted(_least_relabeling(X.table, _relabelings(6)) for X, _ in found)
+    assert forms == [X.table for X, _ in quandle_classes(6)]
+
+
 def test_enumeration_rejects_out_of_range_orders():
     for n in (0, 7):
         with pytest.raises(ValueError):
             enumerate_quandles(n)
         with pytest.raises(ValueError):
             quandle_classes(n)
+        with pytest.raises(ValueError):
+            class_representatives(n)
 
 
 @settings(max_examples=40, deadline=None)
