@@ -211,8 +211,15 @@ def cmd_invariant(args):
         }
     )
     _note(
-        "%d colorings, %s; search: %d branch arcs, %d nodes"
-        % (value.total, "trivial" if is_trivial(value) else "nontrivial", table.branches, table.nodes)
+        "%d colorings, %s; search: %d branch arcs, %d nodes, %d of %d first-arc colors"
+        % (
+            value.total,
+            "trivial" if is_trivial(value) else "nontrivial",
+            table.branches,
+            table.nodes,
+            table.first_arc_colors,
+            X.n,
+        )
     )
     return EXIT_OK
 

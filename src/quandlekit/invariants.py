@@ -30,8 +30,15 @@ levels of a branch arc followed by the forward steps, backward steps and
 checks its color makes decidable.  The branch arc is the most constrained
 one (an over-arc whose crossing has a colored under-end, then an under-end
 whose crossing has a colored over-arc, then the lowest uncolored arc), and
-coloring_table() only runs table lookups along the plan.  A search costs
-about n^branches leaves times the crossings for a quandle of order n.
+coloring_table() only runs table lookups along the plan.
+
+Every right translation x -> x*a of a quandle is an automorphism, and an
+automorphism g turns a coloring rho into the coloring g∘rho, so the
+colorings fall into Inn(X)-orbits.  The search tries one color per orbit
+on the first branch arc and carries what it finds to the rest of the orbit;
+the pair counts and the certificate follow the same orbits.  A search costs
+about representatives × n^(branches-1) leaves times the crossings for a
+quandle of order n with that many orbit representatives.
 """
 
 from __future__ import annotations
@@ -153,24 +160,37 @@ class DiagramEngine:
 class ColoringTable:
     """The sorted colorings of one diagram by one quandle, and their weights.
 
+    The search finds the colorings whose first branch arc carries an orbit
+    representative (``QuandleTable.orbit_plan``); every other coloring is
+    g∘rho for one of them and an automorphism g, and ``sources`` says which.
     A weight is the dot product of the coloring's signed (source color, over
     color) pair counts with the cocycle's values.  The counts are built once
-    per mode; each cocycle then costs one exact dot product per coloring.
+    per mode, crossing by crossing on the searched colorings only, since
+    W(g∘rho) = g·W(rho); each cocycle then costs one exact dot product per
+    coloring.
     """
 
-    def __init__(self, engine, X, colorings, nodes):
+    def __init__(self, engine, X, colorings, nodes, searched, sources):
         self.engine = engine
         self.X = X
         self.colorings = colorings  # sorted tuples of arc colors
         self.branches = len(engine.schedule)  # arcs the search branched on
         self.nodes = nodes  # branch values tried
+        self.searched = searched  # the colorings the search found
+        self.sources = sources  # per coloring: (index in searched, automorphism or None)
+        self._searched_counts = {}
         self._pair_counts = {}
 
-    def pair_counts(self, mode):
-        """Per coloring: (((source color, over color), summed sign), ...)."""
+    @property
+    def first_arc_colors(self):
+        """How many colors the search tried on the first branch arc."""
+        return sum(r == c for c, (r, _) in enumerate(self.X.orbit_plan))
+
+    def searched_counts(self, mode):
+        """Per searched coloring: (((source color, over color), summed sign), ...)."""
         if mode not in MODES:
             raise ValueError("mode must be 'minus' or 'plus'")
-        if mode not in self._pair_counts:
+        if mode not in self._searched_counts:
             roles = self.engine.roles
             if mode == "minus":
                 crossings = [(w, src, over) for src, over, _, w in roles]
@@ -178,13 +198,24 @@ class ColoringTable:
                 eps = self.engine.crossing_signs.eps
                 crossings = [(s, src, over) for s, (src, over, _, _) in zip(eps, roles)]
             rows = []
-            for rho in self.colorings:
+            for rho in self.searched:
                 counts = {}
                 for s, src, over in crossings:
                     key = (rho[src], rho[over])
                     counts[key] = counts.get(key, 0) + s
                 rows.append(tuple(counts.items()))
-            self._pair_counts[mode] = rows
+            self._searched_counts[mode] = rows
+        return self._searched_counts[mode]
+
+    def pair_counts(self, mode):
+        """Per coloring: (((source color, over color), summed sign), ...),
+        each g∘rho's the image under g of its searched rho's."""
+        if mode not in self._pair_counts:
+            base = self.searched_counts(mode)
+            self._pair_counts[mode] = [
+                base[i] if g is None else tuple(((g[a], g[b]), m) for (a, b), m in base[i])
+                for i, g in self.sources
+            ]
         return self._pair_counts[mode]
 
     def weights(self, phi, mode):
@@ -212,15 +243,22 @@ def coloring_table(engine, X):
 
     An iterative depth-first search over the engine's schedule: each level
     tries every element on its branch arc and runs the level's steps as
-    plain table lookups, stopping at the first failed check.  A level only
-    reads arcs colored at or before it, so nothing is ever uncolored.  The
-    cost is about n^branches leaves times the crossings, where n is the
-    order of X and branches the schedule's length; a T(2, m) code compiles
-    to two branch arcs whatever m is.
+    plain table lookups, stopping at the first failed check.  The first
+    level tries only the representatives of X's orbit plan; a coloring g∘rho
+    is a coloring for every automorphism g, so the plan's g with g[r] == c
+    carries the colorings found at r to those at c.  A level only reads
+    arcs colored at or before it, so nothing is ever uncolored.  The cost is
+    about representatives × n^(branches-1) leaves times the crossings, where
+    n is the order of X and branches the schedule's length; a T(2, m) code
+    compiles to two branch arcs whatever m is.
     """
     levels = engine.schedule
     op, n = X.table, X.n
     tables = (op, X.dual_table)  # indexed by FORWARD and BACKWARD
+    plan = X.orbit_plan
+    first = levels[0][0]
+    values = [tuple(c for c, (r, _) in enumerate(plan) if r == c)] + [range(n)] * (len(levels) - 1)
+    sizes = [len(v) for v in values]
     colors = [0] * engine.arc_count
     found = []
     top = len(levels)
@@ -232,14 +270,14 @@ def coloring_table(engine, X):
             depth -= 1
             continue
         v = tried[depth]
-        if v == n:
+        if v == sizes[depth]:
             tried[depth] = 0
             depth -= 1
             continue
         tried[depth] = v + 1
         nodes += 1
         arc, steps = levels[depth]
-        colors[arc] = v
+        colors[arc] = values[depth][v]
         for kind, x, o, y in steps:
             if kind == CHECK:
                 if op[colors[x]][colors[o]] != colors[y]:
@@ -248,8 +286,17 @@ def coloring_table(engine, X):
                 colors[y] = tables[kind][colors[x]][colors[o]]
         else:
             depth += 1
-    found.sort()
-    return ColoringTable(engine, X, found, nodes)
+    images = [[] for _ in range(n)]  # per representative: the automorphisms to its orbit
+    for r, g in plan:
+        images[r].append(g)
+    rows = []
+    for i, rho in enumerate(found):
+        for g in images[rho[first]]:
+            rows.append((rho if g is None else tuple([g[c] for c in rho]), i, g))
+    rows.sort(key=lambda row: row[0])
+    colorings = [row[0] for row in rows]
+    sources = [row[1:] for row in rows]
+    return ColoringTable(engine, X, colorings, nodes, found, sources)
 
 
 def enumerate_colorings(d, X):
@@ -384,6 +431,11 @@ def triviality_certificate(X, tables, mode, coeff):
     shrinks a span).  The cocycle count is c2 - r over Z plus, over Z/m,
     one per divisor sharing a factor with m.  Neither answer changes under
     relabeling, and no basis is built.
+
+    Only the searched colorings' W's are appended.  The boundary commutes
+    with every automorphism g, so g maps the span of its columns onto
+    itself, over Q and over Z/m; W(g∘rho) = g·W(rho) then lies in the span
+    exactly when W(rho) does.
     """
     if mode not in MODES:
         raise ValueError("mode must be 'minus' or 'plus'")
@@ -403,7 +455,7 @@ def triviality_certificate(X, tables, mode, coeff):
     index = _index(X.n, 2, "quandle")
     cycles = set()
     for table in tables:
-        for counts in table.pair_counts(mode):
+        for counts in table.searched_counts(mode):
             w = tuple(sorted((index[p], c) for p, c in counts if c and p[0] != p[1]))
             if w:
                 cycles.add(w)

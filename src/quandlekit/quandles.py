@@ -137,6 +137,38 @@ class QuandleTable(Frozen):
         return tuple(tuple(r) for r in dual)
 
     @cached_property
+    def orbit_plan(self) -> tuple:
+        """Per element c: (r, g), where g is a product of right translations
+        with g[r] == c (None when c == r), and r is the least element that
+        such products carry to c.
+
+        Only a right translation that is a bijection preserving this table's
+        operation is a factor, so every g is an automorphism.  In a rack each
+        right translation is one (axiom 3), and the orbits are those of
+        Inn(X); a table whose translations are not automorphisms keeps
+        singleton orbits.
+        """
+        n, op = self.n, self.table
+        gens = []
+        for a in range(n):
+            t = tuple(row[a] for row in op)
+            if len(set(t)) == n and all(t[op[x][y]] == op[t[x]][t[y]] for x in range(n) for y in range(n)):
+                gens.append(t)
+        plan = [None] * n
+        for r in range(n):
+            if plan[r] is not None:
+                continue
+            plan[r] = (r, None)
+            reached = [(r, tuple(range(n)))]
+            for x, g in reached:
+                for t in gens:
+                    if plan[t[x]] is None:
+                        h = tuple([t[v] for v in g])  # t after g, so h[r] == t[x]
+                        plan[t[x]] = (r, h)
+                        reached.append((t[x], h))
+        return tuple(plan)
+
+    @cached_property
     def is_involutory(self) -> bool:
         return all(self.table[self.table[a][b]][b] == a
                    for a in range(self.n) for b in range(self.n))

@@ -4,15 +4,19 @@ The library weighs, translates and checks colorings a whole coloring table
 at a time (``invariants.coloring_table``).  These work on one coloring at a
 time, straight from the crossing roles and the signs, so the tests can hold
 the engine to them.  ``sweep_cells`` lists every cell of a basis sweep over
-a set of tables, with no certificate in the way.
+a set of tables, with no certificate in the way, and
+``all_cycles_certificate`` is the triviality certificate on the cycles of
+every coloring, not only of the searched ones.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
+from quandlekit.chains import _index, boundary_columns
 from quandlekit.diagrams import arcs, checkerboard, load_diagram, signs
-from quandlekit.homology import cocycle_basis
+from quandlekit.homology import cocycle_basis, pair_basis
 from quandlekit.invariants import (
     MODES,
     DiagramEngine,
@@ -20,6 +24,7 @@ from quandlekit.invariants import (
     crossing_roles,
     sweep_entries,
 )
+from quandlekit.linalg import elementary_divisors
 
 
 def is_valid_coloring(d, X, rho):
@@ -64,3 +69,30 @@ def sweep_cells(quandles, names, coeff, mode):
         for name, engine in engines:
             cells += sweep_entries(coloring_table(engine, X), name, basis, mode)
     return cells
+
+
+def all_cycles_certificate(X, tables, mode, coeff):
+    """(passes, cocycles) as ``triviality_certificate`` gives them, from the
+    span test on the pair-count cycle W of every coloring in the tables."""
+    cols = boundary_columns(X, 3, mode, "quandle")[2]
+    rank, divisors = elementary_divisors(cols)
+    cocycles = len(pair_basis(X.n)) - rank
+    if coeff.kind == "Zm":
+        cocycles += sum(math.gcd(d, coeff.modulus) > 1 for d in divisors)
+    if not cocycles:
+        return True, 0
+    index = _index(X.n, 2, "quandle")
+    cycles = set()
+    for table in tables:
+        for counts in table.pair_counts(mode):
+            w = tuple(sorted((index[p], c) for p, c in counts if c and p[0] != p[1]))
+            if w:
+                cycles.add(w)
+    if not cycles:
+        return True, cocycles
+    rank_w, divisors_w = elementary_divisors(cols + [dict(w) for w in sorted(cycles)])
+    if coeff.kind == "Z":
+        return rank_w == rank, cocycles
+    m = coeff.modulus
+    sizes = [math.prod(m // math.gcd(d, m) for d in ds) for ds in (divisors, divisors_w)]
+    return sizes[0] == sizes[1], cocycles

@@ -269,7 +269,24 @@ def test_invariant_on_torus_knot_1001(capsys, tmp_path, p, colorings):
     )
     assert rc == 0
     assert doc["colorings"] == colorings and doc["invariant"] == [["0", colorings]]
-    assert "; search: 2 branch arcs, %d nodes" % (p + p * p) in err
+    # R_p is connected: one first-arc color, then p on the second branch arc
+    assert err.endswith("; search: 2 branch arcs, %d nodes, 1 of %d first-arc colors\n" % (1 + p, p))
+
+
+def test_invariant_on_a_non_connected_quandle(capsys, tmp_path):
+    # R3 with two trivially acting fixed points: orbits {0, 1, 2}, {3}, {4}
+    q = tmp_path / "r3t2.json"
+    rows = [[0, 2, 1, 0, 0], [2, 1, 0, 1, 1], [1, 0, 2, 2, 2], [3] * 5, [4] * 5]
+    q.write_text(json.dumps({"n": 5, "table": rows}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"coeff": "Z", "values": [[0] * 5 for _ in range(5)]}))
+    rc, doc, err = run(
+        capsys,
+        ["invariant", "-q", str(q), "-k", "hopf", "--mode", "neg", "--cocycle", str(phi)],
+    )
+    assert rc == 0 and doc["colorings"] == 19
+    # three representatives on the first branch arc, then all five on the second
+    assert err.endswith("; search: 2 branch arcs, 18 nodes, 3 of 5 first-arc colors\n")
 
 
 def test_invariant_coeff_mismatch(capsys, files):

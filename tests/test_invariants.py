@@ -5,6 +5,7 @@ import random
 import pytest
 from coloring_oracle import (
     act_coloring,
+    all_cycles_certificate,
     contribution,
     exhaustive_colorings,
     is_valid_coloring,
@@ -38,6 +39,7 @@ from quandlekit.invariants import (
 )
 from quandlekit.quandles import (
     QuandleTable,
+    class_representatives,
     dihedral_quandle,
     enumerate_quandles,
     trivial_quandle,
@@ -486,13 +488,14 @@ def test_certificate_matches_the_basis_sweep(coeff):
 
 
 class _Mutated:
-    """A coloring table whose first coloring's pair counts gain 1 at one pair."""
+    """A coloring table whose first searched coloring, an orbit
+    representative's, gains 1 at one pair of its counts."""
 
     def __init__(self, table, pair):
         self.table, self.pair = table, pair
 
-    def pair_counts(self, mode):
-        rows = [dict(counts) for counts in self.table.pair_counts(mode)]
+    def searched_counts(self, mode):
+        rows = [dict(counts) for counts in self.table.searched_counts(mode)]
         rows[0][self.pair] = rows[0].get(self.pair, 0) + 1
         return [tuple(row.items()) for row in rows]
 
@@ -505,6 +508,26 @@ def test_certificate_sees_a_perturbed_cycle(mode):
     assert not passes
     # a diagonal pair carries no weight, so perturbing it changes nothing
     assert triviality_certificate(D3, [_Mutated(table, (1, 1))], mode, ZZ)[0]
+
+
+@pytest.mark.parametrize("coeff", [ZZ, Zm(2), Zm(3), Zm(4)], ids=str)
+def test_representative_cycles_certify_as_all_cycles_do(coeff):
+    # oracle: the span test on every coloring's cycle; the Hopf link and the
+    # Borromean rings make some minus-mode verdicts fail
+    groups = [
+        [DiagramEngine(named_diagram(name)) for name in names]
+        for names in (KNOTS, ("hopf",), ("borromean",))
+    ]
+    verdicts = set()
+    for n in range(1, 6):
+        for X, _ in class_representatives(n):
+            for group in groups:
+                tables = [coloring_table(engine, X) for engine in group]
+                for mode in MODES:
+                    answer = triviality_certificate(X, tables, mode, coeff)
+                    assert answer == all_cycles_certificate(X, tables, mode, coeff), (X.table, mode)
+                    verdicts.add(answer[0])
+    assert verdicts == {True, False}
 
 
 def test_certificate_is_invariant_under_relabeling():

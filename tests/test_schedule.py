@@ -16,12 +16,18 @@ from quandlekit.invariants import (
     DiagramEngine,
     coloring_table,
 )
-from quandlekit.quandles import dihedral_quandle, enumerate_quandles, orbits
+from quandlekit.quandles import QuandleTable, dihedral_quandle, enumerate_quandles, orbits
+from test_invariants import NOT_A_QUANDLE
 
 ORDER_LE_4 = [X for n in range(1, 5) for X in enumerate_quandles(n)]
 R3, R5 = dihedral_quandle(3), dihedral_quandle(5)
 # a labelling of the tetrahedral quandle, the first connected one of order 4
 Q4 = next(X for X in enumerate_quandles(4) if orbits(X).connected)
+# R3 with two fixed points that act trivially: orbits {0, 1, 2}, {3}, {4}
+R3_T2 = QuandleTable(((0, 2, 1, 0, 0), (2, 1, 0, 1, 1), (1, 0, 2, 2, 2), (3,) * 5, (4,) * 5))
+# closures of up to six arcs, knots and links: trefoil, figure-eight, T(2, 4)
+CLOSURES = ([1, 1, 1], 2), ([1, -2, 1, -2], 3), ([1, 1, 1, 1], 2), ([1, 2, 1, 2], 3), \
+    ([1, 1, 2, -1, 2], 3), ([1, -2, 3, 1, 2, 3], 4)
 
 
 def exhaustive_colorings(engine, X):
@@ -113,6 +119,84 @@ def test_closure_colorings_match_the_exhaustive_scan(sw, X):
     engine = closure_engine(sw[1], sw[0])
     assume(engine.arc_count <= 6)
     assert coloring_table(engine, X).colorings == exhaustive_colorings(engine, X)
+
+
+def test_closure_colorings_match_the_exhaustive_scan_on_every_order_le_4_quandle():
+    for word, strands in CLOSURES:
+        engine = closure_engine(word, strands)
+        for X in ORDER_LE_4 + [R3_T2]:
+            assert coloring_table(engine, X).colorings == exhaustive_colorings(engine, X)
+
+
+# --- colorings carried along Inn(X)-orbits ---------------------------------------
+
+
+def direct_pair_counts(engine, rho, mode):
+    """Oracle: one coloring's signed (source color, over color) counts, crossing
+    by crossing."""
+    signs = [w for *_, w in engine.roles] if mode == "minus" else engine.crossing_signs.eps
+    counts = {}
+    for s, (src, over, _, _) in zip(signs, engine.roles):
+        counts[rho[src], rho[over]] = counts.get((rho[src], rho[over]), 0) + s
+    return counts
+
+
+def test_orbit_plan_entries_are_automorphisms_onto_each_color():
+    for X in ORDER_LE_4 + [R3, R5, R3_T2]:
+        n, op = X.n, X.table
+        blocks, orbit_of = orbits(X)
+        for c, (r, g) in enumerate(X.orbit_plan):
+            assert r == blocks[orbit_of[c]][0]
+            if g is None:
+                assert c == r
+                continue
+            assert sorted(g) == list(range(n)) and g[r] == c
+            assert all(g[op[x][y]] == op[g[x]][g[y]] for x in range(n) for y in range(n))
+
+
+def test_a_table_without_inner_automorphisms_tries_every_first_arc_color():
+    # every column of NOT_A_QUANDLE is a bijection, but only the identity
+    # column preserves its operation
+    assert NOT_A_QUANDLE.orbit_plan == tuple((c, None) for c in range(4))
+    for name in CORPUS_NAMES:
+        engine = DiagramEngine(named_diagram(name))
+        table = coloring_table(engine, NOT_A_QUANDLE)
+        assert table.first_arc_colors == 4
+        assert table.colorings == exhaustive_colorings(engine, NOT_A_QUANDLE)
+    table = coloring_table(DiagramEngine(parse_pd("O[1]")), NOT_A_QUANDLE)
+    assert (table.colorings, table.nodes) == ([(0,), (1,), (2,), (3,)], 4)
+
+
+def test_the_search_tries_one_color_per_orbit():
+    engine = DiagramEngine(named_diagram("trefoil"))
+    for X in ORDER_LE_4 + [R5, R3_T2]:
+        table = coloring_table(engine, X)
+        assert table.first_arc_colors == orbits(X).count
+        assert sorted({rho[engine.schedule[0][0]] for rho in table.searched}) == [
+            b[0] for b in orbits(X).blocks
+        ]
+
+
+def test_transported_pair_counts_equal_the_direct_counts():
+    for name in CORPUS_NAMES:
+        engine = DiagramEngine(named_diagram(name))
+        for X in ORDER_LE_4 + [R5, R3_T2]:
+            table = coloring_table(engine, X)
+            for mode in ("minus", "plus"):
+                rows = table.pair_counts(mode)
+                assert len(rows) == len(table.colorings)
+                for rho, counts in zip(table.colorings, rows):
+                    assert dict(counts) == direct_pair_counts(engine, rho, mode)
+
+
+@given(braid_words(max_strands=4, max_extra=8), st.sampled_from(ORDER_LE_4 + [R5, R3_T2]))
+@settings(max_examples=40, deadline=None)
+def test_transported_closure_pair_counts_equal_the_direct_counts(sw, X):
+    engine = closure_engine(sw[1], sw[0])
+    table = coloring_table(engine, X)
+    for mode in ("minus", "plus"):
+        for rho, counts in zip(table.colorings, table.pair_counts(mode)):
+            assert dict(counts) == direct_pair_counts(engine, rho, mode)
 
 
 # --- link invariance -------------------------------------------------------------
