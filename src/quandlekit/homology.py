@@ -210,34 +210,11 @@ class Cochain2(Frozen):
         return "Cochain2(%s, %r)" % (self.coeff, [list(r) for r in self.values])
 
     @classmethod
-    def zero(cls, n, coeff=ZZ):
-        return cls(coeff, [[0] * n for _ in range(n)])
-
-    @classmethod
-    def indicator(cls, n, a, b, coeff=ZZ):
-        if a == b:
-            raise ValueError("indicator must sit off the diagonal")
-        rows = [[0] * n for _ in range(n)]
-        rows[a][b] = 1
-        return cls(coeff, rows)
-
-    @classmethod
     def from_vector(cls, n, vec, coeff=ZZ):
         rows = [[0] * n for _ in range(n)]
         for (a, b), v in zip(pair_basis(n), vec):
             rows[a][b] = v
         return cls(coeff, rows)
-
-    def vector(self):
-        return [self.values[a][b] for a, b in pair_basis(self.n)]
-
-    def add(self, other):
-        if self.coeff != other.coeff or self.n != other.n:
-            raise ValueError("mismatched cochains")
-        return Cochain2(
-            self.coeff,
-            [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.values, other.values)],
-        )
 
     def is_cocycle(self, X, sign):
         """Direct all-triples check of the degree-2 cocycle condition."""

@@ -82,7 +82,7 @@ def validate_quandle(rows) -> ValidationReport:
 
 class Frozen:
     """Base of the immutable records that are not named tuples, because they
-    cache properties or add.  The constructor sets each field named in
+    cache properties or are callable.  The constructor sets each field named in
     __match_args__ once, past __setattr__; the fields give equality, hashing
     and repr, as in a frozen dataclass."""
 
@@ -210,31 +210,21 @@ class OrbitPartition(namedtuple("OrbitPartition", "blocks orbit_of")):
 
 
 def orbits(q: QuandleTable) -> OrbitPartition:
-    """Partition into orbits of the group generated by all right translations.
+    """Partition into the orbits of q.orbit_plan: each element grouped with
+    its plan representative, the least element of its block.  Blocks come
+    sorted by least element, each in ascending order.
 
-    Closure under x -> x*y and x -> x dual y for every y; blocks are sorted
-    by least element.
+    In a quandle or rack these are the Inn(X)-orbits.  A table that is not
+    a rack gets the plan's rule: only its right translations that are
+    automorphisms act.  No command meets that case, since every command
+    validates a table before it reads the orbits.
     """
-    n = q.n
-    orbit_of = [-1] * n
-    blocks = []
-    for start in range(n):
-        if orbit_of[start] >= 0:
-            continue
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y in range(n):
-                for z in (q.table[x][y], q.dual_table[x][y]):
-                    if z not in seen:
-                        seen.add(z)
-                        frontier.append(z)
-        block = tuple(sorted(seen))
-        for x in block:
-            orbit_of[x] = len(blocks)
-        blocks.append(block)
-    return OrbitPartition(blocks=tuple(blocks), orbit_of=tuple(orbit_of))
+    reps = [r for r, _ in q.orbit_plan]
+    blocks = {}
+    for c, r in enumerate(reps):
+        blocks.setdefault(r, []).append(c)
+    index = {r: i for i, r in enumerate(blocks)}
+    return OrbitPartition(tuple(map(tuple, blocks.values())), tuple(map(index.__getitem__, reps)))
 
 
 def _inverse(p):
@@ -416,16 +406,6 @@ def class_representatives(n: int) -> list[tuple[QuandleTable, int]]:
     return found
 
 
-def quandle_classes(n: int) -> list[tuple[QuandleTable, int]]:
-    """One (lex-least table, class size) per isomorphism class of order n,
-    sorted by table: class_representatives(n), each turned into its
-    row-major lex-least relabeling by one early-exit pass."""
-    relabelings = list(_relabelings(n))
-    classes = class_representatives(n)
-    forms = sorted((_least_relabeling(X.table, relabelings), size) for X, size in classes)
-    return [(QuandleTable(t), size) for t, size in forms]
-
-
 def isomorphic_tables(X: QuandleTable) -> list[QuandleTable]:
     """Every labelled table isomorphic to X, lexicographically sorted: the
     relabeling orbit of X, of size n!/|Aut X|."""
@@ -437,12 +417,15 @@ def enumerate_quandles(n: int, dedupe_iso: bool = False) -> list[QuandleTable]:
     """All quandle tables of order n <= MAX_ENUMERATION_ORDER, lexicographically
     sorted: the union of the relabeling orbits of class_representatives(n).
 
-    With dedupe_iso, one representative per relabeling class is kept: the
-    lex-least table of each class.
+    With dedupe_iso, one table per isomorphism class instead: each of
+    class_representatives(n) turned into its row-major lex-least relabeling
+    by one early-exit pass, sorted.
     """
-    if dedupe_iso:
-        return [X for X, _ in quandle_classes(n)]
     classes = class_representatives(n)
+    if dedupe_iso:
+        relabelings = list(_relabelings(n))
+        forms = sorted(_least_relabeling(X.table, relabelings) for X, _ in classes)
+        return [QuandleTable(t) for t in forms]
     return sorted((Y for X, _ in classes for Y in isomorphic_tables(X)), key=lambda Y: Y.table)
 
 

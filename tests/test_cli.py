@@ -10,10 +10,10 @@ import sys
 import pytest
 
 from braids import pd_text, torus_2
+from cochains import indicator
 from quandlekit import cli
 from quandlekit.cli import main
 from quandlekit.diagrams import CORPUS_NAMES, named_diagram
-from quandlekit.homology import Cochain2
 from quandlekit.quandles import class_representatives, enumerate_quandles, isomorphic_tables, orbits
 from test_quandles import canonical_form
 
@@ -586,10 +586,12 @@ def test_verify_certifies_one_table_per_class(capsys, monkeypatch):
 def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypatch):
     # the eps report reuses the sweep's tables of the six knots on the five
     # classes of order <= 3 and searches only the four links (30 + 20
-    # searches), and the alternation check reads each engine's arcs
+    # searches), builds the 1 + 2 + 3 * 3 unit coboundaries of those
+    # classes once for all ten diagrams, and the alternation check reads
+    # each engine's arcs
     from quandlekit import diagrams, invariants
 
-    calls = {"coloring_table": 0, "arcs": 0}
+    calls = {"coloring_table": 0, "arcs": 0, "coboundary_of": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -601,11 +603,12 @@ def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypat
         monkeypatch.setattr(module, name, call)
 
     counted(cli, "coloring_table")
+    counted(cli, "coboundary_of")
     counted(invariants, "arcs")
     monkeypatch.setattr(diagrams, "arcs", invariants.arcs)  # calls from inside diagrams count too
     rc, doc, _ = run(capsys, ["verify", "--max-order", "3"])
     assert rc == 0 and doc["eps_failures"] == []
-    assert calls == {"coloring_table": 50, "arcs": 10}
+    assert calls == {"coloring_table": 50, "arcs": 10, "coboundary_of": 12}
 
 
 def test_default_verify_reads_and_compiles_each_corpus_code_once(capsys, monkeypatch):
@@ -636,7 +639,7 @@ def test_verify_fails_when_a_required_state_sum_is_nontrivial(capsys, monkeypatc
     monkeypatch.setattr("quandlekit.cli.triviality_certificate", lambda X, tables, mode, coeff: (False, 0))
     monkeypatch.setattr(
         "quandlekit.cli.cocycle_basis",
-        lambda X, mode, coeff: [Cochain2.indicator(X.n, 0, 1)] if X.n > 1 else [],
+        lambda X, mode, coeff: [indicator(X.n, 0, 1)] if X.n > 1 else [],
     )
     rc, doc, err = run(capsys, ["verify", "--max-order", "3", "--mode", "pos"])
     assert rc == 1 and doc["ok"] is False

@@ -22,7 +22,6 @@ from quandlekit.quandles import (
     isomorphic_tables,
     load_quandle_file,
     orbits,
-    quandle_classes,
     rows_from_doc,
     trivial_quandle,
     validate_quandle,
@@ -114,6 +113,34 @@ def test_orbit_subquandle_is_closed_and_valid():
     for i, x in enumerate(emb):
         for j, y in enumerate(emb):
             assert emb[sub.op(i, j)] == q.op(x, y)
+
+
+def closure_orbits(q):
+    """Oracle: the closure of each element under every right translation
+    x -> x*y and its inverse, as sorted blocks sorted by least element."""
+    n, op = q.n, q.table
+    blocks = []
+    for start in range(n):
+        if any(start in block for block in blocks):
+            continue
+        seen, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop()
+            for y in range(n):
+                for z in [op[x][y]] + [a for a in range(n) if op[a][y] == x]:
+                    if z not in seen:
+                        seen.add(z)
+                        frontier.append(z)
+        blocks.append(tuple(sorted(seen)))
+    return tuple(blocks)
+
+
+def test_orbits_match_the_closure_on_every_quandle_of_order_le_6():
+    for n in range(1, 7):
+        for X in enumerate_quandles(n):
+            blocks = closure_orbits(X)
+            orbit_of = tuple(i for c in range(n) for i, b in enumerate(blocks) if c in b)
+            assert orbits(X) == (blocks, orbit_of)
 
 
 def exhaustive_quandles(n):
@@ -212,6 +239,14 @@ def automorphism_count(X):
     return sum(X.relabeled(p).table == X.table for p in itertools.permutations(range(X.n)))
 
 
+def quandle_classes(n):
+    """One (lex-least table, class size) per class of order n, sorted by
+    table: enumerate_quandles(n, dedupe_iso=True), each table with the size
+    class_representatives gives its class."""
+    size = {_least_relabeling(X.table, _relabelings(n)): s for X, s in class_representatives(n)}
+    return [(X, size[X.table]) for X in enumerate_quandles(n, dedupe_iso=True)]
+
+
 @pytest.mark.parametrize("n,classes,labelled", [(1, 1, 1), (2, 1, 1), (3, 3, 5), (4, 7, 36), (5, 22, 404)])
 def test_quandle_classes_sizes_are_orbit_sizes(n, classes, labelled):
     found = quandle_classes(n)
@@ -230,9 +265,8 @@ def test_class_representatives_are_the_canonical_forms(n):
     # oracle: the least relabeling of every labelled table, by brute force
     labelled = labelled_quandles(n)
     forms = [canonical_form(t) for t in labelled]
-    assert [X.table for X, _ in quandle_classes(n)] == sorted(set(forms))
     assert [X.table for X in enumerate_quandles(n, dedupe_iso=True)] == sorted(set(forms))
-    # the early-exit pass behind quandle_classes finds the same least tables
+    # the early-exit pass behind the dedupe finds the same least tables
     assert [_least_relabeling(t, _relabelings(n)) for t in labelled] == forms
 
 
@@ -304,9 +338,9 @@ def test_order_6_representatives():
     assert len(found) == 73
     assert sum(size for _, size in found) == 6658
     assert [columns(X.table) for X, _ in found] == sorted(columns(X.table) for X, _ in found)
-    # the row-major pass turns them into quandle_classes' tables
+    # the row-major pass turns them into the deduplicated tables
     forms = sorted(_least_relabeling(X.table, _relabelings(6)) for X, _ in found)
-    assert forms == [X.table for X, _ in quandle_classes(6)]
+    assert forms == [X.table for X in enumerate_quandles(6, dedupe_iso=True)]
 
 
 def test_enumeration_rejects_out_of_range_orders():
@@ -314,7 +348,7 @@ def test_enumeration_rejects_out_of_range_orders():
         with pytest.raises(ValueError):
             enumerate_quandles(n)
         with pytest.raises(ValueError):
-            quandle_classes(n)
+            enumerate_quandles(n, dedupe_iso=True)
         with pytest.raises(ValueError):
             class_representatives(n)
 
