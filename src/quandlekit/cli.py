@@ -27,7 +27,6 @@ from .invariants import (
     check_eps_alternation,
     coloring_table,
     is_trivial,
-    sweep_entries,
     translation_lemmas,
     triviality_certificate,
 )
@@ -227,19 +226,6 @@ def cmd_invariant(args):
 # --- verify -------------------------------------------------------------------
 
 
-def _entry_doc(e, mode_name, coeff):
-    return {
-        "quandle": [list(r) for r in e.quandle],
-        "diagram": e.diagram,
-        "mode": mode_name,
-        "coeff": str(coeff),
-        "cocycle": [list(r) for r in e.cocycle],
-        "colorings": e.colorings,
-        "invariant": e.invariant.to_doc(),
-        "trivial": e.trivial,
-    }
-
-
 def _triviality_required(mode, coeff):
     """Over Z both modes must be trivial on knots; in plus mode any odd
     modulus (no 2-torsion) must be as well."""
@@ -299,13 +285,14 @@ def cmd_verify(args):
     """Sweep every quandle of order <= max order against the diagrams.
 
     Each isomorphism class is certified once per mode, on the table
-    class_representatives yields for it.  A pass means every cell of every
-    table in the class is trivial and, by a plus-mode pass over Z, every
-    translated weight is 0 too, so both lemmas hold; only the cell count
-    is needed.  Weights and cocycle counts do not change under relabeling,
-    so a class that fails in a mode can hold witnesses only in its own
-    labelled tables: those are swept in that mode, in (order, table)
-    order, for the cells, witnesses and lemma failures.
+    class_representatives yields for it.  The certificate's cocycle count
+    is that of every labelled table in the class, so it gives the class's
+    cells, pass or fail.  A pass means every cell of every table in the
+    class is trivial and, by a plus-mode pass over Z, every translated
+    weight is 0 too, so both lemmas hold.  Weights do not change under
+    relabeling, so a class that fails in a mode can hold witnesses only in
+    its own labelled tables: those are swept in that mode, in (order,
+    table) order, for the witnesses and lemma failures.
     """
     _check_bound("max order", args.max_order, MAX_ENUMERATION_ORDER)
     coeff = CoefficientGroup.parse(args.coeff)
@@ -330,9 +317,8 @@ def cmd_verify(args):
         failing = []
         for mode_name in mode_names:
             ok, cocycles = triviality_certificate(X, tables, MODE_OF[mode_name], coeff)
-            if ok:
-                counts[mode_name] += size * len(tables) * cocycles
-            else:
+            counts[mode_name] += size * len(tables) * cocycles
+            if not ok:
                 failing.append(mode_name)
         certified += not failing
         if failing:
@@ -347,9 +333,21 @@ def cmd_verify(args):
             mode = MODE_OF[mode_name]
             basis = cocycle_basis(Y, mode, coeff)
             for name, table in tables:
-                cells = sweep_entries(table, name, basis, mode)
-                counts[mode_name] += len(cells)
-                bad[mode_name] += [e for e in cells if not e.trivial]
+                for phi in basis:
+                    value = table.state_sum(phi, mode)
+                    if not is_trivial(value):
+                        bad[mode_name].append(
+                            {
+                                "quandle": [list(r) for r in Y.table],
+                                "diagram": name,
+                                "mode": mode_name,
+                                "coeff": str(coeff),
+                                "cocycle": [list(r) for r in phi.values],
+                                "colorings": len(table.colorings),
+                                "invariant": value.to_doc(),
+                                "trivial": False,
+                            }
+                        )
             if scan_lemmas and mode == "plus":
                 lemma_failures += _lemma_failures(Y, basis, tables)
 
@@ -368,7 +366,7 @@ def cmd_verify(args):
                 "triviality_required": required,
             }
         )
-        witnesses.extend(_entry_doc(e, mode_name, coeff) for e in bad[mode_name][:20])
+        witnesses.extend(bad[mode_name][:20])
 
     if args.expect_nontrivial:
         eps_failures = []

@@ -64,13 +64,13 @@ def _tokenize(text):
         consumed = m.end()
         kind, body = m.groups()
         try:
-            ids = tuple(int(x) for x in body.split(",")) if body.strip() else ()
+            ids = tuple(map(int, body.split(","))) if body.strip() else ()
         except ValueError:
             raise PDSyntaxError("bad edge list in %r" % m.group(0).strip())
         want = 4 if kind == "X" else 1
         if len(ids) != want:
             raise PDSyntaxError("%s term needs %d edge ids, got %r" % (kind, want, ids))
-        if any(e < 1 for e in ids):
+        if 0 in ids:  # the pattern admits only digits, so no id is negative
             raise PDSyntaxError("edge ids are 1-based positive integers")
         terms.append((kind, ids))
     if consumed != len(text):

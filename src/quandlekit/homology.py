@@ -61,19 +61,6 @@ def Zm(m):
     return CoefficientGroup("Zm", m)
 
 
-def _factor(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 class AbelianGroupDescriptor(namedtuple("AbelianGroupDescriptor", "free_rank torsion")):
     """Finitely generated abelian group in invariant-factor form: the torsion
     is a tuple of invariant factors > 1, each dividing the next."""
@@ -109,21 +96,6 @@ class AbelianGroupDescriptor(namedtuple("AbelianGroupDescriptor", "free_rank tor
 
 
 TRIVIAL_GROUP = AbelianGroupDescriptor(0, ())
-
-
-def _invariant_factors(orders):
-    """Invariant factors (ascending, all > 1) of the sum of Z/k over orders."""
-    powers = {}
-    for k in orders:
-        for p, e in _factor(k).items():
-            powers.setdefault(p, []).append(p ** e)
-    factors = []
-    for qs in powers.values():
-        qs.sort(reverse=True)
-        factors.extend([1] * (len(qs) - len(factors)))
-        for i, q in enumerate(qs):
-            factors[i] *= q
-    return tuple(reversed(factors))
 
 
 def _check_sign(sign):
@@ -163,8 +135,9 @@ def _group(X, flavor, sign, n, coeff, cohomology):
         torsion = div_n if cohomology else div_next
         return AbelianGroupDescriptor(free, tuple(d for d in torsion if d > 1))
     m = coeff.modulus
-    orders = [m] * free + [math.gcd(d, m) for d in div_n + div_next]
-    return AbelianGroupDescriptor(0, _invariant_factors(orders))
+    orders = [g for g in (math.gcd(d, m) for d in div_n + div_next) if g > 1]
+    torsion = linalg.elementary_divisors([{i: g} for i, g in enumerate(orders)])[1]
+    return AbelianGroupDescriptor(0, tuple(t for t in torsion if t > 1) + (m,) * free)
 
 
 def homology_group(X, flavor, sign, n, coeff):

@@ -9,7 +9,7 @@ then contributes s(tau) * phi(source, over) to its coloring's weight,
 where s is the writhe sign w in minus mode and the shading sign eps in
 plus mode, and the invariant is the multiset of weights.
 
-State sums, the lemma scans, the sweep cells of ``verify`` and the CLI's
+State sums, the lemma scans, the witnesses of ``verify`` and the CLI's
 ``invariant`` share one engine: DiagramEngine and coloring_table().  Each
 state sum is ColoringTable.state_sum, the multiset of a table's weights.
 The tests keep the one-coloring oracles (validity, translation and the weight
@@ -20,9 +20,10 @@ signed pair counts W, the cycle of the colored diagram, so
 ``triviality_certificate`` decides "every weight is zero under every
 cocycle" with one span test of the W's against the columns of the degree-3
 boundary, and builds no cocycle basis.  Its answer does not change under
-relabeling, so ``verify`` asks it once per isomorphism class.  The tests
-hold it to the basis sweep (``sweep_entries`` on every cell) on all tables
-of order <= 4, to a perturbed W, and to seeded relabelings.
+relabeling, so ``verify`` asks it once per isomorphism class and takes
+every class's cell count from it.  The tests hold it to the basis sweep
+(``state_sum`` of every basis cocycle on every table) on all tables of
+order <= 4, to a perturbed W, and to seeded relabelings.
 
 Which arcs a crossing can decide depends only on which arcs are already
 colored, so each DiagramEngine compiles its colorings' search plan once:
@@ -391,31 +392,6 @@ def check_eps_alternation(engine):
         if any(u == v for u, v in zip(run, run[1:])):
             return False
     return True
-
-
-class SweepEntry(namedtuple("SweepEntry", "quandle diagram cocycle colorings invariant trivial")):
-    """One sweep cell: the table rows, the diagram's name, the cocycle's value
-    rows, the coloring count, the GroupRingValue and whether it is trivial."""
-
-    __slots__ = ()
-
-
-def sweep_entries(table, name, basis, mode):
-    """One sweep cell per basis cocycle on one coloring table."""
-    entries = []
-    for phi in basis:
-        value = table.state_sum(phi, mode)
-        entries.append(
-            SweepEntry(
-                quandle=table.X.table,
-                diagram=name,
-                cocycle=phi.values,
-                colorings=len(table.colorings),
-                invariant=value,
-                trivial=is_trivial(value),
-            )
-        )
-    return entries
 
 
 def triviality_certificate(X, tables, mode, coeff):

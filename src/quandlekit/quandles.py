@@ -17,6 +17,7 @@ import itertools
 import json
 from collections import namedtuple
 from functools import cached_property
+from operator import itemgetter
 
 
 class MalformedTableError(ValueError):
@@ -149,11 +150,14 @@ class QuandleTable(Frozen):
         singleton orbits.
         """
         n, op = self.n, self.table
+        rows = [itemgetter(*row) for row in op]
         gens = []
         for a in range(n):
             t = tuple(row[a] for row in op)
-            if len(set(t)) == n and all(t[op[x][y]] == op[t[x]][t[y]] for x in range(n) for y in range(n)):
-                gens.append(t)
+            if len(set(t)) == n:
+                after = itemgetter(*t)  # t(x * y) == t(x) * t(y) for every y
+                if all(rows[x](t) == after(op[t[x]]) for x in range(n)):
+                    gens.append(t)
         plan = [None] * n
         for r in range(n):
             if plan[r] is not None:

@@ -4,7 +4,8 @@ The library weighs, translates and checks colorings a whole coloring table
 at a time (``invariants.coloring_table``).  These work on one coloring at a
 time, straight from the crossing roles and the signs, so the tests can hold
 the engine to them.  ``sweep_cells`` lists every cell of a basis sweep over
-a set of tables, with no certificate in the way, and
+a set of tables, each a ``ColoringTable.state_sum`` with no certificate in
+the way, and
 ``all_cycles_certificate`` is the triviality certificate on the cycles of
 every coloring, not only of the searched ones.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 
 from quandlekit.chains import _index, boundary_columns
 from quandlekit.diagrams import arcs, checkerboard, load_diagram, signs
@@ -22,7 +24,7 @@ from quandlekit.invariants import (
     DiagramEngine,
     coloring_table,
     crossing_roles,
-    sweep_entries,
+    is_trivial,
 )
 from quandlekit.linalg import elementary_divisors
 
@@ -60,6 +62,18 @@ def contribution(d, rho, phi, mode, crossing_signs=None):
     return phi.coeff.reduce(total)
 
 
+Cell = namedtuple("Cell", "diagram colorings invariant trivial")
+
+
+def table_cells(table, name, basis, mode):
+    """One cell per basis cocycle on one coloring table."""
+    cells = []
+    for phi in basis:
+        value = table.state_sum(phi, mode)
+        cells.append(Cell(name, len(table.colorings), value, is_trivial(value)))
+    return cells
+
+
 def sweep_cells(quandles, names, coeff, mode):
     """Every (quandle, diagram, basis cocycle) cell, quandle-major."""
     engines = [(name, DiagramEngine(load_diagram(name))) for name in names]
@@ -67,7 +81,7 @@ def sweep_cells(quandles, names, coeff, mode):
     for X in quandles:
         basis = cocycle_basis(X, mode, coeff)
         for name, engine in engines:
-            cells += sweep_entries(coloring_table(engine, X), name, basis, mode)
+            cells += table_cells(coloring_table(engine, X), name, basis, mode)
     return cells
 
 

@@ -14,6 +14,7 @@ from cochains import indicator
 from quandlekit import cli
 from quandlekit.cli import main
 from quandlekit.diagrams import CORPUS_NAMES, named_diagram
+from quandlekit.homology import cocycle_basis
 from quandlekit.quandles import class_representatives, enumerate_quandles, isomorphic_tables, orbits
 from test_quandles import canonical_form
 
@@ -426,12 +427,13 @@ def test_verify_reports_classes_on_stderr(capsys, argv, note):
     ids=["Z-both", "Z3-pos", "Z4-both", "Z2-neg-trefoil", "Z2-pos-hopf"],
 )
 def test_certified_verify_matches_the_labelled_sweep(capsys, monkeypatch, argv):
-    # oracle: with every certificate failing, verify runs the labelled sweep
-    # of every cell and the lemma scan; the document must not change
+    # oracle: with every certificate failing, and counting each class's
+    # cocycles by its basis, verify runs the labelled sweep for witnesses
+    # and the lemma scan; the document must not change
     certified = run(capsys, ["verify"] + argv)
     monkeypatch.setattr(
         "quandlekit.cli.triviality_certificate",
-        lambda X, tables, mode, coeff: (False, 0),
+        lambda X, tables, mode, coeff: (False, len(cocycle_basis(X, mode, coeff))),
     )
     labelled = run(capsys, ["verify"] + argv)
     assert labelled[:2] == certified[:2]
@@ -535,9 +537,20 @@ def test_verify_output_deterministic(capsys):
             "16b1ed9791c8906377e3619605ad3e50a98ff6a5a82d2e293f249d0e94c55a5c",
             "102 classes certified, 5 fallbacks",
         ),
+        # both modes fall back; at Z/6 the plus cells (1392) differ from the minus (1386)
+        (
+            ["verify", "--max-order", "4", "--coeff", "Z2", "--mode", "both"],
+            "088d8c8d190ef8a17537b3db572a93936fc62a0f48b72f419b7995d6a4374f83",
+            "11 classes certified, 1 fallback",
+        ),
+        (
+            ["verify", "--max-order", "4", "--coeff", "Z6", "--mode", "both"],
+            "54086fa1f354497f4ae42947dc02dff20e7e3c8bb107785c0cbe742bb2eddd83",
+            "11 classes certified, 1 fallback",
+        ),
     ],
     ids=["Z-both", "Z2-neg-trefoil", "Z-both-5", "Z3-pos-5", "Z-both-6", "Z2-neg-trefoil-5",
-         "Z2-neg-trefoil-6"],
+         "Z2-neg-trefoil-6", "Z2-both-4", "Z6-both-4"],
 )
 def test_verify_output_pinned(capsys, argv, digest, note):
     # sha256 of the whole stdout document; any change to a cell, witness,

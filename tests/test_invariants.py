@@ -11,6 +11,7 @@ from coloring_oracle import (
     exhaustive_colorings,
     is_valid_coloring,
     sweep_cells,
+    table_cells,
 )
 
 from quandlekit.diagrams import (
@@ -34,7 +35,6 @@ from quandlekit.invariants import (
     enumerate_colorings,
     is_trivial,
     state_sum,
-    sweep_entries,
     translation_lemmas,
     triviality_certificate,
 )
@@ -465,7 +465,7 @@ KNOTS = ("trefoil", "figure8", "5_1", "5_2", "trefoil_kinked", "figure8_kinked")
 ORDER_LE_4 = [X for n in (1, 2, 3, 4) for X in enumerate_quandles(n)]
 
 
-@pytest.mark.parametrize("coeff", [ZZ, Zm(2), Zm(3), Zm(4)], ids=str)
+@pytest.mark.parametrize("coeff", [ZZ, Zm(2), Zm(3), Zm(4), Zm(6)], ids=str)
 def test_certificate_matches_the_basis_sweep(coeff):
     # oracle: every cell of the labelled basis sweep; the Hopf link and the
     # mod-2 trefoil make some verdicts fail
@@ -481,7 +481,7 @@ def test_certificate_matches_the_basis_sweep(coeff):
                 tables = [coloring_table(engine, X) for engine in group]
                 passes, cocycles = triviality_certificate(X, tables, mode, coeff)
                 assert cocycles == len(basis)
-                cells = [e for t in tables for e in sweep_entries(t, key, basis, mode)]
+                cells = [e for t in tables for e in table_cells(t, key, basis, mode)]
                 assert passes == all(e.trivial for e in cells), (X.table, mode, key)
                 verdicts.add((key, passes))
     assert ("hopf", False) in verdicts and ("knots", True) in verdicts
