@@ -14,6 +14,17 @@ boundary, as one sparse column per generator.  Homology, cocycle bases and
 the certificates eliminate those columns.  d1 and d2 alone stay in SIGNS so
 that the identities d1d1 = d2d2 = d1d2 + d2d1 = 0 can be checked on the
 same columns.
+
+No face is built as a tuple.  A tuple's rack index is its base-size
+number, first entry most significant, so face i of the generator with
+rack index g is hi * size**(n-1-i) + lo, where hi and lo are g's i prefix
+digits and n-1-i suffix digits; d2 puts act[t_i][hi] in place of hi, the
+index of the prefix acted on by t_i, from a table built per call from the
+columns of the operation table.  Each column keeps the order in which a
+tuple evaluator would first meet its faces (d1 then d2, for i = 0..n-1),
+so eliminations pivot the same way.  Per (size, degree, flavor) the basis
+and the basis position of every rack index (-1 off the basis) are cached;
+the tuple evaluator itself lives in the tests, as their oracle.
 """
 
 from __future__ import annotations
@@ -46,26 +57,16 @@ def _basis(size, n, flavor):
 
 
 @lru_cache(maxsize=64)
-def _index(size, n, flavor):
-    """Position of each tuple in _basis(size, n, flavor)."""
-    return {t: i for i, t in enumerate(_basis(size, n, flavor))}
-
-
-def _boundary(rows, t, weights):
-    """Boundary of the generator t as {tuple: coefficient}: for i = 1..n,
-    (-1)^i times w1 copies of t with entry i dropped and w2 copies with it
-    dropped after acting on the prefix by it (x -> rows[x][t_i])."""
-    w1, w2 = weights
-    out = {}
-    for i, a in enumerate(t):
-        s = 1 if i % 2 else -1
-        if w1:
-            u = t[:i] + t[i + 1:]
-            out[u] = out.get(u, 0) + s * w1
-        if w2:
-            u = tuple(rows[x][a] for x in t[:i]) + t[i + 1:]
-            out[u] = out.get(u, 0) + s * w2
-    return out
+def _positions(size, n, flavor):
+    """Position in _basis(size, n, flavor) of the tuple at each rack index,
+    or -1 where that tuple is not in the basis."""
+    pos = [-1] * size**n
+    for i, t in enumerate(_basis(size, n, flavor)):
+        g = 0
+        for x in t:
+            g = g * size + x
+        pos[g] = i
+    return pos
 
 
 def boundary_columns(X, n, sign, flavor="rack"):
@@ -80,21 +81,55 @@ def boundary_columns(X, n, sign, flavor="rack"):
         raise ValueError("boundary needs degree >= 1")
     if sign not in SIGNS:
         raise ValueError("unknown sign %r" % (sign,))
-    weights = SIGNS[sign]
-    domain = _basis(X.n, n, flavor)
-    index = _index(X.n, n - 1, flavor)
+    size = X.n
+    domain = _basis(size, n, flavor)
+    codomain = _basis(size, n - 1, flavor)
+    if n == 1:
+        return domain, codomain, [{} for _ in domain]
+    w1, w2 = SIGNS[sign]
+    if flavor == "rack":
+        gens = range(size**n)
+    else:
+        gens = [g for g, p in enumerate(_positions(size, n, flavor)) if p >= 0]
+    # Face i of the generator with rack index g keeps its prefix digits hi =
+    # g // size**(n - i) and suffix digits lo = g % size**(n - 1 - i); d2
+    # replaces hi by act[t_i][hi], the prefix acted on by the dropped digit.
+    # With an empty prefix the two faces at i = 0 are one term.
+    low = size ** (n - 1)
+    faces, coeffs = [[g % low for g in gens]], [-w1 - w2]
+    act = [[0]] * size
+    by = list(zip(*X.table))  # by[a][x] = x acted on by a
+    for i in range(1, n):
+        s = 1 if i % 2 else -1
+        low = size ** (n - 1 - i)
+        high = low * size
+        if w1:
+            faces.append([g // high * low + g % low for g in gens])
+            coeffs.append(s * w1)
+        if w2:
+            act = [[q * size + x for q in act[a] for x in by[a]] for a in range(size)]
+            faces.append([act[g // low % size][g // high] * low + g % low for g in gens])
+            coeffs.append(s * w2)
     cols = []
-    for t in domain:
-        col = {}
-        for u, c in _boundary(X.table, t, weights).items():
-            if not c:
-                continue
-            i = index.get(u)
-            if i is not None:
-                col[i] = c
-            elif flavor == "degenerate":
-                raise ArithmeticError(
-                    "boundary of %r leaves the degenerate span at %r" % (t, u)
-                )
+    for terms in zip(*faces):
+        col = dict(zip(terms, coeffs))
+        if len(col) < len(coeffs):  # faces coincide: merge, drop what cancels
+            col = {}
+            for u, c in zip(terms, coeffs):
+                col[u] = col.get(u, 0) + c
+            col = {u: c for u, c in col.items() if c}
+        elif not coeffs[0]:  # d1 - d2 cancels the i = 0 term
+            del col[terms[0]]
         cols.append(col)
-    return domain, _basis(X.n, n - 1, flavor), cols
+    if flavor == "rack":
+        return domain, codomain, cols
+    pos = _positions(size, n - 1, flavor)
+    out = []
+    for t, col in zip(domain, cols):
+        mapped = {pos[u]: c for u, c in col.items() if pos[u] >= 0}
+        if len(mapped) < len(col) and flavor == "degenerate":
+            u = next(u for u in col if pos[u] < 0)
+            u = tuple(u // size**k % size for k in reversed(range(n - 1)))
+            raise ArithmeticError("boundary of %r leaves the degenerate span at %r" % (t, u))
+        out.append(mapped)
+    return domain, codomain, out

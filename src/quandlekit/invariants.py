@@ -48,7 +48,7 @@ import math
 from collections import deque, namedtuple
 from functools import cached_property
 
-from .chains import _index, boundary_columns
+from .chains import _positions, boundary_columns
 from .diagrams import arcs, checkerboard, signs
 from .homology import ZZ, pair_basis
 from .linalg import elementary_divisors
@@ -428,11 +428,11 @@ def triviality_certificate(X, tables, mode, coeff):
         # like a sweep over an empty basis, build no pair counts: plus mode
         # needs the faces, which a disconnected code lacks
         return True, 0
-    index = _index(X.n, 2, "quandle")
+    index = _positions(X.n, 2, "quandle")
     cycles = set()
     for table in tables:
         for counts in table.searched_counts(mode):
-            w = tuple(sorted((index[p], c) for p, c in counts if c and p[0] != p[1]))
+            w = tuple(sorted((index[a * X.n + b], c) for (a, b), c in counts if c and a != b))
             if w:
                 cycles.add(w)
     if not cycles:

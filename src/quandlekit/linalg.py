@@ -144,8 +144,8 @@ def elementary_divisors(mat):
     column with the fewest nonzero entries.  Rows are filed by length: a row
     that grew since it was filed is filed again when it comes up, and a row
     with no +-1 entry waits aside until an update changes it.  ``_smith`` of
-    the small dense remainder, tracking no transform, supplies the other
-    factors.
+    the small dense remainder, its repeated and negated rows dropped and
+    tracking no transform, supplies the other factors.
     """
     rows = {}
     for i, row in enumerate(mat):
@@ -212,6 +212,14 @@ def elementary_divisors(mat):
     for d, row in zip(dense, left):
         for j, x in row.items():
             d[where[j]] = x
-    rest, _, rank = _smith(dense, len(cols), False)
+    # a repeated or negated row adds nothing to the row lattice
+    seen = set()
+    distinct = []
+    for d in dense:
+        key = tuple(d)
+        if key not in seen:
+            seen.update((key, tuple(-x for x in d)))
+            distinct.append(d)
+    rest, _, rank = _smith(distinct, len(cols), False)
     factors = (1,) * units + tuple(rest[i][i] for i in range(rank))
     return len(factors), factors

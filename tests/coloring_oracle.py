@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from quandlekit.chains import _index, boundary_columns
+from quandlekit.chains import _positions, boundary_columns
 from quandlekit.diagrams import arcs, checkerboard, load_diagram, signs
 from quandlekit.homology import cocycle_basis, pair_basis
 from quandlekit.invariants import (
@@ -95,11 +95,11 @@ def all_cycles_certificate(X, tables, mode, coeff):
         cocycles += sum(math.gcd(d, coeff.modulus) > 1 for d in divisors)
     if not cocycles:
         return True, 0
-    index = _index(X.n, 2, "quandle")
+    index = _positions(X.n, 2, "quandle")
     cycles = set()
     for table in tables:
         for counts in table.pair_counts(mode):
-            w = tuple(sorted((index[p], c) for p, c in counts if c and p[0] != p[1]))
+            w = tuple(sorted((index[a * X.n + b], c) for (a, b), c in counts if c and a != b))
             if w:
                 cycles.add(w)
     if not cycles:

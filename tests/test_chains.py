@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import product
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.chains import SIGNS, boundary_columns
+from quandlekit.chains import FLAVORS, SIGNS, _basis, boundary_columns
 from quandlekit.quandles import QuandleTable, dihedral_quandle, enumerate_quandles, trivial_quandle
 
 # structurally fine (idempotent, bijective columns) but self-distributivity fails
@@ -23,6 +24,54 @@ IDENTITIES = {
     "minus.minus": (("minus", "minus"),),
     "plus.plus": (("plus", "plus"),),
 }
+
+
+def tuple_boundary(rows, t, weights):
+    """Boundary of the generator t as {tuple: coefficient}: for i = 1..n,
+    (-1)^i times w1 copies of t with entry i dropped and w2 copies with it
+    dropped after acting on the prefix by it (x -> rows[x][t_i])."""
+    w1, w2 = weights
+    out = {}
+    for i, a in enumerate(t):
+        s = 1 if i % 2 else -1
+        if w1:
+            u = t[:i] + t[i + 1:]
+            out[u] = out.get(u, 0) + s * w1
+        if w2:
+            u = tuple(rows[x][a] for x in t[:i]) + t[i + 1:]
+            out[u] = out.get(u, 0) + s * w2
+    return out
+
+
+def tuple_columns(X, n, sign, flavor):
+    """Oracle for boundary_columns: each face built as a tuple and looked up
+    in the codomain by hashing, the stray tuples of the quandle flavor
+    dropped, those of the degenerate flavor an error."""
+    domain = _basis(X.n, n, flavor)
+    codomain = _basis(X.n, n - 1, flavor)
+    index = {u: i for i, u in enumerate(codomain)}
+    cols = []
+    for t in domain:
+        col = {}
+        for u, c in tuple_boundary(X.table, t, SIGNS[sign]).items():
+            if not c:
+                continue
+            i = index.get(u)
+            if i is not None:
+                col[i] = c
+            elif flavor == "degenerate":
+                raise ArithmeticError("boundary of %r leaves the degenerate span at %r" % (t, u))
+        cols.append(col)
+    return domain, codomain, cols
+
+
+def columns_or_error(build, X, n, sign, flavor):
+    """Domain, codomain and each column's items in order, or the error raised."""
+    try:
+        domain, codomain, cols = build(X, n, sign, flavor)
+    except ArithmeticError as exc:
+        return "ArithmeticError", str(exc)
+    return domain, codomain, [list(col.items()) for col in cols]
 
 
 def basis(q, n, flavor):
@@ -154,6 +203,31 @@ def test_boundary_matrix_agrees_with_apply():
                         want = [rack[u] for u in codomain]
                         assert [cols[j].get(i, 0) for i in range(len(codomain))] == want
                         assert all(0 <= i < len(codomain) for i in cols[j])
+
+
+def test_columns_match_the_tuple_oracle_on_small_classes():
+    # key order included: the elimination's pivot choices follow it
+    tables = [q for order in range(1, 5) for q in enumerate_quandles(order, dedupe_iso=True)]
+    tables += [QuandleTable(NON_QUANDLE_ROWS), QuandleTable(((1, 1), (0, 0)))]
+    for q in tables:
+        for n in range(1, 5):
+            for sign in SIGNS:
+                for flavor in FLAVORS:
+                    want = columns_or_error(tuple_columns, q, n, sign, flavor)
+                    assert columns_or_error(boundary_columns, q, n, sign, flavor) == want
+
+
+@pytest.mark.parametrize("order", [5, 6, 7])
+def test_columns_match_the_tuple_oracle_on_relabeled_dihedral_quandles(order):
+    perm = list(range(order))
+    random.Random(order).shuffle(perm)
+    q = dihedral_quandle(order).relabeled(tuple(perm))
+    assert q.table != dihedral_quandle(order).table
+    for n in range(1, 5):
+        for sign in SIGNS:
+            for flavor in ("rack", "quandle"):
+                want = columns_or_error(tuple_columns, q, n, sign, flavor)
+                assert columns_or_error(boundary_columns, q, n, sign, flavor) == want
 
 
 def test_quandle_flavor_is_the_projected_rack_matrix():

@@ -91,6 +91,33 @@ def test_elementary_divisors_match_the_snf_diagonal(shaped):
     assert elementary_divisors(cols) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    any_shape.filter(lambda shaped: shaped[0] and shaped[1]),
+    st.lists(
+        st.tuples(st.integers(0, 10 ** 6), st.sampled_from([1, -1]), st.booleans()), min_size=1, max_size=8
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_repeated_and_negated_rows_keep_the_divisors(shaped, copies, rnd):
+    # copies reach the dense remainder when no row has a unit entry; a copy
+    # with its last entry negated is a repeat only where that entry is 0
+    ncols, mat = shaped
+    rows = []
+    for k, e, flip in copies:
+        row = [e * x for x in mat[k % len(mat)]]
+        if flip:
+            row[-1] = -row[-1]
+        rows.append(row)
+    rows += mat
+    rnd.shuffle(rows)
+    res = smith_normal_form(rows, ncols=ncols)
+    want = (res.rank, tuple(res.diagonal()[: res.rank]))
+    assert elementary_divisors(rows) == want
+    if not any(flip for _, _, flip in copies):
+        assert elementary_divisors(mat) == want
+
+
 def snf_divisors(rows, ncols):
     res = smith_normal_form([[row.get(j, 0) for j in range(ncols)] for row in rows], ncols=ncols)
     return res.rank, tuple(res.diagonal()[: res.rank])
