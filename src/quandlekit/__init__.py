@@ -21,7 +21,6 @@ from .homology import (
     Cochain2,
     CoefficientGroup,
     Zm,
-    coboundary_of,
     cocycle_basis,
     cohomology_group,
     homology_group,

@@ -9,11 +9,17 @@ zero group, so boundaries out of degree 1 vanish identically.
 Every boundary is w1*d1 + w2*d2 for a weight pair (w1, w2) in SIGNS: d1
 drops an entry, d2 drops it after acting on the prefix by it.  The paper's
 positive complex is d1 + d2 ("plus"); the quandle complex of Carter et al.
-is d1 - d2 ("minus").  ``boundary_columns`` is the one evaluator of a
-boundary, as one sparse column per generator.  Homology, cocycle bases and
-the certificates eliminate those columns.  d1 and d2 alone stay in SIGNS so
+is d1 - d2 ("minus").  MODES names those two, the complexes that
+(co)homology and the state sums use.  d1 and d2 alone stay in SIGNS so
 that the identities d1d1 = d2d2 = d1d2 + d2d1 = 0 can be checked on the
 same columns.
+
+The face lists of ``_faces`` are the one boundary formula in the package.
+``boundary_columns`` turns them into one sparse column per generator,
+which homology, cocycle bases and the certificates eliminate;
+``Cochain2.is_cocycle`` pairs a 2-cochain with the degree-3 faces; and
+``verify`` checks its psi identity on the degree-2 columns, as "the plus
+pair counts of each coloring have zero boundary".
 
 No face is built as a tuple.  A tuple's rack index is its base-size
 number, first entry most significant, so face i of the generator with
@@ -34,6 +40,7 @@ from itertools import product
 
 FLAVORS = ("rack", "degenerate", "quandle")
 SIGNS = {"d1": (1, 0), "d2": (0, 1), "minus": (1, -1), "plus": (1, 1)}
+MODES = ("minus", "plus")
 
 
 def _has_adjacent_repeat(t):
@@ -69,6 +76,36 @@ def _positions(size, n, flavor):
     return pos
 
 
+def _faces(X, n, sign, gens):
+    """The faces of each generator in gens, by rack index: one list per
+    term of the boundary, with the terms' coefficients.
+
+    Face i of the generator with rack index g keeps its prefix digits hi =
+    g // size**(n - i) and suffix digits lo = g % size**(n - 1 - i); d2
+    replaces hi by act[t_i][hi], the prefix acted on by the dropped digit.
+    With an empty prefix the two faces at i = 0 are one term, whose
+    coefficient is 0 in the minus sign.
+    """
+    w1, w2 = SIGNS[sign]
+    size = X.n
+    low = size ** (n - 1)
+    faces, coeffs = [[g % low for g in gens]], [-w1 - w2]
+    act = [[0]] * size
+    by = list(zip(*X.table))  # by[a][x] = x acted on by a
+    for i in range(1, n):
+        s = 1 if i % 2 else -1
+        low = size ** (n - 1 - i)
+        high = low * size
+        if w1:
+            faces.append([g // high * low + g % low for g in gens])
+            coeffs.append(s * w1)
+        if w2:
+            act = [[q * size + x for q in act[a] for x in by[a]] for a in range(size)]
+            faces.append([act[g // low % size][g // high] * low + g % low for g in gens])
+            coeffs.append(s * w2)
+    return faces, coeffs
+
+
 def boundary_columns(X, n, sign, flavor="rack"):
     """Degree-n boundary as (domain, codomain, sparse columns {row: coeff}),
     rows numbered by their position in the codomain basis.
@@ -86,30 +123,11 @@ def boundary_columns(X, n, sign, flavor="rack"):
     codomain = _basis(size, n - 1, flavor)
     if n == 1:
         return domain, codomain, [{} for _ in domain]
-    w1, w2 = SIGNS[sign]
     if flavor == "rack":
         gens = range(size**n)
     else:
         gens = [g for g, p in enumerate(_positions(size, n, flavor)) if p >= 0]
-    # Face i of the generator with rack index g keeps its prefix digits hi =
-    # g // size**(n - i) and suffix digits lo = g % size**(n - 1 - i); d2
-    # replaces hi by act[t_i][hi], the prefix acted on by the dropped digit.
-    # With an empty prefix the two faces at i = 0 are one term.
-    low = size ** (n - 1)
-    faces, coeffs = [[g % low for g in gens]], [-w1 - w2]
-    act = [[0]] * size
-    by = list(zip(*X.table))  # by[a][x] = x acted on by a
-    for i in range(1, n):
-        s = 1 if i % 2 else -1
-        low = size ** (n - 1 - i)
-        high = low * size
-        if w1:
-            faces.append([g // high * low + g % low for g in gens])
-            coeffs.append(s * w1)
-        if w2:
-            act = [[q * size + x for q in act[a] for x in by[a]] for a in range(size)]
-            faces.append([act[g // low % size][g // high] * low + g % low for g in gens])
-            coeffs.append(s * w2)
+    faces, coeffs = _faces(X, n, sign, gens)
     cols = []
     for terms in zip(*faces):
         col = dict(zip(terms, coeffs))

@@ -13,15 +13,9 @@ import json
 import os
 import sys
 
+from .chains import boundary_columns
 from .diagrams import CORPUS_NAMES, load_diagram
-from .homology import (
-    ZZ,
-    Cochain2,
-    CoefficientGroup,
-    coboundary_of,
-    cocycle_basis,
-    cohomology_group,
-)
+from .homology import ZZ, Cochain2, CoefficientGroup, cocycle_basis, cohomology_group
 from .invariants import (
     DiagramEngine,
     check_eps_alternation,
@@ -239,25 +233,35 @@ def _eps_identity_report(engines, small):
 
     small holds each class of order <= 3 with the coloring tables the sweep
     already built for it, by diagram name; only the other diagrams are
-    searched here.  The plus weight of the coboundary of psi, eps *
-    (psi(source) + psi(target) - 2 psi(over)) summed over the crossings, is
-    linear in psi: checking it on each unit cochain e_a checks it for
-    every psi.  Each class's unit coboundaries are built once."""
-    units = [
-        [coboundary_of(X, [int(b == a) for b in range(X.n)], "plus") for a in range(X.n)]
-        for X, _ in small
-    ]
+    searched here.  The plus weight of the coboundary of psi on a coloring,
+    eps * (psi(source) + psi(target) - 2 psi(over)) summed over the
+    crossings, is psi paired with the plus boundary of the coloring's pair
+    counts W: it vanishes for every psi exactly when W is a plus 2-cycle.
+    Only the searched colorings are checked: the boundary commutes with
+    every automorphism g, and W(g∘rho) = g·W(rho).  Each class's degree-2
+    plus columns are built once."""
+    boundaries = [boundary_columns(X, 2, "plus")[2] for X, _ in small]
     bad = []
     for name, engine in engines:
         if not check_eps_alternation(engine):
             bad.append({"diagram": name, "check": "alternation"})
         if engine.diagram.alternating and len(set(engine.crossing_signs.eps)) > 1:
             bad.append({"diagram": name, "check": "constant-on-alternating"})
-        for (X, swept), deltas in zip(small, units):
+        for (X, swept), cols in zip(small, boundaries):
             table = swept[name] if name in swept else coloring_table(engine, X)
-            if any(any(table.weights(delta, "plus")) for delta in deltas):
+            if not all(_is_cycle(cols, X.n, w) for w in table.searched_counts("plus")):
                 bad.append({"diagram": name, "check": "psi-zero-sum"})
     return bad
+
+
+def _is_cycle(cols, n, counts):
+    """Do the pair counts ((a, b), m) have zero boundary under the degree-2
+    rack columns of an order-n table?"""
+    total = [0] * n
+    for (a, b), m in counts:
+        for u, c in cols[a * n + b].items():
+            total[u] += m * c
+    return not any(total)
 
 
 def _lemma_failures(X, basis, tables):

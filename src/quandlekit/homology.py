@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from . import linalg
-from .chains import FLAVORS, _basis, boundary_columns
+from .chains import FLAVORS, MODES, _basis, _faces, boundary_columns
 from .quandles import Frozen
 
 
@@ -101,7 +101,7 @@ TRIVIAL_GROUP = AbelianGroupDescriptor(0, ())
 def _check_sign(sign):
     """Reject every sign but the two complexes, "minus" and "plus": the
     operators "d1" and "d2" of ``boundary_columns`` are not complexes."""
-    if sign not in ("minus", "plus"):
+    if sign not in MODES:
         raise ValueError("sign must be 'minus' or 'plus'")
 
 
@@ -190,27 +190,15 @@ class Cochain2(Frozen):
         return cls(coeff, rows)
 
     def is_cocycle(self, X, sign):
-        """Direct all-triples check of the degree-2 cocycle condition."""
+        """Does the cochain vanish on the degree-3 rack boundary of every
+        triple, the all-triples cocycle condition?"""
         _check_sign(sign)
-        red = self.coeff.reduce
-        op = X.op
-        f = self.__call__
-        for x in range(self.n):
-            for y in range(self.n):
-                for z in range(self.n):
-                    if sign == "minus":
-                        v = f(x, z) - f(op(x, y), z) - f(x, y) + f(op(x, z), op(y, z))
-                    else:
-                        v = (
-                            -2 * f(y, z)
-                            + f(x, z)
-                            + f(op(x, y), z)
-                            - f(x, y)
-                            - f(op(x, z), op(y, z))
-                        )
-                    if red(v):
-                        return False
-        return True
+        if self.n != X.n:
+            raise ValueError("cocycle size does not match the quandle")
+        f = [v for row in self.values for v in row]
+        faces, coeffs = _faces(X, 3, sign, range(X.n**3))
+        terms = [[c * f[u] for u in face] for face, c in zip(faces, coeffs) if c]
+        return not any(map(self.coeff.reduce, filter(None, map(sum, zip(*terms)))))
 
     def to_doc(self):
         return {"coeff": str(self.coeff), "values": [list(r) for r in self.values]}
@@ -269,22 +257,3 @@ def cocycle_basis(X, sign, coeff=ZZ):
         if any(vec):
             out.append(Cochain2.from_vector(X.n, vec, coeff))
     return out
-
-
-def coboundary_of(X, psi, sign, coeff=ZZ):
-    """Coboundary of a 1-cochain psi (a sequence over the quandle elements)."""
-    _check_sign(sign)
-    n = X.n
-    if len(psi) != n:
-        raise ValueError("psi must assign a value to every element")
-    rows = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            if sign == "minus":
-                v = psi[x] - psi[X.op(x, y)]
-            else:
-                v = psi[x] + psi[X.op(x, y)] - 2 * psi[y]
-            row.append(v)
-        rows.append(row)
-    return Cochain2(coeff, rows)

@@ -48,12 +48,10 @@ import math
 from collections import deque, namedtuple
 from functools import cached_property
 
-from .chains import _positions, boundary_columns
+from .chains import MODES, _positions, boundary_columns
 from .diagrams import arcs, checkerboard, signs
 from .homology import ZZ, pair_basis
 from .linalg import elementary_divisors
-
-MODES = ("minus", "plus")
 
 
 def crossing_roles(d, arcset):

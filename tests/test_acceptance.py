@@ -7,7 +7,7 @@ sweeps.  Randomized identities use fixed seeds.
 
 import random
 
-from cochains import vector, zero
+from cochains import coboundary_of, vector, zero
 from coloring_oracle import contribution, exhaustive_colorings, sweep_cells
 from test_chains import NON_QUANDLE_ROWS, identity_failures
 
@@ -18,7 +18,6 @@ from quandlekit.homology import (
     AbelianGroupDescriptor,
     Cochain2,
     Zm,
-    coboundary_of,
     cocycle_basis,
     cohomology_group,
     homology_group,

@@ -10,12 +10,18 @@ import sys
 import pytest
 
 from braids import pd_text, torus_2
-from cochains import indicator
+from cochains import coboundary_of, indicator
 from quandlekit import cli
 from quandlekit.cli import main
 from quandlekit.diagrams import CORPUS_NAMES, named_diagram
 from quandlekit.homology import cocycle_basis
-from quandlekit.quandles import class_representatives, enumerate_quandles, isomorphic_tables, orbits
+from quandlekit.quandles import (
+    QuandleTable,
+    class_representatives,
+    enumerate_quandles,
+    isomorphic_tables,
+    orbits,
+)
 from test_quandles import canonical_form
 
 D3_ROWS = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
@@ -253,6 +259,27 @@ def test_invariant_rejects_a_bad_outer_face_before_the_search(capsys, files, mon
         )
         assert rc == 2 and doc is None
         assert err == "error: outer face 99 out of range\n"
+
+
+def test_invariant_warns_on_a_cochain_that_is_not_a_cocycle(capsys, files, tmp_path, monkeypatch):
+    # the warning goes to stderr only: the document is the one printed when
+    # the check is skipped, and a basis cocycle draws no warning
+    bad = tmp_path / "ind01_3.json"
+    bad.write_text(json.dumps(indicator(3, 0, 1).to_doc()))
+    for mode, sign in (("neg", "minus"), ("pos", "plus")):
+        good = tmp_path / ("basis_%s.json" % mode)
+        good.write_text(json.dumps(cocycle_basis(QuandleTable(D3_ROWS), sign)[0].to_doc()))
+        argv = ["invariant", "-q", files["d3"], "-k", "trefoil", "--mode", mode, "--cocycle"]
+        assert main(argv + [str(bad)]) == 0
+        out, err = capsys.readouterr()
+        warning = "warning: the cochain is not a %s-cocycle; the sum is not an invariant\n" % mode
+        assert err.startswith(warning)
+        with monkeypatch.context() as m:
+            m.setattr(cli.Cochain2, "is_cocycle", lambda phi, X, sign: True)
+            assert main(argv + [str(bad)]) == 0
+            assert capsys.readouterr() == (out, err[len(warning):])
+        assert main(argv + [str(good)]) == 0
+        assert "warning" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p,colorings", [(3, 3), (7, 49)])
@@ -599,12 +626,12 @@ def test_verify_certifies_one_table_per_class(capsys, monkeypatch):
 def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypatch):
     # the eps report reuses the sweep's tables of the six knots on the five
     # classes of order <= 3 and searches only the four links (30 + 20
-    # searches), builds the 1 + 2 + 3 * 3 unit coboundaries of those
-    # classes once for all ten diagrams, and the alternation check reads
-    # each engine's arcs
+    # searches), builds the degree-2 plus columns of each of those classes
+    # once for all ten diagrams, and the alternation check reads each
+    # engine's arcs
     from quandlekit import diagrams, invariants
 
-    calls = {"coloring_table": 0, "arcs": 0, "coboundary_of": 0}
+    calls = {"coloring_table": 0, "arcs": 0, "boundary_columns": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -616,12 +643,12 @@ def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypat
         monkeypatch.setattr(module, name, call)
 
     counted(cli, "coloring_table")
-    counted(cli, "coboundary_of")
+    counted(cli, "boundary_columns")
     counted(invariants, "arcs")
     monkeypatch.setattr(diagrams, "arcs", invariants.arcs)  # calls from inside diagrams count too
     rc, doc, _ = run(capsys, ["verify", "--max-order", "3"])
     assert rc == 0 and doc["eps_failures"] == []
-    assert calls == {"coloring_table": 50, "arcs": 10, "coboundary_of": 12}
+    assert calls == {"coloring_table": 50, "arcs": 10, "boundary_columns": 5}
 
 
 def test_default_verify_reads_and_compiles_each_corpus_code_once(capsys, monkeypatch):
@@ -690,6 +717,35 @@ def test_verify_reports_each_shading_identity_a_flipped_sign_breaks(capsys, monk
         {"diagram": "trefoil_kinked", "check": "alternation"},
         {"diagram": "trefoil_kinked", "check": "psi-zero-sum"},
     ]
+
+
+def test_the_psi_cycle_check_agrees_with_the_unit_coboundaries_under_flipped_signs():
+    # with eps flipped at one crossing (or at the first two), the plus pair
+    # counts of some colorings stop being cycles; the report's check on the
+    # searched colorings must fail exactly where some unit coboundary e_a
+    # has a nonzero plus weight on some coloring
+    from quandlekit.diagrams import checkerboard, signs
+    from quandlekit.invariants import DiagramEngine, coloring_table
+
+    classes = [X for n in (1, 2, 3) for X, _ in class_representatives(n)]
+    outcomes = []
+    for name in CORPUS_NAMES:
+        d = named_diagram(name)
+        sg = signs(d, checkerboard(d))
+        flips = [{i} for i in range(d.n_crossings)] + [{0, 1}] * (d.n_crossings > 1)
+        for flip in flips:
+            engine = DiagramEngine(d)
+            eps = tuple(-e if i in flip else e for i, e in enumerate(sg.eps))
+            engine.crossing_signs = sg._replace(eps=eps)
+            for X in classes:
+                table = coloring_table(engine, X)
+                units = [coboundary_of(X, [int(b == a) for b in range(X.n)], "plus") for a in range(X.n)]
+                want = any(any(table.weights(delta, "plus")) for delta in units)
+                report = cli._eps_identity_report([(name, engine)], [(X, {})])
+                assert ({"diagram": name, "check": "psi-zero-sum"} in report) == want, (name, flip, X)
+                outcomes.append(want)
+    assert len(outcomes) == 5 * sum(n + (n > 1) for n in (named_diagram(k).n_crossings for k in CORPUS_NAMES))
+    assert any(outcomes) and not all(outcomes)
 
 
 @pytest.mark.parametrize("exc", [RecursionError, ZeroDivisionError, OverflowError])

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import lattice_oracle
 import pytest
-from cochains import indicator, vector, zero
+from cochains import coboundary_of, indicator, triple_condition, vector, zero
 from lattice_oracle import solve_matrix, transpose
+from test_chains import NON_QUANDLE_ROWS
 
+from quandlekit.chains import boundary_columns
 from quandlekit.homology import (
     QQ,
     ZZ,
@@ -17,7 +20,6 @@ from quandlekit.homology import (
     Cochain2,
     CoefficientGroup,
     Zm,
-    coboundary_of,
     cocycle_basis,
     cohomology_group,
     homology_group,
@@ -136,18 +138,60 @@ def test_coboundaries_lie_in_the_cocycle_lattice():
 
 
 def test_coboundary_formulas():
+    # the tests' hand-written coboundary is psi paired with the faces of the
+    # degree-2 rack boundary, and it is a cocycle
     d3 = dihedral_quandle(3)
     psi = [5, -2, 7]
-    minus = coboundary_of(d3, psi, "minus")
-    plus = coboundary_of(d3, psi, "plus")
-    for x in range(3):
-        for y in range(3):
-            assert minus(x, y) == psi[x] - psi[d3.op(x, y)]
-            assert plus(x, y) == psi[x] + psi[d3.op(x, y)] - 2 * psi[y]
-    assert minus.is_cocycle(d3, "minus")
-    assert plus.is_cocycle(d3, "plus")
-    with pytest.raises(ValueError):
-        coboundary_of(d3, [1, 2], "minus")
+    for sign in ("minus", "plus"):
+        delta = coboundary_of(d3, psi, sign)
+        _, _, cols = boundary_columns(d3, 2, sign)
+        for x in range(3):
+            for y in range(3):
+                assert delta(x, y) == sum(c * psi[u] for u, c in cols[3 * x + y].items())
+        assert delta.is_cocycle(d3, sign)
+    minus, plus = coboundary_of(d3, psi, "minus"), coboundary_of(d3, psi, "plus")
+    assert minus(0, 1) == psi[0] - psi[d3.op(0, 1)]
+    assert plus(0, 1) == psi[0] + psi[d3.op(0, 1)] - 2 * psi[1]
+
+
+def _oracle_cochains(q, coeff, rng):
+    """Cocycle bases, unit coboundaries, indicators and seeded random
+    cochains on q over coeff."""
+    out = []
+    if validate_quandle(q.table).valid:
+        out += [phi for sign in ("minus", "plus") for phi in cocycle_basis(q, sign, coeff)]
+    if all(q.op(a, a) == a for a in range(q.n)):
+        out += [phi for sign in ("minus", "plus") for phi in unit_coboundaries(q, sign, coeff)]
+    out += [indicator(q.n, a, b, coeff) for a, b in pair_basis(q.n)]
+    top = coeff.modulus or 4
+    for _ in range(6):
+        out.append(Cochain2.from_vector(q.n, [rng.randrange(-top, top + 1) for _ in pair_basis(q.n)], coeff))
+    return out
+
+
+def test_is_cocycle_matches_the_triple_formulas():
+    rng = random.Random(2203)
+    perm = list(range(5))
+    random.Random(5).shuffle(perm)
+    tables = SMALL + [dihedral_quandle(4), dihedral_quandle(5).relabeled(tuple(perm))]
+    tables += [QuandleTable(NON_QUANDLE_ROWS), QuandleTable(((1, 1), (0, 0)))]
+    seen = set()
+    for q in tables:
+        for coeff in (ZZ, Zm(2), Zm(3)):
+            for phi in _oracle_cochains(q, coeff, rng):
+                for sign in ("minus", "plus"):
+                    want = triple_condition(phi, q, sign)
+                    assert phi.is_cocycle(q, sign) == want, (q.table, phi, sign)
+                    seen.add(want)
+    assert seen == {True, False}
+
+
+def test_is_cocycle_rejects_a_cochain_of_the_wrong_size():
+    # an order-2 cochain: the trivial T3 never leaves its elements, R3 does
+    for q in (trivial_quandle(3), dihedral_quandle(3)):
+        for sign in ("minus", "plus"):
+            with pytest.raises(ValueError, match="cocycle size does not match the quandle"):
+                indicator(2, 0, 1).is_cocycle(q, sign)
 
 
 @pytest.mark.parametrize("sign", ["d1", "bogus"])
@@ -156,10 +200,9 @@ def test_coboundary_formulas():
     [
         lambda X, sign: zero(X.n).is_cocycle(X, sign),
         lambda X, sign: cocycle_basis(X, sign),
-        lambda X, sign: coboundary_of(X, [0] * X.n, sign),
         lambda X, sign: cohomology_group(X, "quandle", sign, 2, ZZ),
     ],
-    ids=["is_cocycle", "cocycle_basis", "coboundary_of", "cohomology_group"],
+    ids=["is_cocycle", "cocycle_basis", "cohomology_group"],
 )
 def test_cochain_functions_take_only_minus_or_plus(call, sign):
     with pytest.raises(ValueError, match="sign must be 'minus' or 'plus'"):

@@ -3,7 +3,8 @@
 import random
 
 import pytest
-from cochains import indicator, zero
+from braids import closure_crossings, pd_text
+from cochains import coboundary_of, indicator, zero
 from coloring_oracle import (
     act_coloring,
     all_cycles_certificate,
@@ -14,6 +15,7 @@ from coloring_oracle import (
     table_cells,
 )
 
+from quandlekit.chains import boundary_columns
 from quandlekit.diagrams import (
     CORPUS_NAMES,
     PDStructureError,
@@ -24,7 +26,7 @@ from quandlekit.diagrams import (
     parse_pd,
     signs,
 )
-from quandlekit.homology import QQ, ZZ, Cochain2, Zm, cocycle_basis, coboundary_of
+from quandlekit.homology import QQ, ZZ, Cochain2, Zm, cocycle_basis
 from quandlekit.invariants import (
     MODES,
     DiagramEngine,
@@ -318,6 +320,40 @@ def test_lemma_scan_detects_violations():
 
 
 # --- the shading-sign structure ---------------------------------------------
+
+
+def _seeded_braid_closures(seed, count):
+    """Closures of seeded braid words on 2 to 4 strands, every generator
+    used, so each closure is a connected diagram (a knot or a link)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.randint(2, 4)
+        gens = list(range(1, strands)) + [rng.randint(1, strands - 1) for _ in range(rng.randint(0, 5))]
+        rng.shuffle(gens)
+        word = [g * rng.choice((1, -1)) for g in gens]
+        out.append(parse_pd(pd_text(closure_crossings(word, strands))))
+    return out
+
+
+def test_pair_counts_are_cycles_of_their_mode():
+    # W- of every searched coloring is a minus 2-cycle and W+ a plus 2-cycle
+    # of the rack complex: the certificate and verify's psi check rest on it
+    diagrams = [named_diagram(name) for name in CORPUS_NAMES] + _seeded_braid_closures(22, 8)
+    assert any(not d.is_knot() for d in diagrams[len(CORPUS_NAMES):])
+    classes = [X for n in (1, 2, 3, 4) for X, _ in class_representatives(n)]
+    for d in diagrams:
+        engine = DiagramEngine(d)
+        for X in classes:
+            table = coloring_table(engine, X)
+            for mode in MODES:
+                cols = boundary_columns(X, 2, mode)[2]
+                for counts in table.searched_counts(mode):
+                    total = [0] * X.n
+                    for (a, b), m in counts:
+                        for u, c in cols[a * X.n + b].items():
+                            total[u] += m * c
+                    assert not any(total), (d.crossings, X.table, mode, counts)
 
 
 def test_arc_traversals_cover_each_arc():
