@@ -6,17 +6,19 @@ under-edge ``a`` (so the under-strand runs a -> c and the over-strand joins
 b and d).  ``O[k]`` is a crossingless closed component with the single edge
 id ``k``.  Every X-edge id must occur exactly twice.
 
-Parsing walks each strand once.  A walk leaves a crossing by its outgoing
+Parsing reads a code in one walk over the crossing ends, numbered
+4 * crossing + position.  A walk leaves a crossing by its outgoing
 under-end ``c`` and follows the strand through every crossing it meets,
 leaving each by the end opposite the one it arrived at, until it closes; a
 component that only passes over starts at its lowest free end.  That one
-walk orients every edge end and lists the component cycles.  Cutting each
-cycle where it passes under a crossing gives the arcs (maximal
-over-passages between undercrossings) and each arc's traversal.  From the
-embedding we then derive the faces of the sphere via the counterclockwise
-rotation at each crossing, a checkerboard shading with a white outer face,
-and the two signs at each crossing: the writhe sign w and the shading sign
-eps.
+walk orients every edge end, lists the component cycles, cuts the arcs
+(maximal over-passages between undercrossings) where it arrives under a
+crossing, and records each crossing's roles: its under-arcs, its over-arc
+and its writhe sign w.  The ArcSet (each arc's edges and traversal) is cut
+from the recorded walk when first asked for.  On the same end numbers we
+then derive the faces of the sphere, by turning counterclockwise at each
+crossing, a checkerboard shading with a white outer face, and the shading
+sign eps at each crossing.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from __future__ import annotations
 import os
 import re
 from functools import cached_property
-from collections import namedtuple
-from itertools import chain
+from collections import Counter, namedtuple
+from itertools import chain, product
 
 from .quandles import Frozen
 
-_TERM = re.compile(r"\s*([XO])\s*\[([0-9,\s]*)\]\s*")
+_TERM = re.compile(r"\s*(([XO])\s*\[([0-9,\s]*)\])\s*")
 
 CORPUS_NAMES = (
     "trefoil",
@@ -54,158 +56,30 @@ class PDStructureError(ValueError):
 
 
 def _tokenize(text):
-    """The terms of a code in one pass; whitespace may stand anywhere except
-    inside an edge id."""
-    consumed = 0
-    terms = []
-    for m in _TERM.finditer(text):
-        if m.start() != consumed:
-            raise PDSyntaxError("unexpected text %r" % text[consumed:m.start()])
-        consumed = m.end()
-        kind, body = m.groups()
+    """The X terms and the O terms of a code, each as tuples of edge ids, in
+    one pass; whitespace may stand anywhere except inside an edge id."""
+    parts = _TERM.split(text)  # text before each term, the term, its kind and body; then the rest
+    terms = {"X": [], "O": []}
+    for gap, term, kind, body in zip(parts[0::4], parts[1::4], parts[2::4], parts[3::4]):
+        if gap:
+            raise PDSyntaxError("unexpected text %r" % gap)
         try:
-            ids = tuple(map(int, body.split(","))) if body.strip() else ()
+            ids = tuple(map(int, body.split(",")))
         except ValueError:
-            raise PDSyntaxError("bad edge list in %r" % m.group(0).strip())
+            if body.strip():
+                raise PDSyntaxError("bad edge list in %r" % term)
+            ids = ()
         want = 4 if kind == "X" else 1
         if len(ids) != want:
             raise PDSyntaxError("%s term needs %d edge ids, got %r" % (kind, want, ids))
         if 0 in ids:  # the pattern admits only digits, so no id is negative
             raise PDSyntaxError("edge ids are 1-based positive integers")
-        terms.append((kind, ids))
-    if consumed != len(text):
-        raise PDSyntaxError("unexpected text %r" % text[consumed:])
-    if not terms:
+        terms[kind].append(ids)
+    if parts[-1]:
+        raise PDSyntaxError("unexpected text %r" % parts[-1])
+    if len(parts) == 1:
         raise PDSyntaxError("empty code (a crossingless unknot is written O[1])")
-    return terms
-
-
-class PDDiagram(Frozen):
-    """A validated, oriented planar-diagram code."""
-
-    __match_args__ = ("crossings", "loops", "incoming", "components")
-
-    def __init__(self, crossings, loops, incoming, components):
-        vars(self).update(
-            crossings=crossings,  # of (a, b, c, d)
-            loops=loops,  # O-term edge ids
-            incoming=incoming,  # per crossing, 4 booleans: does that end point in?
-            components=components,  # edge-id cycles, one per link component
-        )
-
-    @property
-    def n_crossings(self):
-        return len(self.crossings)
-
-    @cached_property
-    def ends(self):
-        """edge id -> the one or two (crossing, position) slots it fills."""
-        out = {}
-        for i, t in enumerate(self.crossings):
-            for p, e in enumerate(t):
-                out.setdefault(e, []).append((i, p))
-        return {e: tuple(v) for e, v in out.items()}
-
-    @cached_property
-    def heads(self):
-        """edge id -> the (crossing, position) slot where it arrives."""
-        return {
-            t[p]: (i, p)
-            for i, (t, flags) in enumerate(zip(self.crossings, self.incoming))
-            for p in range(4)
-            if flags[p]
-        }
-
-    def writhe_sign(self, i):
-        """+1 when the over-strand runs d -> b, else -1."""
-        return 1 if self.incoming[i][3] else -1
-
-    def is_knot(self):
-        return len(self.components) == 1
-
-    @cached_property
-    def alternating(self):
-        """Does every component alternate over/under along its travel?"""
-        for cyc in self.components:
-            roles = [self.heads[e][1] == 0 for e in cyc if e in self.heads]
-            for k in range(len(roles)):
-                if len(roles) > 1 and roles[k] == roles[(k + 1) % len(roles)]:
-                    return False
-        return True
-
-
-def _walk(crossings):
-    """Orient every crossing end and list the component cycles, in one walk.
-
-    Ends are numbered 4 * crossing + position.  Every walk follows one
-    strand: it leaves by an end, arrives at the other end of that edge and
-    leaves again by the opposite end, (2, 3, 0, 1)[position].  Walks start
-    at each crossing's outgoing under-end (position 2); a component that
-    only passes over starts with its lowest free end pointing in.
-
-    Leaving an end is a permutation of the ends, so every walk closes and
-    no two walks leave by the same end.  The ends a walk arrives at are the
-    ends its reverse leaves by, so an end reached both ways makes the
-    reverse of a walk from a position 2 another walk; that one leaves by a
-    position 0, so it arrived at a position 2.  Arriving at a position 2 is
-    therefore the one conflict to check.  A component that only passes over
-    alternates edges and over-passages around an even cycle, so it always
-    orients.  Returns the per-end incoming flags and the edge cycles, each
-    rotated to start at its lowest edge.
-    """
-    flat = [e for t in crossings for e in t]
-    ends = {}
-    for s, e in enumerate(flat):
-        ends.setdefault(e, []).append(s)
-    for e, slots in ends.items():
-        if len(slots) != 2:
-            raise PDStructureError("edge %d occurs %d times, expected 2" % (e, len(slots)))
-    other = [0] * len(flat)
-    for s, t in ends.values():
-        other[s], other[t] = t, s
-
-    incoming = [None] * len(flat)
-    cycles = []
-    for seed in chain(range(2, len(flat), 4), range(len(flat))):
-        if incoming[seed] is not None:
-            continue
-        if seed % 4 != 2:  # every under-strand is walked; this one passes over only
-            incoming[seed] = True
-            seed ^= 2
-        cycle = []
-        s = seed
-        while True:
-            t = other[s]
-            if t % 4 == 2:
-                raise PDStructureError(
-                    "no consistent orientation (conflict at edge %r)" % (flat[s],)
-                )
-            incoming[s], incoming[t] = False, True
-            cycle.append(flat[s])
-            s = t ^ 2
-            if s == seed:
-                break
-        k = cycle.index(min(cycle))
-        cycles.append(tuple(cycle[k:] + cycle[:k]))
-    return incoming, cycles
-
-
-def parse_pd(text):
-    terms = _tokenize(text)
-    crossings = tuple(ids for kind, ids in terms if kind == "X")
-    loops = tuple(sorted(ids[0] for kind, ids in terms if kind == "O"))
-    flags, cycles = _walk(crossings)
-    if len(set(loops)) != len(loops):
-        raise PDStructureError("repeated O-component edge id")
-    shared = set(loops).intersection(e for t in crossings for e in t)
-    if shared:
-        raise PDStructureError("edge %d used both as a loop and at a crossing" % min(shared))
-    return PDDiagram(
-        crossings=crossings,
-        loops=loops,
-        incoming=tuple(tuple(flags[4 * i:4 * i + 4]) for i in range(len(crossings))),
-        components=tuple(sorted(cycles + [(k,) for k in loops])),
-    )
+    return terms["X"], terms["O"]
 
 
 class ArcTraversal(namedtuple("ArcTraversal", "start overs end closed")):
@@ -228,31 +102,224 @@ class ArcSet(namedtuple("ArcSet", "arcs arc_of traversals")):
         return len(self.arcs)
 
 
-def arcs(d):
-    """Cut each component's edge cycle where it passes under a crossing."""
-    heads = d.heads
-    found = []  # (sorted edge block, traversal)
-    for cycle in d.components:
-        cuts = [j for j, e in enumerate(cycle) if e in heads and heads[e][1] == 0]
-        if not cuts:
-            overs = tuple(heads[e][0] for e in cycle if e in heads)
-            found.append((tuple(sorted(cycle)), ArcTraversal(None, overs, None, True)))
+class PDDiagram(Frozen):
+    """A validated, oriented planar-diagram code.
+
+    Besides its fields, a diagram keeps what reading it found: ``roles``
+    (per crossing: source arc, over arc, target arc and writhe sign w; the
+    source is the incoming under-arc when w is +1 and the outgoing one when
+    it is -1), ``arc_count``, and ``partner`` (per end, numbered
+    4 * crossing + position, the other end of its edge).  Arcs are indexed
+    in order of their least edge.  ``arcset`` is cut from the strands the
+    reading walked, on first use.  All of these follow from the fields, so
+    equality and hashing leave them out.
+    """
+
+    __match_args__ = ("crossings", "loops", "incoming", "components")
+
+    def __init__(self, crossings, loops, incoming, components, roles, arc_count, partner, strands):
+        vars(self).update(
+            crossings=crossings,  # of (a, b, c, d)
+            loops=loops,  # O-term edge ids
+            incoming=incoming,  # per crossing, 4 booleans: does that end point in?
+            components=components,  # edge-id cycles, one per link component
+            roles=roles,
+            arc_count=arc_count,
+            partner=partner,
+            _strands=strands,  # per walk: its edges, the ends it arrived at, its arc cuts
+        )
+
+    @cached_property
+    def arcset(self):
+        """The ArcSet: each walk's edges cut at its arc cuts, and each arc's
+        traversal read off the ends it arrived at (the crossing of end t is
+        t >> 2)."""
+        found = []  # (sorted edge block, traversal)
+        for cycle, path, cuts in self._strands:
+            if cuts is None:  # a component that only passes over, from its lowest edge
+                k = cycle.index(min(cycle))
+                overs = [t >> 2 for t in path]
+                found.append((tuple(sorted(cycle)), ArcTraversal(None, tuple(overs[k:] + overs[:k]), None, True)))
+                continue
+            start = path[-1] >> 2  # the walk ends where it started
+            for lo, hi in zip(cuts, cuts[1:]):
+                end = path[hi - 1] >> 2
+                overs = tuple(t >> 2 for t in path[lo:hi - 1])
+                found.append((tuple(sorted(cycle[lo:hi])), ArcTraversal(start, overs, end, False)))
+                start = end
+        found += [((k,), ArcTraversal(None, (), None, True)) for k in self.loops]
+        found.sort(key=lambda f: f[0])  # by least edge: the arcs' index order
+        blocks = tuple(block for block, _ in found)
+        return ArcSet(
+            arcs=blocks,
+            arc_of={e: i for i, block in enumerate(blocks) for e in block},
+            traversals=tuple(t for _, t in found),
+        )
+
+    @property
+    def n_crossings(self):
+        return len(self.crossings)
+
+    def is_knot(self):
+        return len(self.components) == 1
+
+    @cached_property
+    def alternating(self):
+        """Does every component alternate over/under along its travel?
+
+        A strand that arrives at end t leaves by t ^ 2 and next arrives at
+        that end's partner; arrivals at position 0 pass under.  A component
+        that arrives only once alternates.
+        """
+        partner = self.partner
+        for t in range(len(partner)):
+            if self.incoming[t >> 2][t & 3]:
+                u = partner[t ^ 2]
+                if u != t and (u & 3 == 0) == (t & 3 == 0):
+                    return False
+        return True
+
+
+# A crossing's incoming flags by its writhe sign: the under-strand runs
+# a -> c, the over-strand d -> b when w is +1 and b -> d when it is -1.
+_INCOMING = {1: (True, False, False, True), -1: (True, True, False, False)}
+
+
+def _partner(crossings):
+    """The edge id at each end, and each end's partner: the other end of
+    its edge.  Every edge id must occur exactly twice."""
+    flat = list(chain.from_iterable(crossings))
+    partner = [-1] * len(flat)
+    first = {}
+    for s, e in enumerate(flat):
+        t = first.setdefault(e, s)
+        if t != s:
+            partner[s], partner[t] = t, s
+    # with half as many ids as ends, an id seen more than twice means
+    # another seen once, whose end stays unpaired
+    if 2 * len(first) != len(flat) or -1 in partner:
+        e, k = next((e, k) for e, k in Counter(flat).items() if k != 2)
+        raise PDStructureError("edge %d occurs %d times, expected 2" % (e, k))
+    return flat, partner
+
+
+def _walk(crossings):
+    """Orient every crossing end, list the component cycles, cut the arcs
+    and record the crossing roles, in one walk over the ends.
+
+    Ends are numbered 4 * crossing + position.  Every walk follows one
+    strand: it leaves by an end, arrives at that end's partner and leaves
+    again by the opposite end, (2, 3, 0, 1)[position].  Walks start at each
+    crossing's outgoing under-end (position 2); a component that only
+    passes over starts with its lowest free end pointing in.
+
+    Leaving an end is a permutation of the ends, so every walk closes and
+    no two walks leave by the same end.  The ends a walk arrives at are the
+    ends its reverse leaves by, so an end reached both ways makes the
+    reverse of a walk from a position 2 another walk; that one leaves by a
+    position 0, so it arrived at a position 2.  Arriving at a position 2 is
+    therefore the one conflict to check.  A component that only passes over
+    alternates edges and over-passages around an even cycle, so it always
+    orients.
+
+    Arriving at a position 0 passes under that crossing and cuts an arc
+    there; a walk from a position 2 ends on such a cut, where it started.
+    Arriving at a position 1 or 3 passes over that crossing and fixes its
+    writhe sign: +1 when the over-strand arrives at d.  A component that
+    only passes over is one closed arc, its passages listed from its lowest
+    edge.  Returns the writhe signs; the edge cycles, each rotated to start
+    at its lowest edge; per walk, its edges, the ends it arrived at and
+    where its arcs end in them (None for a closed arc); each arc's least
+    edge, in walk order; each crossing's (under-in, over, under-out) arc
+    indices in that order; and the partner ends.
+    """
+    flat, partner = _partner(crossings)
+    n = len(crossings)
+    w = [0] * n
+    under_in, over, under_out = [0] * n, [0] * n, [None] * n
+    cycles, strands, least = [], [], []  # least: each arc's least edge
+    for seed in range(2, 4 * n, 4):
+        if under_out[seed >> 2] is not None:
             continue
-        j = cuts[-1]  # start just after an undercrossing, so the cycle ends on one
-        start = heads[cycle[j]][0]
-        block, overs = [], []
-        for e in cycle[j + 1:] + cycle[:j + 1]:
-            block.append(e)
-            i, p = heads[e]
-            if p == 0:
-                found.append((tuple(sorted(block)), ArcTraversal(start, tuple(overs), i, False)))
-                start, block, overs = i, [], []
-            else:
-                overs.append(i)
-    found.sort(key=lambda f: f[0])
-    blocks = tuple(block for block, _ in found)
-    arc_of = {e: i for i, block in enumerate(blocks) for e in block}
-    return ArcSet(arcs=blocks, arc_of=arc_of, traversals=tuple(t for _, t in found))
+        a = under_out[seed >> 2] = len(least)  # the arc being walked
+        path, cuts = [], [0]  # the ends arrived at; where each arc ends in them
+        s = seed
+        while True:  # one arc: its over-passages, then the under-passage that ends it
+            t = partner[s]
+            while t & 1:
+                over[t >> 2], w[t >> 2] = a, (t & 3) - 2
+                path.append(t)
+                t = partner[t ^ 2]
+            if t & 2:
+                raise PDStructureError("no consistent orientation (conflict at edge %r)" % (flat[t],))
+            path.append(t)
+            cuts.append(len(path))
+            under_in[t >> 2] = a
+            s = t + 2
+            if s == seed:
+                break
+            a += 1
+            under_out[t >> 2] = a
+        cycle = list(map(flat.__getitem__, path))
+        least += map(min, map(cycle.__getitem__, map(slice, cuts, cuts[1:])))
+        strands.append((cycle, path, cuts))
+        k = cycle.index(min(cycle))
+        cycles.append(tuple(cycle[k:] + cycle[:k]))
+    for i in range(n):
+        if w[i]:
+            continue
+        a = len(least)
+        seed = 4 * i + 3  # its lowest free end, 4 * i + 1, points in
+        path = []
+        s = seed
+        while True:
+            t = partner[s]
+            path.append(t)
+            over[t >> 2], w[t >> 2] = a, (t & 3) - 2
+            s = t ^ 2
+            if s == seed:
+                break
+        cycle = list(map(flat.__getitem__, path))
+        least.append(min(cycle))
+        strands.append((cycle, path, None))
+        k = cycle.index(least[-1])
+        cycles.append(tuple(cycle[k:] + cycle[:k]))
+    return w, cycles, strands, least, (under_in, over, under_out), partner
+
+
+def parse_pd(text):
+    crossings, loops = _tokenize(text)
+    crossings = tuple(crossings)
+    loops = tuple(sorted(k for k, in loops))
+    w, cycles, strands, least, ends, partner = _walk(crossings)
+    if len(set(loops)) != len(loops):
+        raise PDStructureError("repeated O-component edge id")
+    shared = set(loops).intersection(chain.from_iterable(crossings))
+    if shared:
+        raise PDStructureError("edge %d used both as a loop and at a crossing" % min(shared))
+    least += loops  # arcs are indexed in order of their least edge
+    order = sorted(range(len(least)), key=least.__getitem__)
+    rank = sorted(range(len(order)), key=order.__getitem__)
+    under_in, over, under_out = (map(rank.__getitem__, arcs) for arcs in ends)
+    return PDDiagram(
+        crossings=crossings,
+        loops=loops,
+        incoming=tuple(map(_INCOMING.__getitem__, w)),
+        components=tuple(sorted(cycles + [(k,) for k in loops])),
+        roles=tuple(
+            (u, o, v, 1) if x == 1 else (v, o, u, -1)
+            for u, o, v, x in zip(under_in, over, under_out, w)
+        ),
+        arc_count=len(least),
+        partner=partner,
+        strands=strands,
+    )
+
+
+def arcs(d):
+    """The diagram's ArcSet: its component cycles cut where they pass under
+    a crossing, as the parse's walk found them."""
+    return d.arcset
 
 
 class FaceSet(namedtuple("FaceSet", "faces outer_default face_of")):
@@ -269,43 +336,56 @@ class FaceSet(namedtuple("FaceSet", "faces outer_default face_of")):
         return hash((self.faces, self.outer_default))
 
 
-def _next_dart(d, dart):
-    i, p = dart
-    q = (p + 1) % 4
-    e = d.crossings[i][q]
-    slots = d.ends[e]
-    return slots[1] if slots[0] == (i, q) else slots[0]
+def _faces(d):
+    """The FaceSet, and the same faces as lists of ends with the face of
+    every end; checks the Euler count.
+
+    Turning counterclockwise at a crossing takes end s to the end
+    (s & ~3) | ((s + 1) & 3), whose partner is the face's next end.  Each
+    face is walked from its least end, in the order of that end, so the
+    faces come out sorted.
+    """
+    if not d.crossings:
+        return FaceSet(faces=((),), outer_default=0, face_of={}), [], []
+    partner = d.partner
+    face = [None] * len(partner)
+    cycles = []
+    for start in range(len(partner)):
+        if face[start] is not None:
+            continue
+        f = len(cycles)
+        cyc = []
+        s = start
+        while True:
+            face[s] = f
+            cyc.append(s)
+            s = partner[(s & ~3) | ((s + 1) & 3)]
+            if s == start:
+                break
+        cycles.append(cyc)
+    v = d.n_crossings
+    e = 2 * v
+    if v - e + len(cycles) != 2:
+        raise PDStructureError(
+            "face count %d fails the Euler check (disconnected or nonplanar code)"
+            % len(cycles)
+        )
+    darts = list(product(range(v), range(4)))
+    out = tuple(tuple(map(darts.__getitem__, cyc)) for cyc in cycles)
+    flat = list(chain.from_iterable(d.crossings))
+    first = flat.index(min(flat))  # an end of the least edge; the face at its head
+    head = first if d.incoming[first >> 2][first & 3] else partner[first]
+    fs = FaceSet(
+        faces=out,
+        outer_default=face[head],
+        face_of={dart: i for i, cyc in enumerate(out) for dart in cyc},
+    )
+    return fs, cycles, face
 
 
 def faces(d):
     """Faces via counterclockwise rotation; checks the Euler count."""
-    if not d.crossings:
-        return FaceSet(faces=((),), outer_default=0, face_of={})
-    darts = [(i, p) for i in range(d.n_crossings) for p in range(4)]
-    seen = set()
-    out = []
-    for start in darts:
-        if start in seen:
-            continue
-        cyc = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cyc.append(cur)
-            cur = _next_dart(d, cur)
-        k = cyc.index(min(cyc))
-        out.append(tuple(cyc[k:] + cyc[:k]))
-    out.sort()
-    v = d.n_crossings
-    e = 2 * v
-    if v - e + len(out) != 2:
-        raise PDStructureError(
-            "face count %d fails the Euler check (disconnected or nonplanar code)"
-            % len(out)
-        )
-    face_of = {dart: i for i, cyc in enumerate(out) for dart in cyc}
-    first = min(e2 for t in d.crossings for e2 in t)
-    return FaceSet(faces=tuple(out), outer_default=face_of[d.heads[first]], face_of=face_of)
+    return _faces(d)[0]
 
 
 class Shading(namedtuple("Shading", "faceset outer shaded")):
@@ -319,32 +399,33 @@ class Shading(namedtuple("Shading", "faceset outer shaded")):
 
 
 def checkerboard(d, outer_face=None):
-    fs = faces(d)
+    fs, cycles, face = _faces(d)
     outer = fs.outer_default if outer_face is None else outer_face
     if not 0 <= outer < len(fs.faces):
         raise ValueError("outer face %r out of range" % (outer_face,))
     if not d.crossings:
         return Shading(faceset=fs, outer=outer, shaded=frozenset())
-    color = {outer: False}
+    # faces across an edge differ: the end s and its partner see both
+    partner = d.partner
+    dark = [None] * len(cycles)
+    dark[outer] = False
     stack = [outer]
     while stack:
         f = stack.pop()
-        for dart in fs.faces[f]:
-            e = d.crossings[dart[0]][dart[1]]
-            s1, s2 = d.ends[e]
-            other = fs.face_of[s2 if s1 == dart else s1]
-            if other in color:
-                if color[other] == color[f]:
-                    raise PDStructureError("face adjacency is not 2-colorable")
-            else:
-                color[other] = not color[f]
-                stack.append(other)
-    if len(color) != len(fs.faces):
+        other = not dark[f]
+        for s in cycles[f]:
+            g = face[partner[s]]
+            if dark[g] is None:
+                dark[g] = other
+                stack.append(g)
+            elif dark[g] != other:
+                raise PDStructureError("face adjacency is not 2-colorable")
+    if None in dark:
         raise PDStructureError("face adjacency is not connected")
     return Shading(
         faceset=fs,
         outer=outer,
-        shaded=frozenset(f for f, dark in color.items() if dark),
+        shaded=frozenset(f for f, shaded in enumerate(dark) if shaded),
     )
 
 
@@ -355,13 +436,14 @@ class CrossingSigns(namedtuple("CrossingSigns", "w eps")):
 
 
 def signs(d, shading):
-    w = tuple(d.writhe_sign(i) for i in range(d.n_crossings))
     face_of = shading.faceset.face_of
-    eps = tuple(
-        1 if shading.is_shaded(face_of[(i, 0)]) else -1
-        for i in range(d.n_crossings)
+    return CrossingSigns(
+        w=tuple(role[3] for role in d.roles),
+        eps=tuple(
+            1 if shading.is_shaded(face_of[(i, 0)]) else -1
+            for i in range(d.n_crossings)
+        ),
     )
-    return CrossingSigns(w=w, eps=eps)
 
 
 def named_diagram(name):

@@ -54,25 +54,13 @@ from .homology import ZZ, pair_basis
 from .linalg import elementary_divisors
 
 
-def crossing_roles(d, arcset):
-    """Per crossing: (source arc, over arc, target arc, w)."""
-    out = []
-    for i, (a, b, c, _) in enumerate(d.crossings):
-        w = d.writhe_sign(i)
-        under_in = arcset.arc_of[a]
-        under_out = arcset.arc_of[c]
-        over = arcset.arc_of[b]
-        src, tgt = (under_in, under_out) if w == 1 else (under_out, under_in)
-        out.append((src, over, tgt, w))
-    return out
-
-
 # Step kinds of a coloring schedule; each step is (kind, x, over, y).
 FORWARD, BACKWARD, CHECK = 0, 1, 2
 
 
 class DiagramEngine:
-    """A diagram's arcs, crossing roles, coloring schedule and signs, once.
+    """A diagram's coloring schedule and signs, once, over the arc count and
+    crossing roles its reading found.
 
     The shading signs need the faces, which a disconnected code lacks, so
     they wait for first use in plus mode; ``outer_face`` picks the shading's
@@ -82,9 +70,8 @@ class DiagramEngine:
     def __init__(self, d, outer_face=None):
         self.diagram = d
         self.outer_face = outer_face
-        self.arcset = arcs(d)
-        self.arc_count = len(self.arcset)
-        self.roles = crossing_roles(d, self.arcset)
+        self.arc_count = d.arc_count
+        self.roles = d.roles
 
     @cached_property
     def crossing_signs(self):
@@ -385,7 +372,7 @@ def check_eps_alternation(engine):
     of times, so alternation along its run closes up by itself.
     """
     eps = engine.crossing_signs.eps
-    for trav in engine.arcset.traversals:
+    for trav in arcs(engine.diagram).traversals:
         run = [eps[i] for i in trav.overs]
         if any(u == v for u, v in zip(run, run[1:])):
             return False

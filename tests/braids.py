@@ -42,6 +42,32 @@ def closure_crossings(word, strands):
     return [tuple(label.setdefault(closed.get(e, e), len(label) + 1) for e in t) for t in terms]
 
 
+def traversal_labelled(word, strands, rotation=0):
+    """The closure's X terms with edges renumbered consecutively along each
+    component, components in order of their least braid-order edge, each
+    starting ``rotation`` edges after that edge."""
+    crossings = closure_crossings(word, strands)
+    succ = {}
+    for g, (a, b, c, d) in zip(word, crossings):
+        succ[a] = c  # the under-strand runs a -> c
+        if g > 0:
+            succ[d] = b
+        else:
+            succ[b] = d
+    order, seen = [], set()
+    for start in sorted(succ):
+        if start in seen:
+            continue
+        cycle = [start]
+        while succ[cycle[-1]] != start:
+            cycle.append(succ[cycle[-1]])
+        seen.update(cycle)
+        r = rotation % len(cycle)
+        order += cycle[r:] + cycle[:r]
+    label = {e: k + 1 for k, e in enumerate(order)}
+    return [tuple(label[e] for e in t) for t in crossings]
+
+
 def pd_text(crossings):
     return " ".join("X[%d,%d,%d,%d]" % tuple(t) for t in crossings)
 

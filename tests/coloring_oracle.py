@@ -19,13 +19,7 @@ from collections import namedtuple
 from quandlekit.chains import _positions, boundary_columns
 from quandlekit.diagrams import arcs, checkerboard, load_diagram, signs
 from quandlekit.homology import cocycle_basis, pair_basis
-from quandlekit.invariants import (
-    MODES,
-    DiagramEngine,
-    coloring_table,
-    crossing_roles,
-    is_trivial,
-)
+from quandlekit.invariants import MODES, DiagramEngine, coloring_table, is_trivial
 from quandlekit.linalg import elementary_divisors
 
 
@@ -33,7 +27,7 @@ def is_valid_coloring(d, X, rho):
     ar = arcs(d)
     if len(rho) != len(ar):
         return False
-    for src, over, tgt, _ in crossing_roles(d, ar):
+    for src, over, tgt, _ in d.roles:
         if X.op(rho[src], rho[over]) != rho[tgt]:
             return False
     return True
@@ -57,7 +51,7 @@ def contribution(d, rho, phi, mode, crossing_signs=None):
     sg = crossing_signs or signs(d, checkerboard(d))
     s = sg.w if mode == "minus" else sg.eps
     total = 0
-    for i, (src, over, _, _) in enumerate(crossing_roles(d, arcs(d))):
+    for i, (src, over, _, _) in enumerate(d.roles):
         total += s[i] * phi(rho[src], rho[over])
     return phi.coeff.reduce(total)
 

@@ -5,6 +5,7 @@ frozen; structural counts (components, arcs, Euler-consistent face counts)
 were checked against the standard diagrams by hand.
 """
 
+import random
 import re
 from importlib import resources
 
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braids import braid_words, closure_crossings, pd_text
+import diagram_oracle as oracle
+from braids import braid_words, closure_crossings, pd_text, traversal_labelled
 from quandlekit.diagrams import (
     CORPUS_NAMES,
     PDStructureError,
@@ -26,6 +28,8 @@ from quandlekit.diagrams import (
     parse_pd,
     signs,
 )
+
+EULER = "face count %d fails the Euler check (disconnected or nonplanar code)"
 
 # name: (crossings, components, arcs, faces, writhe, w, eps, alternating)
 CORPUS_FACTS = {
@@ -85,32 +89,46 @@ def test_unknot_loop():
 # --- syntax and structure rejection ----------------------------------------
 
 
-@pytest.mark.parametrize(
-    "text",
+def exactly(message):
+    return "^%s$" % re.escape(message)
+
+
+def by_text(cases):
+    """Parametrize over (text, ...) cases, each named by its text."""
+    return pytest.mark.parametrize("text, message", cases, ids=[case[0] for case in cases])
+
+
+@by_text(
     [
-        "",
-        "   ",
-        "X[1,2,3]",
-        "X[1,2,3,4,5]",
-        "X[1,2,3,4] junk",
-        "Y[1,2,3,4]",
-        "X[0,1,2,3]",
-        "X[1,2,3,-4]",
-        "O[]",
-        "O[1,2]",
-        "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[1 2]",  # whitespace inside an id
-    ],
+        ("", "empty code (a crossingless unknot is written O[1])"),
+        ("   ", "unexpected text '   '"),
+        ("X[1,2,3]", "X term needs 4 edge ids, got (1, 2, 3)"),
+        ("X[1,2,3,4,5]", "X term needs 4 edge ids, got (1, 2, 3, 4, 5)"),
+        ("X[1,2,3,4] junk", "unexpected text 'junk'"),
+        ("Y[1,2,3,4]", "unexpected text 'Y[1,2,3,4]'"),
+        ("X[0,1,2,3]", "edge ids are 1-based positive integers"),
+        ("X[1,2,3,-4]", "unexpected text 'X[1,2,3,-4]'"),
+        ("O[]", "O term needs 1 edge ids, got ()"),
+        ("O[ ]", "O term needs 1 edge ids, got ()"),
+        ("O[1,2]", "O term needs 1 edge ids, got (1, 2)"),
+        ("X[1,,2,3]", "bad edge list in 'X[1,,2,3]'"),
+        ("X[,]", "bad edge list in 'X[,]'"),
+        ("X [1,,2]", "bad edge list in 'X [1,,2]'"),
+        # whitespace inside an id
+        ("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[1 2]", "bad edge list in 'O[1 2]'"),
+    ]
 )
-def test_syntax_errors(text):
-    with pytest.raises(PDSyntaxError):
+def test_syntax_errors(text, message):
+    with pytest.raises(PDSyntaxError, match=exactly(message)):
         parse_pd(text)
 
 
 def _terms_after_stripping(text):
     # reference reading for codes with no whitespace inside an id: strip all
-    # whitespace, then scan the terms
+    # whitespace, then scan the terms; the X terms, then the O terms
     found = re.findall(r"([XO])\[([0-9,]*)\]", re.sub(r"\s+", "", text))
-    return [(kind, tuple(int(x) for x in ids.split(","))) for kind, ids in found]
+    terms = [(kind, tuple(int(x) for x in ids.split(","))) for kind, ids in found]
+    return [ids for kind, ids in terms if kind == "X"], [ids for kind, ids in terms if kind == "O"]
 
 
 def test_whitespace_may_separate_anything_but_the_digits_of_an_id():
@@ -124,19 +142,39 @@ def test_whitespace_may_separate_anything_but_the_digits_of_an_id():
                 parse_pd(text.replace("10", "1 0"))
 
 
-@pytest.mark.parametrize(
-    "text",
+@by_text(
     [
-        "X[1,1,1,1]",  # an edge id used four times
-        "X[1,2,3,4]",  # dangling edge ends
-        "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[1]",  # loop id collides
-        "X[1,5,2,4] X[3,1,4,6]",  # open strands
-        "X[3,1,1,2] X[3,2,4,4]",  # no consistent orientation
-        "X[1,5,2,4] X[3,1,4,6] X[3,5,6,2]",  # edge 3 enters both its crossings
+        ("X[1,1,1,1]", "edge 1 occurs 4 times, expected 2"),
+        ("X[1,2,3,4]", "edge 1 occurs 1 times, expected 2"),  # dangling edge ends
+        ("X[1,2,1,1] X[2,3,4,3]", "edge 1 occurs 3 times, expected 2"),
+        ("X[1,5,2,4] X[3,1,4,6]", "edge 5 occurs 1 times, expected 2"),  # open strands
+        ("X[3,1,1,2] X[3,2,4,4]", "no consistent orientation (conflict at edge 4)"),
+        # edge 3 enters both its crossings
+        ("X[1,5,2,4] X[3,1,4,6] X[3,5,6,2]", "no consistent orientation (conflict at edge 4)"),
+        ("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[1]", "edge 1 used both as a loop and at a crossing"),
+    ]
+)
+def test_structure_errors(text, message):
+    with pytest.raises(PDStructureError, match=exactly(message)):
+        parse_pd(text)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # the first faulty term wins, whatever its fault
+        ("X[1,2,3] X[0,1,2,3]", PDSyntaxError, "X term needs 4 edge ids, got (1, 2, 3)"),
+        ("X[1,2,3,4] junk X[0,1,2,3]", PDSyntaxError, "unexpected text 'junk'"),
+        ("X[0,1,2,3] junk", PDSyntaxError, "edge ids are 1-based positive integers"),
+        # syntax before structure; then edge counts, orientation, and the loops
+        ("X[1,2,3,4] O[1] X[5]", PDSyntaxError, "X term needs 4 edge ids, got (5,)"),
+        ("X[1,2,3,4] O[1] O[1]", PDStructureError, "edge 1 occurs 1 times, expected 2"),
+        ("X[3,1,1,2] X[3,2,4,4] O[1] O[1]", PDStructureError, "no consistent orientation (conflict at edge 4)"),
+        ("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[1] O[1]", PDStructureError, "repeated O-component edge id"),
     ],
 )
-def test_structure_errors(text):
-    with pytest.raises(PDStructureError):
+def test_the_first_fault_decides_the_message(text, error, message):
+    with pytest.raises(error, match=exactly(message)):
         parse_pd(text)
 
 
@@ -155,7 +193,7 @@ def test_two_circles_crossing_once_rejected_at_faces():
     # in the plane; the Euler count catches it
     d = parse_pd("X[1,2,1,2]")
     assert len(d.components) == 2
-    with pytest.raises(PDStructureError):
+    with pytest.raises(PDStructureError, match=exactly(EULER % 1)):
         faces(d)
 
 
@@ -168,8 +206,32 @@ def test_disconnected_crossing_diagram_has_no_faces():
     )
     d = parse_pd(two)
     assert len(d.components) == 2
-    with pytest.raises(PDStructureError):
+    with pytest.raises(PDStructureError, match=exactly(EULER % 10)):
         faces(d)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("X[1,2,1,2]", EULER % 1),
+        ("X[1,2,3,4] X[3,4,1,2]", EULER % 2),  # a torus diagram: orientable, not planar
+        # each passes the Euler count, a torus piece making up for a split one
+        ("X[3,4,4,3] X[2,1,2,1]", "face adjacency is not 2-colorable"),
+        ("X[3,1,1,3] X[4,2,4,2]", "face adjacency is not connected"),
+    ],
+)
+def test_shading_errors(text, message):
+    d = parse_pd(text)
+    with pytest.raises(PDStructureError, match=exactly(message)):
+        checkerboard(d)
+    assert oracle_raises(oracle.checkerboard, d) == (PDStructureError, message)
+
+
+def test_an_outer_face_out_of_range_is_rejected():
+    d = named_diagram("trefoil")
+    for face in (-1, 5):
+        with pytest.raises(ValueError, match=exactly("outer face %d out of range" % face)):
+            checkerboard(d, outer_face=face)
 
 
 # --- faces and shading ------------------------------------------------------
@@ -251,14 +313,15 @@ def assert_strands_follow_the_code(d):
     leaves every crossing by the end opposite the one it arrived at."""
     for i, flags in enumerate(d.incoming):
         assert flags[0] and not flags[2] and flags[1] != flags[3]
-    for e, slots in d.ends.items():
+    for e, slots in oracle.ends(d).items():
         assert sorted(d.incoming[i][p] for i, p in slots) == [False, True]
+    heads = oracle.heads(d)
     for comp in d.components:
         for j, e in enumerate(comp):
             if e in d.loops:
                 assert comp == (e,)
                 continue
-            i, p = d.heads[e]
+            i, p = heads[e]
             assert d.crossings[i][(p + 2) % 4] == comp[(j + 1) % len(comp)]
 
 
@@ -313,3 +376,104 @@ def test_closures_walk_to_their_strands(braid, rng):
     assert sorted(e for block in ar.arcs for e in block) == sorted(renumber.values())
     assert all(ar.arcs[ar.arc_of[e]].count(e) == 1 for e in renumber.values())
     assert sorted(i for t in ar.traversals for i in t.overs) == list(range(d.n_crossings))
+    assert ar == oracle.arcs(d)
+    assert d.roles == tuple(oracle.crossing_roles(d, ar))
+
+
+# --- the one-pass reading against the two-pass oracle ------------------------
+
+
+def oracle_raises(f, *args):
+    """The error type and message that f raises on args."""
+    try:
+        f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+    raise AssertionError("%s did not raise" % f.__name__)
+
+
+def assert_reads_like_the_oracle(d):
+    """The walk's ArcSet and roles equal the oracle's; so do the faces, every
+    shading and its signs, or the error each raises."""
+    ar = oracle.arcs(d)
+    assert arcs(d) == ar
+    assert d.roles == tuple(oracle.crossing_roles(d, ar))
+    assert d.alternating == oracle.alternating(d)
+    try:
+        fs = oracle.faces(d)
+    except PDStructureError:
+        assert oracle_raises(faces, d) == oracle_raises(oracle.faces, d)
+        assert oracle_raises(checkerboard, d) == oracle_raises(oracle.checkerboard, d)
+        return
+    assert faces(d) == fs
+    for outer in [None] + list(range(len(fs))):
+        try:
+            want = oracle.checkerboard(d, outer)
+        except PDStructureError:
+            assert oracle_raises(checkerboard, d, outer) == oracle_raises(oracle.checkerboard, d, outer)
+            continue
+        sh = checkerboard(d, outer)
+        assert sh == want
+        assert signs(d, sh) == oracle.signs(d, want)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_reads_like_the_oracle(name):
+    assert_reads_like_the_oracle(named_diagram(name))
+
+
+def _seeded_words(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        strands = rng.randint(2, 5)
+        gens = list(range(1, strands)) + [rng.randint(1, strands - 1) for _ in range(rng.randint(0, 12))]
+        rng.shuffle(gens)
+        yield strands, [g * rng.choice((1, -1)) for g in gens]
+
+
+def test_braid_closures_read_like_the_oracle():
+    # braid-order labelling, then traversal labelling from four rotations
+    links = 0
+    for strands, word in _seeded_words(23, 40):
+        d = parse_pd(pd_text(closure_crossings(word, strands)))
+        assert_reads_like_the_oracle(d)
+        links += not d.is_knot()
+        for rotation in (0, 1, 2, 5):
+            assert_reads_like_the_oracle(parse_pd(pd_text(traversal_labelled(word, strands, rotation))))
+    assert links
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "O[3] O[1]",
+        "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[9] O[7]",
+        "O[1] " + pd_text([tuple(e + 1 for e in t) for t in traversal_labelled([1, 1, -2, 1, 2], 3, 2)]),
+        # components that only pass over: the closures of s1 s1^-1 and of
+        # (s1 s1^-1)^2, a closed circle lying over another, and one with a loop
+        "X[1,2,3,4] X[3,2,1,4]",
+        pd_text(closure_crossings([1, -1, 1, -1], 2)),
+        pd_text(traversal_labelled([1, -1, 1, -1], 2, 3)),
+        "X[3,1,4,2] X[4,1,3,2]",
+        "X[1,2,3,4] X[3,2,1,4] O[5]",
+    ],
+)
+def test_loops_and_over_only_components_read_like_the_oracle(text):
+    d = parse_pd(text)
+    assert_reads_like_the_oracle(d)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # two trefoils side by side, and a trefoil beside a torus piece
+        "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] X[7,11,8,10] X[9,7,10,12] X[11,9,12,8]",
+        "X[1,2,3,4] X[3,4,1,2] X[5,9,6,8] X[7,5,8,10] X[9,7,10,6]",
+        "X[1,2,1,2]",
+    ],
+)
+def test_split_and_nonplanar_codes_read_like_the_oracle(text):
+    # their arcs and roles are read; faces or shading raise the oracle's error
+    d = parse_pd(text)
+    assert_reads_like_the_oracle(d)
+    assert oracle_raises(checkerboard, d)[0] is PDStructureError

@@ -33,7 +33,6 @@ from quandlekit.invariants import (
     GroupRingValue,
     check_eps_alternation,
     coloring_table,
-    crossing_roles,
     enumerate_colorings,
     is_trivial,
     state_sum,
@@ -219,7 +218,7 @@ def test_contribution_mode_uses_matching_sign():
     phi = indicator(3, 0, 1)
     rho = enumerate_colorings(d, D3)[1]
     sg = signs(d, checkerboard(d))
-    roles = crossing_roles(d, arcs(d))
+    roles = d.roles
     by_hand_minus = sum(
         sg.w[i] * phi(rho[src], rho[over]) for i, (src, over, _, _) in enumerate(roles)
     )
@@ -263,16 +262,26 @@ def test_minus_mode_needs_no_faces():
         "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] X[7,11,8,10] X[9,7,10,12] X[11,9,12,8]"
     )
     phi = indicator(3, 0, 1)
-    roles = crossing_roles(d, arcs(d))
+    roles = d.roles
     table = coloring_table(DiagramEngine(d), D3)
     assert len(table.colorings) == 81
     assert table.weights(phi, "minus") == [
-        sum(d.writhe_sign(i) * phi(rho[src], rho[over]) for i, (src, over, _, _) in enumerate(roles))
+        sum(w * phi(rho[src], rho[over]) for src, over, _, w in roles)
         for rho in table.colorings
     ]
     assert state_sum(d, D3, phi, "minus").total == 81
     with pytest.raises(PDStructureError):
         state_sum(d, D3, phi, "plus")
+
+
+def test_state_sums_read_the_roles_and_cut_no_arc_set():
+    # the ArcSet is cut from the parse's walk only when asked for; a state
+    # sum in either mode reads the arc count and the crossing roles
+    d = parse_pd(pd_text(closure_crossings([1, -2, 1, -2, 1], 3)))
+    for mode in MODES:
+        state_sum(d, D3, indicator(3, 0, 1), mode)
+    assert "arcset" not in vars(d)
+    assert len(arcs(d)) == d.arc_count
 
 
 def test_state_sum_mod_m_reduces_weights():
