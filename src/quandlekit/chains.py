@@ -77,21 +77,25 @@ def _positions(size, n, flavor):
 
 
 def _faces(X, n, sign, gens):
-    """The faces of each generator in gens, by rack index: one list per
-    term of the boundary, with the terms' coefficients.
+    """The faces of each generator in gens, ascending rack indices: one
+    list per term of the boundary, with the terms' coefficients.
 
     Face i of the generator with rack index g keeps its prefix digits hi =
     g // size**(n - i) and suffix digits lo = g % size**(n - 1 - i); d2
     replaces hi by act[t_i][hi], the prefix acted on by the dropped digit.
     With an empty prefix the two faces at i = 0 are one term, whose
-    coefficient is 0 in the minus sign.
+    coefficient is 0 in the minus sign.  The act table holds only the
+    prefixes whose first digit some generator in gens has, so faces taken
+    one first digit at a time stay small.
     """
     w1, w2 = SIGNS[sign]
     size = X.n
     low = size ** (n - 1)
     faces, coeffs = [[g % low for g in gens]], [-w1 - w2]
-    act = [[0]] * size
+    first, last = (gens[0] // low, gens[-1] // low + 1) if gens else (0, 0)
+    base = first * low  # act[a][(g - base) // high] is g's prefix acted on by a
     by = list(zip(*X.table))  # by[a][x] = x acted on by a
+    act = [row[first:last] for row in by]
     for i in range(1, n):
         s = 1 if i % 2 else -1
         low = size ** (n - 1 - i)
@@ -100,8 +104,9 @@ def _faces(X, n, sign, gens):
             faces.append([g // high * low + g % low for g in gens])
             coeffs.append(s * w1)
         if w2:
-            act = [[q * size + x for q in act[a] for x in by[a]] for a in range(size)]
-            faces.append([act[g // low % size][g // high] * low + g % low for g in gens])
+            if i > 1:
+                act = [[q * size + x for q in act[a] for x in by[a]] for a in range(size)]
+            faces.append([act[g // low % size][(g - base) // high] * low + g % low for g in gens])
             coeffs.append(s * w2)
     return faces, coeffs
 

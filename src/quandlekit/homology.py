@@ -5,6 +5,16 @@ group follows from the ranks and elementary divisors of two boundary maps:
 H_n = Z^(c_n - r_n - r_{n+1}) plus the torsion of d_{n+1}, and the
 universal coefficient theorem gives H^n and the Q and Z/m groups from the
 same numbers.
+
+The minus complex of a quandle needs fewer of them, since its Betti
+numbers follow from the number o of Inn(X)-orbits (``minus_betti``): o^n
+for the rack complex (Etingof and Graña, JPAA 177, 2003), o(o-1)^(n-1) for
+the quandle complex, and their difference for the degenerate one
+(Litherland and Nelson, JPAA 178, 2003).  So its groups over Q eliminate
+nothing, and its H^n over Z eliminates d_n alone.  H_n over Z and every
+group over Z/m need the divisors of d_{n+1} too.  The plus complex (no
+such theorem is known) and tables that fail the quandle axioms keep both
+eliminations.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from collections import namedtuple
 
 from . import linalg
 from .chains import FLAVORS, MODES, _basis, _faces, boundary_columns
-from .quandles import Frozen
+from .quandles import Frozen, orbits, validate_quandle
 
 
 class CoefficientGroup(namedtuple("CoefficientGroup", "kind modulus")):
@@ -115,16 +125,38 @@ def _check_args(flavor, sign, n, coeff):
         raise TypeError("coeff must be a CoefficientGroup")
 
 
+def minus_betti(X, flavor, n):
+    """Rank of H_n(X; Q) for the minus complex of the given flavor, n >= 1,
+    from the number o of Inn(X)-orbits: o^n (rack), o(o-1)^(n-1) (quandle)
+    or their difference (degenerate).  None when X fails the quandle
+    axioms, where the theorems say nothing."""
+    if not validate_quandle(X.table).valid:
+        return None
+    o = orbits(X).count
+    rack, quandle = o**n, o * (o - 1) ** (n - 1)
+    return {"rack": rack, "quandle": quandle, "degenerate": rack - quandle}[flavor]
+
+
 def _group(X, flavor, sign, n, coeff, cohomology):
     """H^n (cohomology) or H_n over coeff, from the divisors of d_n and d_{n+1}.
 
     Over Z the torsion is that of d_{n+1} for H_n and of d_n for H^n.  Over
     Z/m each divisor d of either map adds Z/gcd(d, m) to (Z/m)^free, in
-    homology and cohomology alike.
+    homology and cohomology alike.  The minus complex of a quandle reads
+    its free rank from ``minus_betti`` wherever it needs no divisors of
+    d_{n+1}: over Q, and for H^n over Z.
     """
     _check_args(flavor, sign, n, coeff)
     if n <= 0:
         return TRIVIAL_GROUP
+    betti = None
+    if sign == "minus" and (coeff.kind == "Q" or coeff.kind == "Z" and cohomology):
+        betti = minus_betti(X, flavor, n)
+    if betti is not None:
+        if coeff.kind == "Q":
+            return AbelianGroupDescriptor(betti, ())
+        div_n = linalg.elementary_divisors(boundary_columns(X, n, sign, flavor)[2])[1]
+        return AbelianGroupDescriptor(betti, tuple(d for d in div_n if d > 1))
     domain, _, cols = boundary_columns(X, n, sign, flavor)
     r_n, div_n = linalg.elementary_divisors(cols)
     r_next, div_next = linalg.elementary_divisors(boundary_columns(X, n + 1, sign, flavor)[2])
@@ -196,9 +228,13 @@ class Cochain2(Frozen):
         if self.n != X.n:
             raise ValueError("cocycle size does not match the quandle")
         f = [v for row in self.values for v in row]
-        faces, coeffs = _faces(X, 3, sign, range(X.n**3))
-        terms = [[c * f[u] for u in face] for face, c in zip(faces, coeffs) if c]
-        return not any(map(self.coeff.reduce, filter(None, map(sum, zip(*terms)))))
+        block = X.n**2
+        for start in range(0, X.n * block, block):  # one first digit at a time
+            faces, coeffs = _faces(X, 3, sign, range(start, start + block))
+            terms = [[c * f[u] for u in face] for face, c in zip(faces, coeffs) if c]
+            if any(map(self.coeff.reduce, filter(None, map(sum, zip(*terms))))):
+                return False
+        return True
 
     def to_doc(self):
         return {"coeff": str(self.coeff), "values": [list(r) for r in self.values]}

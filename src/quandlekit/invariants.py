@@ -50,7 +50,7 @@ from functools import cached_property
 
 from .chains import MODES, _positions, boundary_columns
 from .diagrams import arcs, checkerboard, signs
-from .homology import ZZ, pair_basis
+from .homology import ZZ, minus_betti, pair_basis
 from .linalg import elementary_divisors
 
 
@@ -391,7 +391,9 @@ def triviality_certificate(X, tables, mode, coeff):
     m/gcd(d, m) over the elementary divisors d; appending vectors never
     shrinks a span).  The cocycle count is c2 - r over Z plus, over Z/m,
     one per divisor sharing a factor with m.  Neither answer changes under
-    relabeling, and no basis is built.
+    relabeling, and no basis is built.  In minus mode over Z the rank comes
+    from the Betti numbers of ``minus_betti``, so the columns are built and
+    eliminated only with some W appended.
 
     Only the searched colorings' W's are appended.  The boundary commutes
     with every automorphism g, so g maps the span of its columns onto
@@ -403,8 +405,13 @@ def triviality_certificate(X, tables, mode, coeff):
     if coeff.kind == "Q":
         raise ValueError("certificates are computed over Z or Z/m")
     pairs = pair_basis(X.n)
-    cols = boundary_columns(X, 3, mode, "quandle")[2]
-    rank, divisors = elementary_divisors(cols)
+    betti = minus_betti(X, "quandle", 2) if mode == "minus" and coeff.kind == "Z" else None
+    if betti is None:
+        cols = boundary_columns(X, 3, mode, "quandle")[2]
+        rank, divisors = elementary_divisors(cols)
+    else:  # rank d3 = c2 - rank d2 - b2, and rank d2 = c1 - b1
+        cols = None
+        rank = len(pairs) - (X.n - minus_betti(X, "quandle", 1)) - betti
     cocycles = len(pairs) - rank
     if coeff.kind == "Zm":
         m = coeff.modulus
@@ -422,6 +429,8 @@ def triviality_certificate(X, tables, mode, coeff):
                 cycles.add(w)
     if not cycles:
         return True, cocycles
+    if cols is None:
+        cols = boundary_columns(X, 3, mode, "quandle")[2]
     rank_w, divisors_w = elementary_divisors(cols + [dict(w) for w in sorted(cycles)])
     if coeff.kind == "Z":
         return rank_w == rank, cocycles

@@ -11,6 +11,7 @@ from cochains import coboundary_of, vector, zero
 from coloring_oracle import contribution, exhaustive_colorings, sweep_cells
 from test_chains import NON_QUANDLE_ROWS, identity_failures
 
+from quandlekit.chains import boundary_columns
 from quandlekit.diagrams import CORPUS_NAMES, arcs, checkerboard, named_diagram, signs
 from quandlekit.homology import (
     QQ,
@@ -31,6 +32,7 @@ from quandlekit.invariants import (
     state_sum,
     translation_lemmas,
 )
+from quandlekit.linalg import elementary_divisors
 from quandlekit.quandles import QuandleTable, dihedral_quandle, enumerate_quandles, orbits
 
 ALL_ORDER_LE_4 = [X for n in range(1, 5) for X in enumerate_quandles(n)]
@@ -53,12 +55,13 @@ def test_boundary_identities_for_every_small_quandle():
 
 
 def test_rack_betti_numbers_are_orbit_count_powers():
+    # ranks straight from the boundary columns: cohomology_group over Q
+    # reads the Betti numbers from the orbit count itself
     for X in ALL_ORDER_LE_4 + [dihedral_quandle(5), dihedral_quandle(6)]:
         r = orbits(X).count
+        ranks = [elementary_divisors(boundary_columns(X, n, "minus")[2])[0] for n in (1, 2, 3)]
         for n in (1, 2):
-            group = cohomology_group(X, "rack", "minus", n, QQ)
-            assert group.free_rank == r ** n
-            assert group.torsion == ()
+            assert X.n**n - ranks[n - 1] - ranks[n] == r**n
 
 
 def test_degenerate_h2_is_free_on_the_orbits():

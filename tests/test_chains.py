@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.chains import FLAVORS, SIGNS, _basis, boundary_columns
+from quandlekit.chains import FLAVORS, SIGNS, _basis, _faces, boundary_columns
 from quandlekit.quandles import QuandleTable, dihedral_quandle, enumerate_quandles, trivial_quandle
 
 # structurally fine (idempotent, bijective columns) but self-distributivity fails
@@ -228,6 +228,26 @@ def test_columns_match_the_tuple_oracle_on_relabeled_dihedral_quandles(order):
             for flavor in ("rack", "quandle"):
                 want = columns_or_error(tuple_columns, q, n, sign, flavor)
                 assert columns_or_error(boundary_columns, q, n, sign, flavor) == want
+
+
+def test_faces_of_part_of_the_generators_are_those_of_all():
+    # the d2 table holds only the prefixes that start with a first digit of
+    # gens, so a block's faces must be the same slice of the whole lists
+    rng = random.Random(24)
+    perm = list(range(5))
+    rng.shuffle(perm)
+    q = dihedral_quandle(5).relabeled(tuple(perm))
+    for n in (1, 2, 3, 4):
+        for sign in SIGNS:
+            everything = range(5**n)
+            whole, coeffs = _faces(q, n, sign, everything)
+            first_digits = [everything[k : k + 5 ** (n - 1)] for k in range(0, 5**n, 5 ** (n - 1))]
+            cuts = sorted(rng.sample(range(5**n + 1), 2))
+            spread = [g for g in everything if rng.random() < 0.3]
+            for gens in first_digits + [range(*cuts), spread, []]:
+                faces, got = _faces(q, n, sign, gens)
+                assert got == coeffs
+                assert faces == [[face[g] for g in gens] for face in whole], (n, sign, gens)
 
 
 def test_quandle_flavor_is_the_projected_rack_matrix():

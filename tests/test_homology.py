@@ -12,7 +12,8 @@ from cochains import coboundary_of, indicator, triple_condition, vector, zero
 from lattice_oracle import solve_matrix, transpose
 from test_chains import NON_QUANDLE_ROWS
 
-from quandlekit.chains import boundary_columns
+from quandlekit import homology
+from quandlekit.chains import FLAVORS, boundary_columns
 from quandlekit.homology import (
     QQ,
     ZZ,
@@ -23,11 +24,13 @@ from quandlekit.homology import (
     cocycle_basis,
     cohomology_group,
     homology_group,
+    minus_betti,
     pair_basis,
 )
 from quandlekit.linalg import elementary_divisors
 from quandlekit.quandles import (
     QuandleTable,
+    class_representatives,
     dihedral_quandle,
     enumerate_quandles,
     orbits,
@@ -84,6 +87,105 @@ def test_rational_rank_formula_on_small_quandles():
         k = orbits(q).count
         for n in (1, 2):
             assert cohomology_group(q, "rack", "minus", n, QQ).free_rank == k ** n
+
+
+def _orbit_formula(o, flavor, n):
+    """The three minus Betti numbers for o orbits, written out here."""
+    rack, quandle = o**n, o * (o - 1) ** (n - 1)
+    return {"rack": rack, "quandle": quandle, "degenerate": rack - quandle}[flavor]
+
+
+def test_minus_betti_numbers_match_the_boundary_ranks():
+    # oracle: c_n - r_n - r_{n+1} from the eliminated boundary columns, on
+    # every class of order <= 6 (963 cases); the groups over Q read the
+    # formulas instead of these ranks
+    cases = 0
+    for order in range(1, 7):
+        for X, _ in class_representatives(order):
+            o = orbits(X).count
+            for flavor in FLAVORS:
+                built = [boundary_columns(X, n, "minus", flavor) for n in (1, 2, 3, 4)]
+                ranks = [elementary_divisors(cols)[0] for _, _, cols in built]
+                for n in (1, 2, 3):
+                    want = _orbit_formula(o, flavor, n)
+                    assert len(built[n - 1][0]) - ranks[n - 1] - ranks[n] == want, (X.table, flavor, n)
+                    assert minus_betti(X, flavor, n) == want
+                    cases += 1
+    assert cases == 963
+
+
+def _two_eliminations(X, flavor, n, coeff, cohomology):
+    """The minus group over Z or Q from the divisors of d_n and d_{n+1}, the
+    way every table got it before the orbit count, or the type of the error
+    that raises: on a table that is not a quandle these maps need not form
+    a complex."""
+    try:
+        domain, _, cols = boundary_columns(X, n, "minus", flavor)
+        r_n, div_n = elementary_divisors(cols)
+        r_next, div_next = elementary_divisors(boundary_columns(X, n + 1, "minus", flavor)[2])
+        divisors = () if coeff == QQ else div_n if cohomology else div_next
+        return AbelianGroupDescriptor(len(domain) - r_n - r_next, tuple(d for d in divisors if d > 1))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+# a rack that is not a quandle: x * y = sigma(x) for the transposition (0 1)
+PERMUTATION_RACK = QuandleTable(((1, 1, 1), (0, 0, 0), (2, 2, 2)))
+
+
+def test_tables_that_are_not_quandles_keep_both_eliminations():
+    differs = 0
+    for X in (QuandleTable(NON_QUANDLE_ROWS), PERMUTATION_RACK):
+        assert not validate_quandle(X.table).valid and minus_betti(X, "rack", 1) is None
+        o = orbits(X).count
+        for flavor in FLAVORS:
+            for n in (1, 2, 3):
+                for coeff in (ZZ, QQ):
+                    for cohomology, group in ((True, cohomology_group), (False, homology_group)):
+                        want = _two_eliminations(X, flavor, n, coeff, cohomology)
+                        try:
+                            got = group(X, flavor, "minus", n, coeff)
+                        except (ArithmeticError, ValueError) as exc:
+                            got = type(exc)
+                        assert got == want, (X.table, flavor, n, str(coeff), cohomology)
+                formula = AbelianGroupDescriptor(_orbit_formula(o, flavor, n), ())
+                differs += _two_eliminations(X, flavor, n, QQ, True) != formula
+    assert differs  # the formulas would give other answers on these tables
+
+
+R4 = dihedral_quandle(4)  # two orbits
+
+
+@pytest.mark.parametrize(
+    "X,sign,coeff,cohomology,built",
+    [
+        (R4, "minus", QQ, True, []),
+        (R4, "minus", QQ, False, []),
+        (R4, "minus", ZZ, True, [2]),
+        (R4, "minus", ZZ, False, [2, 3]),
+        (R4, "minus", Zm(4), True, [2, 3]),
+        (R4, "plus", QQ, True, [2, 3]),
+        (R4, "plus", ZZ, True, [2, 3]),
+        (PERMUTATION_RACK, "minus", QQ, True, [2, 3]),
+        (PERMUTATION_RACK, "minus", ZZ, True, [2, 3]),
+    ],
+)
+def test_which_boundaries_a_group_builds(monkeypatch, X, sign, coeff, cohomology, built):
+    # only a quandle's minus groups over Q, and its H^n over Z, skip
+    # d_{n+1}; a rack keeps both, though the rack formula holds for it
+    degrees = []
+
+    def counted(X, n, sign, flavor="rack"):
+        degrees.append(n)
+        return boundary_columns(X, n, sign, flavor)
+
+    monkeypatch.setattr(homology, "boundary_columns", counted)
+    group = (cohomology_group if cohomology else homology_group)(X, "rack", sign, 2, coeff)
+    assert degrees == built
+    d_n = lattice_oracle.dense_boundary(X, 2, sign, "rack")
+    d_next = lattice_oracle.dense_boundary(X, 3, sign, "rack")
+    oracle = lattice_oracle.cohomology_group if cohomology else lattice_oracle.homology_group
+    assert group == oracle(d_n, d_next, coeff)
 
 
 def test_t2_minus_cocycles_are_all_off_diagonal_tables():

@@ -26,7 +26,7 @@ from quandlekit.diagrams import (
     parse_pd,
     signs,
 )
-from quandlekit.homology import QQ, ZZ, Cochain2, Zm, cocycle_basis
+from quandlekit.homology import QQ, ZZ, Cochain2, Zm, cocycle_basis, pair_basis
 from quandlekit.invariants import (
     MODES,
     DiagramEngine,
@@ -39,11 +39,13 @@ from quandlekit.invariants import (
     translation_lemmas,
     triviality_certificate,
 )
+from quandlekit.linalg import elementary_divisors
 from quandlekit.quandles import (
     QuandleTable,
     class_representatives,
     dihedral_quandle,
     enumerate_quandles,
+    orbits,
     trivial_quandle,
 )
 
@@ -590,6 +592,21 @@ def test_certificate_is_invariant_under_relabeling():
                     for Q in (X, Y)
                 ]
                 assert answers[0] == answers[1]
+
+
+def test_minus_certificate_counts_the_cocycles_of_the_eliminated_boundary():
+    # oracle: c2 - rank d3 from the eliminated columns; over Z the minus
+    # certificate takes the rank from the orbit count, n + o^2 - 2o cocycles
+    for order in range(1, 7):
+        for X, _ in class_representatives(order):
+            rank = elementary_divisors(boundary_columns(X, 3, "minus", "quandle")[2])[0]
+            o = orbits(X).count
+            want = len(pair_basis(X.n)) - rank
+            assert want == X.n + o * o - 2 * o
+            assert triviality_certificate(X, [], "minus", ZZ) == (True, want), X.table
+    # a table that fails the axioms keeps the elimination
+    rank = elementary_divisors(boundary_columns(NOT_A_QUANDLE, 3, "minus", "quandle")[2])[0]
+    assert triviality_certificate(NOT_A_QUANDLE, [], "minus", ZZ) == (True, len(pair_basis(4)) - rank)
 
 
 def test_certificate_rejects_rational_coefficients():
