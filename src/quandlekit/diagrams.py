@@ -17,8 +17,9 @@ crossing, and records each crossing's roles: its under-arcs, its over-arc
 and its writhe sign w.  The ArcSet (each arc's edges and traversal) is cut
 from the recorded walk when first asked for.  On the same end numbers we
 then derive the faces of the sphere, by turning counterclockwise at each
-crossing, a checkerboard shading with a white outer face, and the shading
-sign eps at each crossing.
+crossing: each face is a cycle of end numbers, and the FaceSet keeps the
+face of every end.  The checkerboard shading (white outer face) and the
+shading sign eps at each crossing read that one record.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 import re
 from functools import cached_property
 from collections import Counter, namedtuple
-from itertools import chain, product
+from itertools import chain
 
 from .quandles import Frozen
 
@@ -323,22 +324,18 @@ def arcs(d):
 
 
 class FaceSet(namedtuple("FaceSet", "faces outer_default face_of")):
-    """Faces of the sphere embedding, as cycles of arrival darts (i, p), the
-    default outer face, and the dict dart -> face index.  face_of follows
-    from faces, so it is left out of the hash."""
+    """Faces of the sphere embedding, as cycles of the ends they arrive at
+    (numbered 4 * crossing + position, as in ``PDDiagram.partner``), the
+    default outer face, and per end the index of its face."""
 
     __slots__ = ()
 
     def __len__(self):
         return len(self.faces)
 
-    def __hash__(self):
-        return hash((self.faces, self.outer_default))
 
-
-def _faces(d):
-    """The FaceSet, and the same faces as lists of ends with the face of
-    every end; checks the Euler count.
+def faces(d):
+    """The FaceSet; checks the Euler count.
 
     Turning counterclockwise at a crossing takes end s to the end
     (s & ~3) | ((s + 1) & 3), whose partner is the face's next end.  Each
@@ -346,7 +343,7 @@ def _faces(d):
     faces come out sorted.
     """
     if not d.crossings:
-        return FaceSet(faces=((),), outer_default=0, face_of={}), [], []
+        return FaceSet(faces=((),), outer_default=0, face_of=())
     partner = d.partner
     face = [None] * len(partner)
     cycles = []
@@ -362,30 +359,16 @@ def _faces(d):
             s = partner[(s & ~3) | ((s + 1) & 3)]
             if s == start:
                 break
-        cycles.append(cyc)
-    v = d.n_crossings
-    e = 2 * v
-    if v - e + len(cycles) != 2:
+        cycles.append(tuple(cyc))
+    if len(cycles) != d.n_crossings + 2:  # V - E + F = 2, with E = 2V
         raise PDStructureError(
             "face count %d fails the Euler check (disconnected or nonplanar code)"
             % len(cycles)
         )
-    darts = list(product(range(v), range(4)))
-    out = tuple(tuple(map(darts.__getitem__, cyc)) for cyc in cycles)
     flat = list(chain.from_iterable(d.crossings))
     first = flat.index(min(flat))  # an end of the least edge; the face at its head
     head = first if d.incoming[first >> 2][first & 3] else partner[first]
-    fs = FaceSet(
-        faces=out,
-        outer_default=face[head],
-        face_of={dart: i for i, cyc in enumerate(out) for dart in cyc},
-    )
-    return fs, cycles, face
-
-
-def faces(d):
-    """Faces via counterclockwise rotation; checks the Euler count."""
-    return _faces(d)[0]
+    return FaceSet(faces=tuple(cycles), outer_default=face[head], face_of=tuple(face))
 
 
 class Shading(namedtuple("Shading", "faceset outer shaded")):
@@ -399,22 +382,20 @@ class Shading(namedtuple("Shading", "faceset outer shaded")):
 
 
 def checkerboard(d, outer_face=None):
-    fs, cycles, face = _faces(d)
+    fs = faces(d)
     outer = fs.outer_default if outer_face is None else outer_face
     if not 0 <= outer < len(fs.faces):
         raise ValueError("outer face %r out of range" % (outer_face,))
-    if not d.crossings:
-        return Shading(faceset=fs, outer=outer, shaded=frozenset())
     # faces across an edge differ: the end s and its partner see both
-    partner = d.partner
-    dark = [None] * len(cycles)
+    partner, face_of = d.partner, fs.face_of
+    dark = [None] * len(fs.faces)
     dark[outer] = False
     stack = [outer]
     while stack:
         f = stack.pop()
         other = not dark[f]
-        for s in cycles[f]:
-            g = face[partner[s]]
+        for s in fs.faces[f]:
+            g = face_of[partner[s]]
             if dark[g] is None:
                 dark[g] = other
                 stack.append(g)
@@ -436,13 +417,10 @@ class CrossingSigns(namedtuple("CrossingSigns", "w eps")):
 
 
 def signs(d, shading):
-    face_of = shading.faceset.face_of
     return CrossingSigns(
         w=tuple(role[3] for role in d.roles),
-        eps=tuple(
-            1 if shading.is_shaded(face_of[(i, 0)]) else -1
-            for i in range(d.n_crossings)
-        ),
+        # the face at end 4 * i, the quadrant between a and b
+        eps=tuple(1 if shading.is_shaded(f) else -1 for f in shading.faceset.face_of[::4]),
     )
 
 

@@ -161,6 +161,11 @@ def _group(X, flavor, sign, n, coeff, cohomology):
     r_n, div_n = linalg.elementary_divisors(cols)
     r_next, div_next = linalg.elementary_divisors(boundary_columns(X, n + 1, sign, flavor)[2])
     free = len(domain) - r_n - r_next
+    if free < 0:  # rank d_n + rank d_{n+1} <= c_n whenever d_n d_{n+1} = 0
+        raise ValueError(
+            "negative rank in degree %d: the boundaries do not compose to zero, "
+            "so the table fails the quandle axioms" % n
+        )
     if coeff.kind == "Q":
         return AbelianGroupDescriptor(free, ())
     if coeff.kind == "Z":

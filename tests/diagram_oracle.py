@@ -7,7 +7,8 @@ edge ids: the arcs by cutting each component's edge cycle through every
 edge's head, the roles by looking each crossing's edges up in ``arc_of``,
 and the faces dart by dart through the ends of each edge.  Only the
 parsed fields of a PDDiagram (crossings, loops, incoming, components) are
-read.
+read.  A dart (i, p) is written as the end number 4 * i + p only where a
+FaceSet is built, and read back from it the same way.
 """
 
 from quandlekit.diagrams import (
@@ -100,7 +101,7 @@ def _next_dart(d, slots, dart):
 def faces(d):
     """Faces via counterclockwise rotation; checks the Euler count."""
     if not d.crossings:
-        return FaceSet(faces=((),), outer_default=0, face_of={})
+        return FaceSet(faces=((),), outer_default=0, face_of=())
     slots = ends(d)
     darts = [(i, p) for i in range(d.n_crossings) for p in range(4)]
     seen = set()
@@ -124,7 +125,11 @@ def faces(d):
         )
     face_of = {dart: i for i, cyc in enumerate(out) for dart in cyc}
     first = min(e for t in d.crossings for e in t)
-    return FaceSet(faces=tuple(out), outer_default=face_of[heads(d)[first]], face_of=face_of)
+    return FaceSet(
+        faces=tuple(tuple(4 * i + p for i, p in cyc) for cyc in out),
+        outer_default=face_of[heads(d)[first]],
+        face_of=tuple(face_of[dart] for dart in darts),
+    )
 
 
 def checkerboard(d, outer_face=None):
@@ -139,9 +144,11 @@ def checkerboard(d, outer_face=None):
     stack = [outer]
     while stack:
         f = stack.pop()
-        for dart in fs.faces[f]:
-            s1, s2 = slots[d.crossings[dart[0]][dart[1]]]
-            other = fs.face_of[s2 if s1 == dart else s1]
+        for end in fs.faces[f]:
+            i, p = divmod(end, 4)
+            s1, s2 = slots[d.crossings[i][p]]
+            j, q = s2 if s1 == (i, p) else s1
+            other = fs.face_of[4 * j + q]
             if other in color:
                 if color[other] == color[f]:
                     raise PDStructureError("face adjacency is not 2-colorable")
@@ -161,7 +168,7 @@ def signs(d, shading):
     w = tuple(1 if flags[3] else -1 for flags in d.incoming)
     face_of = shading.faceset.face_of
     eps = tuple(
-        1 if shading.is_shaded(face_of[(i, 0)]) else -1
+        1 if shading.is_shaded(face_of[4 * i]) else -1
         for i in range(d.n_crossings)
     )
     return CrossingSigns(w=w, eps=eps)

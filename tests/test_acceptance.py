@@ -14,13 +14,11 @@ from test_chains import NON_QUANDLE_ROWS, identity_failures
 from quandlekit.chains import boundary_columns
 from quandlekit.diagrams import CORPUS_NAMES, arcs, checkerboard, named_diagram, signs
 from quandlekit.homology import (
-    QQ,
     ZZ,
     AbelianGroupDescriptor,
     Cochain2,
     Zm,
     cocycle_basis,
-    cohomology_group,
     homology_group,
 )
 from quandlekit.invariants import (
@@ -74,7 +72,10 @@ def test_connected_quandles_have_no_rational_h2():
     connected = [X for X in ALL_ORDER_LE_4 if orbits(X).connected]
     assert len(connected) == 4  # orders 1, 3, and two of order 4
     for X in connected:
-        assert cohomology_group(X, "quandle", "minus", 2, QQ).is_trivial
+        # ranks straight from the boundary columns, as above
+        built = [boundary_columns(X, n, "minus", "quandle") for n in (2, 3)]
+        r2, r3 = (elementary_divisors(cols)[0] for _, _, cols in built)
+        assert len(built[0][0]) - r2 - r3 == 0
 
 
 def test_minus_state_sums_trivial_on_all_knots():

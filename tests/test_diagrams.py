@@ -255,10 +255,32 @@ def test_checkerboard_is_proper_two_coloring():
         assert not sh.is_shaded(sh.outer)
         # quadrants diagonal at a crossing share shading, adjacent differ
         for i in range(d.n_crossings):
-            corner = [sh.is_shaded(sh.faceset.face_of[(i, p)]) for p in range(4)]
+            corner = [sh.is_shaded(sh.faceset.face_of[4 * i + p]) for p in range(4)]
             assert corner[0] == corner[2]
             assert corner[1] == corner[3]
             assert corner[0] != corner[1]
+
+
+def test_faces_are_cycles_of_end_numbers():
+    # faces list end numbers 4 * crossing + position, each face from its
+    # least end and in sorted order, and face_of has one entry per end
+    corpus = resources.files("quandlekit") / "diagrams"
+    texts = [(corpus / (name + ".txt")).read_text() for name in CORPUS_NAMES]
+    texts += [pd_text(closure_crossings(word, strands)) for strands, word in _seeded_words(25, 20)]
+    for text in texts:
+        d = parse_pd(text)
+        fs = faces(d)
+        if not d.crossings:
+            assert fs.faces == ((),) and fs.face_of == ()
+            continue
+        assert len(fs.face_of) == 4 * d.n_crossings
+        assert all(s in fs.faces[fs.face_of[s]] for s in range(4 * d.n_crossings))
+        assert sorted(s for face in fs.faces for s in face) == list(range(4 * d.n_crossings))
+        assert all(face[0] == min(face) for face in fs.faces)
+        assert list(fs.faces) == sorted(fs.faces)
+        again = faces(parse_pd(text))
+        assert again == fs and hash(again) == hash(fs)
+    assert faces(parse_pd("O[1]")) == (((),), 0, ())
 
 
 def test_outer_face_override():

@@ -59,11 +59,55 @@ def _imported_names(tree):
     }
 
 
+def _local_names(fn):
+    """Names a function binds itself: its parameters and the names it
+    assigns or defines, less those it declares global or nonlocal."""
+    a = fn.args
+    bound = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+    declared = set()
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)  # its body is another scope
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def _global_loads(node, local=frozenset()):
+    """Names loaded where no enclosing function binds them."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        local = local | _local_names(node)
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _global_loads(child, local)
+
+
+def test_a_local_variable_is_not_a_user():
+    tree = ast.parse(
+        "def f(faces, *args):\n"
+        "    arcs = faces\n"
+        "    return arcs, args, lambda signs: signs, checkerboard\n"
+        "def g():\n"
+        "    global orbits\n"
+        "    orbits = 1\n"
+        "    return orbits, [parse_pd for parse_pd in ()]\n"
+    )
+    assert set(_global_loads(tree)) == {"checkerboard", "orbits"}
+
+
 def test_every_public_name_of_the_package_has_a_user():
-    # a name at the package root is loaded or imported by another module of
-    # the package, imported by the benchmark or by the quick start, or is
-    # one of three kept on purpose: the paper's other named family, the
-    # Z/m constructor, and homology beside cohomology (one shared _group)
+    # a name at the package root is loaded (other than as a local variable)
+    # or imported by another module of the package, imported by the
+    # benchmark or by the quick start, or is one of three kept on purpose:
+    # the paper's other named family, the Z/m constructor, and homology
+    # beside cohomology (one shared _group)
     package = os.path.dirname(os.path.abspath(quandlekit.__file__))
     used = set()
     for name in os.listdir(package):
@@ -71,7 +115,7 @@ def test_every_public_name_of_the_package_has_a_user():
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
             used |= _imported_names(tree)
-            used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            used |= set(_global_loads(tree))
     bench = os.path.join(os.path.dirname(README), "bench")
     for name in os.listdir(bench):
         if name.endswith(".py"):
