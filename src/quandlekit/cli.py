@@ -18,6 +18,7 @@ from .diagrams import CORPUS_NAMES, load_diagram
 from .homology import ZZ, Cochain2, CoefficientGroup, cocycle_basis, cohomology_group
 from .invariants import (
     DiagramEngine,
+    _is_cycle,
     check_eps_alternation,
     coloring_table,
     is_trivial,
@@ -70,12 +71,14 @@ def _note(msg):
 
 
 def _load_valid_quandle(path):
+    """The table in path; its axiom scan is cached on it, so the groups that
+    read ``betti`` do not scan again."""
     rows, _ = load_quandle_file(path)
-    report = validate_quandle(rows)
-    if not report.valid:
-        v = report.violations[0]
+    X = QuandleTable(rows)
+    if not X.is_quandle:
+        v = validate_quandle(rows).violations[0]
         raise MalformedTableError("table in %s violates axiom %d at %r" % (path, v.axiom, v.witness))
-    return QuandleTable(rows)
+    return X
 
 
 # --- quandle ----------------------------------------------------------------
@@ -252,16 +255,6 @@ def _eps_identity_report(engines, small):
             if not all(_is_cycle(cols, X.n, w) for w in table.searched_counts("plus")):
                 bad.append({"diagram": name, "check": "psi-zero-sum"})
     return bad
-
-
-def _is_cycle(cols, n, counts):
-    """Do the pair counts ((a, b), m) have zero boundary under the degree-2
-    rack columns of an order-n table?"""
-    total = [0] * n
-    for (a, b), m in counts:
-        for u, c in cols[a * n + b].items():
-            total[u] += m * c
-    return not any(total)
 
 
 def _lemma_failures(X, basis, tables):

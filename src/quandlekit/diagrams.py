@@ -204,6 +204,15 @@ def _partner(crossings):
     return flat, partner
 
 
+def _conflict_edge(flat, partner, t):
+    """The edge to name when a walk arrives at the position 2 end t: the
+    first edge by end number whose two ends both enter (position 0) or
+    both leave (position 2) their crossings, which no orientation mends,
+    else t's own edge."""
+    same = (flat[u] for u in range(0, len(flat), 2) if partner[u] & 3 == u & 3)
+    return next(same, flat[t])
+
+
 def _walk(crossings):
     """Orient every crossing end, list the component cycles, cut the arcs
     and record the crossing roles, in one walk over the ends.
@@ -252,7 +261,8 @@ def _walk(crossings):
                 path.append(t)
                 t = partner[t ^ 2]
             if t & 2:
-                raise PDStructureError("no consistent orientation (conflict at edge %r)" % (flat[t],))
+                edge = _conflict_edge(flat, partner, t)
+                raise PDStructureError("no consistent orientation (conflict at edge %r)" % (edge,))
             path.append(t)
             cuts.append(len(path))
             under_in[t >> 2] = a

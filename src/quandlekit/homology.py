@@ -6,15 +6,25 @@ H_n = Z^(c_n - r_n - r_{n+1}) plus the torsion of d_{n+1}, and the
 universal coefficient theorem gives H^n and the Q and Z/m groups from the
 same numbers.
 
-The minus complex of a quandle needs fewer of them, since its Betti
-numbers follow from the number o of Inn(X)-orbits (``minus_betti``): o^n
-for the rack complex (Etingof and Graña, JPAA 177, 2003), o(o-1)^(n-1) for
-the quandle complex, and their difference for the degenerate one
-(Litherland and Nelson, JPAA 178, 2003).  So its groups over Q eliminate
-nothing, and its H^n over Z eliminates d_n alone.  H_n over Z and every
-group over Z/m need the divisors of d_{n+1} too.  The plus complex (no
-such theorem is known) and tables that fail the quandle axioms keep both
-eliminations.
+Quandles need fewer of them, since their Betti numbers are known
+(``betti``).  Those of the minus complex follow from the number o of
+Inn(X)-orbits: o^n for the rack complex (Etingof and Graña, JPAA 177,
+2003), o(o-1)^(n-1) for the quandle complex, and their difference for the
+degenerate one (Litherland and Nelson, JPAA 178, 2003).  The plus complex
+is rationally acyclic above degree 1.  For an Inn(X)-orbit O let h(x) be
+the sum over a in O of (a, x).  Face 0 of (a, x) is x in both d1 and d2,
+and the other faces of (a, x) are (a, d1 face of x) and (a * x_j, d2 face
+of x); right translation by x_j permutes O, so summed over O those cancel
+the faces of h(dx), and dh + hd = -2|O| id on chains of degree >= 2.  h
+keeps degenerate chains degenerate, so this holds in all three flavors.
+Hence b_n = 0 for n >= 2, and 2g kills the torsion of H_n, for g the gcd
+of the orbit sizes.  In degree 1, dh(x) = 2 sum(O) - 2|O| x, so every
+1-chain is rationally homologous to a multiple of sum(O), which the sum of
+coefficients keeps nonzero: b_1 = 1 (0 for the degenerate complex, which
+is zero in degree 1).  So a quandle's groups over Q eliminate nothing, and
+its H^n over Z eliminates d_n alone.  H_n over Z and every group over Z/m
+need the divisors of d_{n+1} too, and tables that fail the quandle axioms
+keep both eliminations.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from collections import namedtuple
 
 from . import linalg
 from .chains import FLAVORS, MODES, _basis, _faces, boundary_columns
-from .quandles import Frozen, orbits, validate_quandle
+from .quandles import Frozen, orbits
 
 
 class CoefficientGroup(namedtuple("CoefficientGroup", "kind modulus")):
@@ -125,13 +135,20 @@ def _check_args(flavor, sign, n, coeff):
         raise TypeError("coeff must be a CoefficientGroup")
 
 
-def minus_betti(X, flavor, n):
-    """Rank of H_n(X; Q) for the minus complex of the given flavor, n >= 1,
-    from the number o of Inn(X)-orbits: o^n (rack), o(o-1)^(n-1) (quandle)
-    or their difference (degenerate).  None when X fails the quandle
-    axioms, where the theorems say nothing."""
-    if not validate_quandle(X.table).valid:
+def betti(X, sign, flavor, n):
+    """Rank of H_n(X; Q) for the complex of the given sign and flavor, n >= 1.
+
+    Minus: o^n (rack), o(o-1)^(n-1) (quandle) or their difference
+    (degenerate), for o Inn(X)-orbits.  Plus: 1 in degree 1 (0 for the
+    degenerate complex) and 0 above, by the averaging homotopy of the
+    module docstring.  None when X fails the quandle axioms, where the
+    theorems say nothing.
+    """
+    _check_sign(sign)
+    if not X.is_quandle:
         return None
+    if sign == "plus":
+        return int(n == 1 and flavor != "degenerate")
     o = orbits(X).count
     rack, quandle = o**n, o * (o - 1) ** (n - 1)
     return {"rack": rack, "quandle": quandle, "degenerate": rack - quandle}[flavor]
@@ -142,21 +159,21 @@ def _group(X, flavor, sign, n, coeff, cohomology):
 
     Over Z the torsion is that of d_{n+1} for H_n and of d_n for H^n.  Over
     Z/m each divisor d of either map adds Z/gcd(d, m) to (Z/m)^free, in
-    homology and cohomology alike.  The minus complex of a quandle reads
-    its free rank from ``minus_betti`` wherever it needs no divisors of
-    d_{n+1}: over Q, and for H^n over Z.
+    homology and cohomology alike.  A quandle reads its free rank from
+    ``betti`` wherever it needs no divisors of d_{n+1}: over Q, and for H^n
+    over Z.
     """
     _check_args(flavor, sign, n, coeff)
     if n <= 0:
         return TRIVIAL_GROUP
-    betti = None
-    if sign == "minus" and (coeff.kind == "Q" or coeff.kind == "Z" and cohomology):
-        betti = minus_betti(X, flavor, n)
-    if betti is not None:
+    free = None
+    if coeff.kind == "Q" or coeff.kind == "Z" and cohomology:
+        free = betti(X, sign, flavor, n)
+    if free is not None:
         if coeff.kind == "Q":
-            return AbelianGroupDescriptor(betti, ())
+            return AbelianGroupDescriptor(free, ())
         div_n = linalg.elementary_divisors(boundary_columns(X, n, sign, flavor)[2])[1]
-        return AbelianGroupDescriptor(betti, tuple(d for d in div_n if d > 1))
+        return AbelianGroupDescriptor(free, tuple(d for d in div_n if d > 1))
     domain, _, cols = boundary_columns(X, n, sign, flavor)
     r_n, div_n = linalg.elementary_divisors(cols)
     r_next, div_next = linalg.elementary_divisors(boundary_columns(X, n + 1, sign, flavor)[2])

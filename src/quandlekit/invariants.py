@@ -18,10 +18,11 @@ of a single coloring) in tests/coloring_oracle.py.
 A coloring's weight under phi is the pairing of phi with the coloring's
 signed pair counts W, the cycle of the colored diagram, so
 ``triviality_certificate`` decides "every weight is zero under every
-cocycle" with one span test of the W's against the columns of the degree-3
-boundary, and builds no cocycle basis.  Its answer does not change under
-relabeling, so ``verify`` asks it once per isomorphism class and takes
-every class's cell count from it.  The tests hold it to the basis sweep
+cocycle" at once and builds no cocycle basis: by a theorem whose premise
+it checks on the W's where one applies, and otherwise with one span test
+of the W's against the columns of the degree-3 boundary.  Its answer does
+not change under relabeling, so ``verify`` asks it once per isomorphism
+class and takes every class's cell count from it.  The tests hold it to the basis sweep
 (``state_sum`` of every basis cocycle on every table) on all tables of
 order <= 4, to a perturbed W, and to seeded relabelings.
 
@@ -50,8 +51,9 @@ from functools import cached_property
 
 from .chains import MODES, _positions, boundary_columns
 from .diagrams import arcs, checkerboard, signs
-from .homology import ZZ, minus_betti, pair_basis
+from .homology import ZZ, betti, pair_basis
 from .linalg import elementary_divisors
+from .quandles import orbits
 
 
 # Step kinds of a coloring schedule; each step is (kind, x, over, y).
@@ -379,6 +381,63 @@ def check_eps_alternation(engine):
     return True
 
 
+def _is_cycle(cols, n, counts):
+    """Do the pair counts ((a, b), m) have zero boundary under the degree-2
+    rack columns of an order-n table?"""
+    total = [0] * n
+    for (a, b), m in counts:
+        for u, c in cols[a * n + b].items():
+            total[u] += m * c
+    return not any(total)
+
+
+def _generates_connected(X, colors):
+    """Do the colors generate a connected subquandle Y of X?  Y is their
+    closure under the operation; it is connected when the right
+    translations by its elements carry one element to all of Y."""
+    op = X.table
+    span = set(colors)
+    while True:
+        new = {op[a][b] for a in span for b in span} - span
+        if not new:
+            break
+        span |= new
+    reached = [min(span)]
+    seen = set(reached)
+    for x in reached:
+        for b in span:
+            if op[x][b] not in seen:
+                seen.add(op[x][b])
+                reached.append(op[x][b])
+    return seen == span
+
+
+def _premise_holds(X, mode, cols, counts):
+    """Does one coloring's W meet its mode's premise in
+    ``triviality_certificate``?  cols are the degree-2 rack columns."""
+    if not _is_cycle(cols, X.n, counts):
+        return False
+    support = {c for (a, b), m in counts if m and a != b for c in (a, b)}
+    return mode == "plus" or not support or _generates_connected(X, support)
+
+
+def _theorem_count(X, mode, coeff):
+    """The cocycle count a theorem gives for (X, mode, coeff), or None where
+    no theorem decides the certificate: n - b1 + b2 from ``betti``, over Z
+    in both modes and over Z/m in plus mode when m is prime to 2g, for g
+    the gcd of the orbit sizes."""
+    if coeff.kind == "Zm":
+        if mode == "minus":
+            return None
+        g = math.gcd(*map(len, orbits(X).blocks))
+        if math.gcd(coeff.modulus, 2 * g) > 1:
+            return None
+    b1 = betti(X, mode, "quandle", 1)
+    if b1 is None:
+        return None
+    return X.n - b1 + betti(X, mode, "quandle", 2)
+
+
 def triviality_certificate(X, tables, mode, coeff):
     """(passes, cocycles): is every weight of every coloring in the tables
     zero under every mode-cocycle over coeff, and how many cocycles would
@@ -389,36 +448,49 @@ def triviality_certificate(X, tables, mode, coeff):
     of the columns of the degree-3 quandle boundary: the Q-span over Z
     (equal ranks), the Z/m-span over Z/m (equal sizes, the product of
     m/gcd(d, m) over the elementary divisors d; appending vectors never
-    shrinks a span).  The cocycle count is c2 - r over Z plus, over Z/m,
-    one per divisor sharing a factor with m.  Neither answer changes under
-    relabeling, and no basis is built.  In minus mode over Z the rank comes
-    from the Betti numbers of ``minus_betti``, so the columns are built and
-    eliminated only with some W appended.
+    shrinks a span).  The cocycle count is c2 - rank d3 = rank d2 + b2, and
+    over Z/m one more per divisor of d3 sharing a factor with m.
 
-    Only the searched colorings' W's are appended.  The boundary commutes
+    A theorem answers first where one applies, and then no d3 is built:
+    - plus mode, over Z or over Z/m with gcd(m, 2g) = 1, for g the gcd of
+      the orbit sizes.  Premise: every W is a plus 2-cycle, the shading-sign
+      identity that ``verify`` checks.  2g kills plus H_2 (``homology``), so
+      2g W is a boundary and every weight vanishes; the count is n - 1;
+    - minus mode over Z.  Premise: every W is a minus 2-cycle, and the
+      colors of its off-diagonal pairs generate a connected subquandle Y.
+      W is then a cycle of Y's quandle complex, where b2 = 0, so a multiple
+      of W is a boundary; the count is n + o^2 - 2o for o orbits.
+    A premise that fails (a link such as ``hopf`` in minus mode), or a
+    table that fails the quandle axioms, falls through to the elimination,
+    which gives the same answer wherever a premise holds.
+
+    Only the searched colorings' W's are read.  The boundary commutes
     with every automorphism g, so g maps the span of its columns onto
-    itself, over Q and over Z/m; W(g∘rho) = g·W(rho) then lies in the span
-    exactly when W(rho) does.
+    itself, over Q and over Z/m, and the premises are Inn(X)-invariant;
+    W(g∘rho) = g·W(rho) then passes exactly when W(rho) does.  Neither
+    answer changes under relabeling, and no basis is built.
     """
     if mode not in MODES:
         raise ValueError("mode must be 'minus' or 'plus'")
     if coeff.kind == "Q":
         raise ValueError("certificates are computed over Z or Z/m")
-    pairs = pair_basis(X.n)
-    betti = minus_betti(X, "quandle", 2) if mode == "minus" and coeff.kind == "Z" else None
-    if betti is None:
-        cols = boundary_columns(X, 3, mode, "quandle")[2]
-        rank, divisors = elementary_divisors(cols)
-    else:  # rank d3 = c2 - rank d2 - b2, and rank d2 = c1 - b1
-        cols = None
-        rank = len(pairs) - (X.n - minus_betti(X, "quandle", 1)) - betti
-    cocycles = len(pairs) - rank
+    count = _theorem_count(X, mode, coeff)
+    if count == 0:
+        # like a sweep over an empty basis, build no pair counts: plus mode
+        # needs the faces, which a disconnected code lacks
+        return True, 0
+    if count is not None:
+        cols = boundary_columns(X, 2, mode)[2]
+        rows = (counts for table in tables for counts in table.searched_counts(mode))
+        if all(_premise_holds(X, mode, cols, counts) for counts in rows):
+            return True, count
+    cols = boundary_columns(X, 3, mode, "quandle")[2]
+    rank, divisors = elementary_divisors(cols)
+    cocycles = len(pair_basis(X.n)) - rank
     if coeff.kind == "Zm":
         m = coeff.modulus
         cocycles += sum(math.gcd(d, m) > 1 for d in divisors)
     if not cocycles:
-        # like a sweep over an empty basis, build no pair counts: plus mode
-        # needs the faces, which a disconnected code lacks
         return True, 0
     index = _positions(X.n, 2, "quandle")
     cycles = set()
@@ -429,8 +501,6 @@ def triviality_certificate(X, tables, mode, coeff):
                 cycles.add(w)
     if not cycles:
         return True, cocycles
-    if cols is None:
-        cols = boundary_columns(X, 3, mode, "quandle")[2]
     rank_w, divisors_w = elementary_divisors(cols + [dict(w) for w in sorted(cycles)])
     if coeff.kind == "Z":
         return rank_w == rank, cocycles

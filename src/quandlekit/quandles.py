@@ -173,6 +173,11 @@ class QuandleTable(Frozen):
         return tuple(plan)
 
     @cached_property
+    def is_quandle(self) -> bool:
+        """Does the table pass validate_quandle?"""
+        return validate_quandle(self.table).valid
+
+    @cached_property
     def is_involutory(self) -> bool:
         return all(self.table[self.table[a][b]][b] == a
                    for a in range(self.n) for b in range(self.n))

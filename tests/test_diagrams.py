@@ -148,9 +148,11 @@ def test_whitespace_may_separate_anything_but_the_digits_of_an_id():
         ("X[1,2,3,4]", "edge 1 occurs 1 times, expected 2"),  # dangling edge ends
         ("X[1,2,1,1] X[2,3,4,3]", "edge 1 occurs 3 times, expected 2"),
         ("X[1,5,2,4] X[3,1,4,6]", "edge 5 occurs 1 times, expected 2"),  # open strands
-        ("X[3,1,1,2] X[3,2,4,4]", "no consistent orientation (conflict at edge 4)"),
-        # edge 3 enters both its crossings
-        ("X[1,5,2,4] X[3,1,4,6] X[3,5,6,2]", "no consistent orientation (conflict at edge 4)"),
+        # the message names an edge that enters (or leaves) both its
+        # crossings: here edge 3, though the walk notices the conflict at
+        # edge 4
+        ("X[3,1,1,2] X[3,2,4,4]", "no consistent orientation (conflict at edge 3)"),
+        ("X[1,5,2,4] X[3,1,4,6] X[3,5,6,2]", "no consistent orientation (conflict at edge 3)"),
         ("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[1]", "edge 1 used both as a loop and at a crossing"),
     ]
 )
@@ -169,7 +171,7 @@ def test_structure_errors(text, message):
         # syntax before structure; then edge counts, orientation, and the loops
         ("X[1,2,3,4] O[1] X[5]", PDSyntaxError, "X term needs 4 edge ids, got (5,)"),
         ("X[1,2,3,4] O[1] O[1]", PDStructureError, "edge 1 occurs 1 times, expected 2"),
-        ("X[3,1,1,2] X[3,2,4,4] O[1] O[1]", PDStructureError, "no consistent orientation (conflict at edge 4)"),
+        ("X[3,1,1,2] X[3,2,4,4] O[1] O[1]", PDStructureError, "no consistent orientation (conflict at edge 3)"),
         ("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] O[1] O[1]", PDStructureError, "repeated O-component edge id"),
     ],
 )

@@ -10,10 +10,10 @@ import lattice_oracle
 import pytest
 from cochains import coboundary_of, indicator, triple_condition, vector, zero
 from lattice_oracle import solve_matrix, transpose
-from test_chains import NON_QUANDLE_ROWS
+from test_chains import NON_QUANDLE_ROWS, tuple_boundary
 
 from quandlekit import homology
-from quandlekit.chains import FLAVORS, boundary_columns
+from quandlekit.chains import FLAVORS, SIGNS, boundary_columns
 from quandlekit.homology import (
     QQ,
     ZZ,
@@ -23,8 +23,8 @@ from quandlekit.homology import (
     Zm,
     cocycle_basis,
     cohomology_group,
+    betti,
     homology_group,
-    minus_betti,
     pair_basis,
 )
 from quandlekit.linalg import elementary_divisors
@@ -92,8 +92,11 @@ def test_rational_rank_formula_on_small_quandles():
             assert q.n ** n - ranks[n - 1] - ranks[n] == k ** n
 
 
-def _orbit_formula(o, flavor, n):
-    """The three minus Betti numbers for o orbits, written out here."""
+def _betti_formula(o, sign, flavor, n):
+    """The Betti numbers for o orbits, written out here: minus from the
+    orbit count, plus 1 in degree 1 (0 degenerate) and 0 above."""
+    if sign == "plus":
+        return int(n == 1 and flavor != "degenerate")
     rack, quandle = o**n, o * (o - 1) ** (n - 1)
     return {"rack": rack, "quandle": quandle, "degenerate": rack - quandle}[flavor]
 
@@ -110,22 +113,108 @@ def test_minus_betti_numbers_match_the_boundary_ranks():
                 built = [boundary_columns(X, n, "minus", flavor) for n in (1, 2, 3, 4)]
                 ranks = [elementary_divisors(cols)[0] for _, _, cols in built]
                 for n in (1, 2, 3):
-                    want = _orbit_formula(o, flavor, n)
+                    want = _betti_formula(o, "minus", flavor, n)
                     assert len(built[n - 1][0]) - ranks[n - 1] - ranks[n] == want, (X.table, flavor, n)
-                    assert minus_betti(X, flavor, n) == want
+                    assert betti(X, "minus", flavor, n) == want
                     cases += 1
     assert cases == 963
 
 
-def _two_eliminations(X, flavor, n, coeff, cohomology):
-    """The minus group over Z or Q from the divisors of d_n and d_{n+1}, the
-    way every table got it before the orbit count, or the type of the error
+def test_plus_betti_numbers_match_the_boundary_ranks():
+    # the same oracle in degrees 1 and 2 on every class of order <= 6, and
+    # in degree 3 up to order 5 (d4 of order 6 takes ~20 s): 744 cases
+    cases = 0
+    for order in range(1, 7):
+        top = 2 if order == 6 else 3
+        for X, _ in class_representatives(order):
+            for flavor in FLAVORS:
+                built = [boundary_columns(X, n, "plus", flavor) for n in range(1, top + 2)]
+                ranks = [elementary_divisors(cols)[0] for _, _, cols in built]
+                for n in range(1, top + 1):
+                    want = _betti_formula(orbits(X).count, "plus", flavor, n)
+                    assert len(built[n - 1][0]) - ranks[n - 1] - ranks[n] == want, (X.table, flavor, n)
+                    assert betti(X, "plus", flavor, n) == want
+                    cases += 1
+    assert cases == 744
+
+
+def _plus_homotopy_failures(X, orbit, n, flavor):
+    """The degree-n generators x with dh(x) + hd(x) != -2|O| x for the plus
+    boundary and h(x) = sum over a in the orbit O of (a, x), by exact
+    arithmetic on tuples.  The quandle flavor drops degenerate tuples after
+    each map: d and h keep the degenerate chains, so this is the quotient."""
+
+    def keep(t):
+        return flavor == "rack" or all(u != v for u, v in zip(t, t[1:]))
+
+    def d(chain):
+        out = {}
+        for t, c in chain.items():
+            for u, k in tuple_boundary(X.table, t, SIGNS["plus"]).items():
+                if keep(u):
+                    out[u] = out.get(u, 0) + c * k
+        return out
+
+    def h(chain):
+        out = {}
+        for t, c in chain.items():
+            for a in orbit:
+                if keep((a,) + t):
+                    out[(a,) + t] = out.get((a,) + t, 0) + c
+        return out
+
+    failures = []
+    for t in filter(keep, itertools.product(range(X.n), repeat=n)):
+        total = d(h({t: 1}))
+        for u, c in h(d({t: 1})).items():
+            total[u] = total.get(u, 0) + c
+        total[t] = total.get(t, 0) + 2 * len(orbit)
+        if any(total.values()):
+            failures.append(t)
+    return failures
+
+
+def test_the_averaging_homotopy_of_the_plus_complex():
+    # the proof behind the plus Betti numbers, on one orbit of every class
+    # of order <= 4 in degrees 2 and 3
+    checked = 0
+    for order in range(1, 5):
+        for X, _ in class_representatives(order):
+            orbit = orbits(X).blocks[-1]
+            for flavor in ("rack", "quandle"):
+                for n in (2, 3):
+                    assert _plus_homotopy_failures(X, orbit, n, flavor) == [], (X.table, flavor, n)
+                    checked += 1
+    assert checked == 48
+    # a set that is not an orbit breaks the cancellation
+    assert _plus_homotopy_failures(dihedral_quandle(3), (0,), 2, "rack")
+
+
+def test_twice_the_orbit_gcd_kills_plus_torsion():
+    # 2g kills plus H_2 over Z, for g the gcd of the orbit sizes, on every
+    # class of order <= 6; 2g itself is a torsion factor in 268 of the 321
+    # cases, among them R3's rack H_2 = Z/6
+    met = 0
+    for order in range(1, 7):
+        for X, _ in class_representatives(order):
+            g = math.gcd(*map(len, orbits(X).blocks))
+            for flavor in FLAVORS:
+                torsion = homology_group(X, flavor, "plus", 2, ZZ).torsion
+                assert all(2 * g % t == 0 for t in torsion), (X.table, flavor)
+                met += 2 * g in torsion
+    assert met == 268
+    assert homology_group(dihedral_quandle(3), "rack", "plus", 2, ZZ).torsion == (6,)
+
+
+def _two_eliminations(X, flavor, sign, n, coeff, cohomology):
+    """The group over Z or Q from the divisors of d_n and d_{n+1}, the way
+    every table got it before the Betti numbers, or the type of the error
     that raises: on a table that is not a quandle these maps need not form
     a complex."""
     try:
-        domain, _, cols = boundary_columns(X, n, "minus", flavor)
+        domain, _, cols = boundary_columns(X, n, sign, flavor)
         r_n, div_n = elementary_divisors(cols)
-        r_next, div_next = elementary_divisors(boundary_columns(X, n + 1, "minus", flavor)[2])
+        r_next, div_next = elementary_divisors(boundary_columns(X, n + 1, sign, flavor)[2])
         divisors = () if coeff == QQ else div_n if cohomology else div_next
         return AbelianGroupDescriptor(len(domain) - r_n - r_next, tuple(d for d in divisors if d > 1))
     except (ArithmeticError, ValueError) as exc:
@@ -150,26 +239,47 @@ PERMUTATION_RACK = QuandleTable(((1, 1, 1), (0, 0, 0), (2, 2, 2)))
 
 
 def test_tables_that_are_not_quandles_keep_both_eliminations():
-    differs = 0
+    differs = set()
     for X in (QuandleTable(NON_QUANDLE_ROWS), PERMUTATION_RACK):
-        assert not validate_quandle(X.table).valid and minus_betti(X, "rack", 1) is None
+        assert not validate_quandle(X.table).valid
         o = orbits(X).count
-        for flavor in FLAVORS:
-            for n in (1, 2, 3):
-                for coeff in (ZZ, QQ):
-                    for cohomology, group in ((True, cohomology_group), (False, homology_group)):
-                        want = _two_eliminations(X, flavor, n, coeff, cohomology)
-                        try:
-                            got = group(X, flavor, "minus", n, coeff)
-                        except (ArithmeticError, ValueError) as exc:
-                            got = type(exc)
-                        assert got == want, (X.table, flavor, n, str(coeff), cohomology)
-                formula = AbelianGroupDescriptor(_orbit_formula(o, flavor, n), ())
-                differs += _two_eliminations(X, flavor, n, QQ, True) != formula
-    assert differs  # the formulas would give other answers on these tables
+        for sign in ("minus", "plus"):
+            assert betti(X, sign, "rack", 1) is None
+            for flavor in FLAVORS:
+                for n in (1, 2, 3):
+                    for coeff in (ZZ, QQ):
+                        for cohomology, group in ((True, cohomology_group), (False, homology_group)):
+                            want = _two_eliminations(X, flavor, sign, n, coeff, cohomology)
+                            try:
+                                got = group(X, flavor, sign, n, coeff)
+                            except (ArithmeticError, ValueError) as exc:
+                                got = type(exc)
+                            assert got == want, (X.table, flavor, sign, n, str(coeff), cohomology)
+                    formula = AbelianGroupDescriptor(_betti_formula(o, sign, flavor, n), ())
+                    if _two_eliminations(X, flavor, sign, n, QQ, True) != formula:
+                        differs.add(sign)
+    assert differs == {"minus", "plus"}  # the formulas would give other answers on these tables
 
 
 R4 = dihedral_quandle(4)  # two orbits
+
+
+def _boundaries_built(monkeypatch, X, flavor, sign, coeff, cohomology):
+    """The degrees of the boundaries a group builds, after checking the
+    group against the lattice oracle."""
+    degrees = []
+
+    def counted(X, n, sign, flavor="rack"):
+        degrees.append(n)
+        return boundary_columns(X, n, sign, flavor)
+
+    monkeypatch.setattr(homology, "boundary_columns", counted)
+    group = (cohomology_group if cohomology else homology_group)(X, flavor, sign, 2, coeff)
+    d_n = lattice_oracle.dense_boundary(X, 2, sign, flavor)
+    d_next = lattice_oracle.dense_boundary(X, 3, sign, flavor)
+    oracle = lattice_oracle.cohomology_group if cohomology else lattice_oracle.homology_group
+    assert group == oracle(d_n, d_next, coeff)
+    return degrees
 
 
 @pytest.mark.parametrize(
@@ -180,28 +290,26 @@ R4 = dihedral_quandle(4)  # two orbits
         (R4, "minus", ZZ, True, [2]),
         (R4, "minus", ZZ, False, [2, 3]),
         (R4, "minus", Zm(4), True, [2, 3]),
-        (R4, "plus", QQ, True, [2, 3]),
-        (R4, "plus", ZZ, True, [2, 3]),
+        (R4, "plus", QQ, True, []),
+        (R4, "plus", ZZ, True, [2]),
         (PERMUTATION_RACK, "minus", QQ, True, [2, 3]),
         (PERMUTATION_RACK, "minus", ZZ, True, [2, 3]),
+        (R4, "plus", ZZ, False, [2, 3]),
+        (R4, "plus", Zm(4), True, [2, 3]),
+        (PERMUTATION_RACK, "plus", QQ, True, [2, 3]),
     ],
 )
 def test_which_boundaries_a_group_builds(monkeypatch, X, sign, coeff, cohomology, built):
-    # only a quandle's minus groups over Q, and its H^n over Z, skip
-    # d_{n+1}; a rack keeps both, though the rack formula holds for it
-    degrees = []
+    # only a quandle's groups over Q, and its H^n over Z, skip d_{n+1}; a
+    # rack keeps both, though the rack formulas hold for it
+    assert _boundaries_built(monkeypatch, X, "rack", sign, coeff, cohomology) == built
 
-    def counted(X, n, sign, flavor="rack"):
-        degrees.append(n)
-        return boundary_columns(X, n, sign, flavor)
 
-    monkeypatch.setattr(homology, "boundary_columns", counted)
-    group = (cohomology_group if cohomology else homology_group)(X, "rack", sign, 2, coeff)
-    assert degrees == built
-    d_n = lattice_oracle.dense_boundary(X, 2, sign, "rack")
-    d_next = lattice_oracle.dense_boundary(X, 3, sign, "rack")
-    oracle = lattice_oracle.cohomology_group if cohomology else lattice_oracle.homology_group
-    assert group == oracle(d_n, d_next, coeff)
+@pytest.mark.parametrize(
+    "sign,coeff,built", [("plus", QQ, []), ("plus", ZZ, [2]), ("minus", ZZ, [2])], ids=str
+)
+def test_which_boundaries_a_degenerate_group_builds(monkeypatch, sign, coeff, built):
+    assert _boundaries_built(monkeypatch, R4, "degenerate", sign, coeff, True) == built
 
 
 def test_t2_minus_cocycles_are_all_off_diagonal_tables():

@@ -1,5 +1,6 @@
 """Colorings, contributions, state sums, and the translation lemmas."""
 
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from coloring_oracle import (
     table_cells,
 )
 
+from quandlekit import invariants
 from quandlekit.chains import boundary_columns
 from quandlekit.diagrams import (
     CORPUS_NAMES,
@@ -607,6 +609,34 @@ def test_minus_certificate_counts_the_cocycles_of_the_eliminated_boundary():
     # a table that fails the axioms keeps the elimination
     rank = elementary_divisors(boundary_columns(NOT_A_QUANDLE, 3, "minus", "quandle")[2])[0]
     assert triviality_certificate(NOT_A_QUANDLE, [], "minus", ZZ) == (True, len(pair_basis(4)) - rank)
+
+
+@pytest.mark.parametrize("coeff", [ZZ, Zm(2), Zm(3), Zm(5), Zm(7)], ids=str)
+def test_theorem_certificates_build_no_degree_3_boundary(monkeypatch, coeff):
+    # oracle: the span test on every coloring's cycle.  On knots both
+    # premises hold, so exactly the gated (class, mode) pairs answer by
+    # theorem: over Z, and in plus mode over Z/m with gcd(m, 2g) = 1
+    builds = []
+
+    def counted(X, n, sign, flavor="rack"):
+        builds.append(n)
+        return boundary_columns(X, n, sign, flavor)
+
+    monkeypatch.setattr(invariants, "boundary_columns", counted)
+    engines = [DiagramEngine(named_diagram(name)) for name in KNOTS]
+    by_theorem = 0
+    for order in range(1, 7):
+        for X, _ in class_representatives(order):
+            tables = [coloring_table(engine, X) for engine in engines]
+            g = math.gcd(*map(len, orbits(X).blocks))
+            for mode in MODES:
+                builds.clear()
+                answer = triviality_certificate(X, tables, mode, coeff)
+                assert answer == all_cycles_certificate(X, tables, mode, coeff), (X.table, mode)
+                gated = coeff == ZZ or mode == "plus" and math.gcd(coeff.modulus, 2 * g) == 1
+                assert (3 not in builds) == gated, (X.table, mode)
+                by_theorem += gated
+    assert by_theorem == {"Z": 214, "Z2": 0, "Z3": 99, "Z5": 104, "Z7": 107}[str(coeff)]
 
 
 def test_certificate_rejects_rational_coefficients():
