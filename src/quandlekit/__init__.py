@@ -46,13 +46,11 @@ from .diagrams import (
 from .invariants import (
     DiagramEngine,
     GroupRingValue,
-    LemmaReport,
     check_eps_alternation,
     coloring_table,
     enumerate_colorings,
     is_trivial,
     state_sum,
-    translation_lemmas,
 )
 
 __version__ = "0.1.0"

@@ -62,7 +62,7 @@ class CoefficientGroup(namedtuple("CoefficientGroup", "kind modulus")):
             return cls("Q")
         if t.startswith("Z/"):
             t = "Z" + t[2:]
-        if t.startswith("Z") and t[1:].isdigit():
+        if t.startswith("Z") and t[1:].isascii() and t[1:].isdigit():
             return cls("Zm", int(t[1:]))
         raise ValueError("cannot parse coefficient group %r" % (text,))
 

@@ -9,11 +9,13 @@ then contributes s(tau) * phi(source, over) to its coloring's weight,
 where s is the writhe sign w in minus mode and the shading sign eps in
 plus mode, and the invariant is the multiset of weights.
 
-State sums, the lemma scans, the witnesses of ``verify`` and the CLI's
+State sums, the certificate, the witnesses of ``verify`` and the CLI's
 ``invariant`` share one engine: DiagramEngine and coloring_table().  Each
 state sum is ColoringTable.state_sum, the multiset of a table's weights.
 The tests keep the one-coloring oracles (validity, translation and the weight
-of a single coloring) in tests/coloring_oracle.py.
+of a single coloring) in tests/coloring_oracle.py, with the translation
+lemmas (4.1 and 4.2) on weights and on plus homology classes: a plus
+certificate over Z makes every weight 0, so only the classes carry content.
 
 A coloring's weight under phi is the pairing of phi with the coloring's
 signed pair counts W, the cycle of the colored diagram, so
@@ -51,7 +53,7 @@ from functools import cached_property
 
 from .chains import MODES, _positions, boundary_columns
 from .diagrams import arcs, checkerboard, signs
-from .homology import ZZ, betti, pair_basis
+from .homology import betti, pair_basis
 from .linalg import elementary_divisors
 from .quandles import orbits
 
@@ -217,14 +219,6 @@ class ColoringTable:
         """The invariant on this table: its weights as a GroupRingValue."""
         return GroupRingValue.from_values(phi.coeff, self.weights(phi, mode))
 
-    @cached_property
-    def translations(self):
-        """Per coloring and element a: the index of its translate by * a, or
-        None when the translate is not a coloring."""
-        index = {rho: i for i, rho in enumerate(self.colorings)}
-        columns = [[row[a] for row in self.X.table] for a in range(self.X.n)]
-        return [[index.get(tuple([col[c] for c in rho])) for col in columns] for rho in self.colorings]
-
 
 def coloring_table(engine, X):
     """All colorings of the engine's diagram by X, sorted.
@@ -331,41 +325,6 @@ def state_sum(d, X, phi, mode):
     return coloring_table(DiagramEngine(d), X).state_sum(phi, mode)
 
 
-class LemmaReport(namedtuple("LemmaReport", "name pairs_checked failures")):
-    """One translation lemma on one coloring table: its name, the number of
-    (coloring, element) pairs whose translate is a coloring, and the failures
-    as ((coloring, element, value, translated value), ...)."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
-def translation_lemmas(table, phi):
-    """Lemmas 4.1 and 4.2 on one coloring table, as two reports: translating
-    a coloring negates its plus-mode weight (4.1) and preserves it (4.2)."""
-    if not table.engine.diagram.is_knot():
-        raise ValueError("lemma checks are stated for knot diagrams")
-    if phi.coeff != ZZ:
-        raise ValueError("lemma checks run over Z")
-    weights = table.weights(phi, "plus")
-    checked = sum(j is not None for row in table.translations for j in row)
-    reports = []
-    cancel, agree = (lambda u, v: u + v == 0), (lambda u, v: u == v)
-    for name, holds in (("weights-cancel", cancel), ("weights-agree", agree)):
-        failures = []
-        for rho, u, row in zip(table.colorings, weights, table.translations):
-            for a, j in enumerate(row):
-                if j is None:
-                    failures.append((rho, a, "not a coloring", None))
-                elif not holds(u, weights[j]):
-                    failures.append((rho, a, u, weights[j]))
-        reports.append(LemmaReport(name=name, pairs_checked=checked, failures=tuple(failures)))
-    return reports
-
-
 def check_eps_alternation(engine):
     """Do the shading signs alternate along every over-passing run of the
     engine's diagram?
@@ -394,7 +353,7 @@ def _is_cycle(cols, n, counts):
 def _generates_connected(X, colors):
     """Do the colors generate a connected subquandle Y of X?  Y is their
     closure under the operation; it is connected when the right
-    translations by its elements carry one element to all of Y."""
+    translation maps by its elements carry one element to all of Y."""
     op = X.table
     span = set(colors)
     while True:

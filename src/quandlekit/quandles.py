@@ -139,14 +139,14 @@ class QuandleTable(Frozen):
 
     @cached_property
     def orbit_plan(self) -> tuple:
-        """Per element c: (r, g), where g is a product of right translations
+        """Per element c: (r, g), where g is a product of right translation maps
         with g[r] == c (None when c == r), and r is the least element that
         such products carry to c.
 
         Only a right translation that is a bijection preserving this table's
         operation is a factor, so every g is an automorphism.  In a rack each
         right translation is one (axiom 3), and the orbits are those of
-        Inn(X); a table whose translations are not automorphisms keeps
+        Inn(X); a table whose right translation maps are not automorphisms keeps
         singleton orbits.
         """
         n, op = self.n, self.table
@@ -224,7 +224,7 @@ def orbits(q: QuandleTable) -> OrbitPartition:
     sorted by least element, each in ascending order.
 
     In a quandle or rack these are the Inn(X)-orbits.  A table that is not
-    a rack gets the plan's rule: only its right translations that are
+    a rack gets the plan's rule: only its right translation maps that are
     automorphisms act.  No command meets that case, since every command
     validates a table before it reads the orbits.
     """

@@ -7,7 +7,10 @@ the engine to them.  ``sweep_cells`` lists every cell of a basis sweep over
 a set of tables, each a ``ColoringTable.state_sum`` with no certificate in
 the way, and
 ``all_cycles_certificate`` is the triviality certificate on the cycles of
-every coloring, not only of the searched ones.
+every coloring, not only of the searched ones.  ``pairwise_lemma_scan``
+checks the translation lemmas 4.1 and 4.2 on the plus weights of one
+coloring at a time, and ``plus_class_lemmas`` on plus homology classes,
+where they have content: over Z a plus certificate makes every weight 0.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ from collections import namedtuple
 from quandlekit.chains import _positions, boundary_columns
 from quandlekit.diagrams import arcs, checkerboard, load_diagram, signs
 from quandlekit.homology import cocycle_basis, pair_basis
-from quandlekit.invariants import MODES, DiagramEngine, coloring_table, is_trivial
+from quandlekit.invariants import (
+    MODES,
+    DiagramEngine,
+    coloring_table,
+    enumerate_colorings,
+    is_trivial,
+)
 from quandlekit.linalg import elementary_divisors
 
 
@@ -104,3 +113,78 @@ def all_cycles_certificate(X, tables, mode, coeff):
     m = coeff.modulus
     sizes = [math.prod(m // math.gcd(d, m) for d in ds) for ds in (divisors, divisors_w)]
     return sizes[0] == sizes[1], cocycles
+
+
+def pairwise_lemma_scan(d, X, phi):
+    """Lemmas 4.1 and 4.2 pair by pair, from act_coloring and contribution:
+    (pairs whose translate is a coloring, the pairs whose plus weights fail
+    to cancel, those whose weights differ).  A failure is (coloring,
+    element, weight, translated weight), or (coloring, element, "not a
+    coloring", None) on both lists."""
+    sg = signs(d, checkerboard(d))
+    checked, cancel, agree = 0, [], []
+    for rho in enumerate_colorings(d, X):
+        base = contribution(d, rho, phi, "plus", sg)
+        for a in range(X.n):
+            moved = act_coloring(X, rho, a)
+            if not is_valid_coloring(d, X, moved):
+                cancel.append((rho, a, "not a coloring", None))
+                agree.append(cancel[-1])
+                continue
+            other = contribution(d, moved, phi, "plus", sg)
+            checked += 1
+            if base + other:
+                cancel.append((rho, a, base, other))
+            if base != other:
+                agree.append((rho, a, base, other))
+    return checked, tuple(cancel), tuple(agree)
+
+
+def _vector(terms):
+    """A sparse integer vector from (position, value) terms: sorted
+    (position, summed value) pairs, zeros dropped."""
+    acc = {}
+    for k, m in terms:
+        acc[k] = acc.get(k, 0) + m
+    return tuple(sorted((k, m) for k, m in acc.items() if m))
+
+
+def plus_class_lemmas(X, tables):
+    """Lemmas 4.1 and 4.2 on plus homology classes over Z, on every
+    coloring of the tables: (colorings, (coloring, element) pairs,
+    colorings whose class [W+] is nonzero, whether W(rho*a) + W(rho),
+    W(rho*a) - W(rho) and 2 W(rho) are boundaries for every pair).
+
+    W(rho) is the coloring's plus pair counts as a quandle 2-chain, and
+    W(rho*a) is W(rho) with each pair (x, y) mapped to (x*a, y*a), the pair
+    counts of the translated coloring.  The boundaries L are the Z-span of
+    the degree-3 plus quandle columns.  Vectors lie in L exactly when
+    appending them keeps the rank and the product of the elementary
+    divisors, the index of L in its saturation; the lemma vectors of the
+    class go in one elimination, and each distinct W in one more."""
+    n, op = X.n, X.table
+    cols = boundary_columns(X, 3, "plus", "quandle")[2]
+    index = _positions(n, 2, "quandle")
+
+    def span(vectors):
+        rank, divisors = elementary_divisors(cols + [dict(v) for v in sorted(vectors)])
+        return rank, math.prod(divisors)
+
+    boundaries = span(())
+    colorings = pairs = 0
+    cycles, lemma = {}, set()
+    for table in tables:
+        for counts in table.pair_counts("plus"):
+            w = _vector((index[a * n + b], m) for (a, b), m in counts if a != b)
+            colorings += 1
+            cycles[w] = cycles.get(w, 0) + 1
+            lemma.add(tuple((k, 2 * m) for k, m in w))
+            for a in range(n):
+                moved = _vector((index[op[x][a] * n + op[y][a]], m) for (x, y), m in counts if x != y)
+                lemma.add(_vector(moved + w))
+                lemma.add(_vector(moved + tuple((k, -m) for k, m in w)))
+                pairs += 1
+    lemma.discard(())
+    holds = span(lemma) == boundaries
+    nonzero = sum(c for w, c in cycles.items() if w and span([w]) != boundaries)
+    return colorings, pairs, nonzero, holds

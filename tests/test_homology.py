@@ -57,6 +57,11 @@ def test_coefficient_group_parse():
     for bad in ("Zx", "GF4", "Z1", "Z0"):
         with pytest.raises(ValueError):
             CoefficientGroup.parse(bad)
+    # a modulus is ASCII digits only: int() would read Arabic-Indic three as
+    # 3, and str.isdigit() passes a superscript two that int() rejects
+    for bad in ("Z\u0663", "Z\u00b2", "Z/\u00b2", "Z\uff15"):
+        with pytest.raises(ValueError, match="cannot parse coefficient group"):
+            CoefficientGroup.parse(bad)
 
 
 def test_descriptor_canonical_form():

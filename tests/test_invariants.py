@@ -12,6 +12,8 @@ from coloring_oracle import (
     contribution,
     exhaustive_colorings,
     is_valid_coloring,
+    pairwise_lemma_scan,
+    plus_class_lemmas,
     sweep_cells,
     table_cells,
 )
@@ -38,7 +40,6 @@ from quandlekit.invariants import (
     enumerate_colorings,
     is_trivial,
     state_sum,
-    translation_lemmas,
     triviality_certificate,
 )
 from quandlekit.linalg import elementary_divisors
@@ -176,47 +177,6 @@ def test_engine_weights_follow_the_outer_face():
             ]
 
 
-def _pairwise_lemma_scan(d, X, phi, holds):
-    """Lemmas 4.1 and 4.2 pair by pair, from act_coloring and contribution."""
-    checked, failures = 0, []
-    for rho in enumerate_colorings(d, X):
-        base = contribution(d, rho, phi, "plus")
-        for a in range(X.n):
-            moved = act_coloring(X, rho, a)
-            if not is_valid_coloring(d, X, moved):
-                failures.append((rho, a, "not a coloring", None))
-                continue
-            other = contribution(d, moved, phi, "plus")
-            checked += 1
-            if not holds(base, other):
-                failures.append((rho, a, base, other))
-    return checked, tuple(failures)
-
-
-def test_translation_lemmas_match_the_pairwise_scan():
-    rng = random.Random(2718)
-    relations = (lambda u, v: u + v == 0, lambda u, v: u == v)
-    for name in ("trefoil", "figure8", "5_2", "trefoil_kinked"):
-        d = named_diagram(name)
-        engine = DiagramEngine(d)
-        for X in ORDER_LE_3 + [D4, NOT_A_QUANDLE]:
-            table = coloring_table(engine, X)
-            cochains = [_random_cochain(rng, X.n)]
-            if X is not NOT_A_QUANDLE:
-                cochains += cocycle_basis(X, "plus", ZZ)
-            for phi in cochains:
-                reports = translation_lemmas(table, phi)
-                assert [r.name for r in reports] == ["weights-cancel", "weights-agree"]
-                for rep, holds in zip(reports, relations):
-                    assert (rep.pairs_checked, rep.failures) == _pairwise_lemma_scan(
-                        d, X, phi, holds
-                    )
-    missing = translation_lemmas(
-        coloring_table(DiagramEngine(named_diagram("trefoil")), NOT_A_QUANDLE), zero(4)
-    )
-    assert all(r.failures and r.failures[0][2] == "not a coloring" for r in missing)
-
-
 def test_contribution_mode_uses_matching_sign():
     d = named_diagram("trefoil")
     phi = indicator(3, 0, 1)
@@ -302,34 +262,29 @@ def test_lemma_checks_on_knots():
         basis = cocycle_basis(Xq, "plus", ZZ)
         for name in ("trefoil", "figure8", "trefoil_kinked"):
             d = named_diagram(name)
-            table = coloring_table(DiagramEngine(d), Xq)
             for phi in basis:
-                r1, r2 = translation_lemmas(table, phi)
-                assert r1.ok and r2.ok
-                assert r1.pairs_checked == r2.pairs_checked > 0
+                checked, cancel, agree = pairwise_lemma_scan(d, Xq, phi)
+                assert checked > 0 and cancel == agree == ()
+    # under the zero cochain the only failures are translates that are not
+    # colorings, which a table that is not self-distributive has
+    _, cancel, agree = pairwise_lemma_scan(named_diagram("trefoil"), NOT_A_QUANDLE, zero(4))
+    assert cancel == agree and cancel and {f[2] for f in cancel} == {"not a coloring"}
 
 
-def test_lemma_checks_reject_links_and_mod_m():
-    def lemmas(name, phi):
-        return translation_lemmas(coloring_table(DiagramEngine(named_diagram(name)), T2), phi)
+def test_a_flipped_shading_sign_breaks_the_class_lemmas(monkeypatch):
+    # eps flipped at crossing 0 of the trefoil: W+ is no longer a plus cycle
+    # where that crossing's colors differ, so neither W+ nor 2 W+ is a boundary
+    def flipped(d, shading):
+        sg = signs(d, shading)
+        return sg._replace(eps=(-sg.eps[0],) + sg.eps[1:])
 
-    phi = indicator(2, 0, 1)
-    with pytest.raises(ValueError):
-        lemmas("hopf", phi)
-    with pytest.raises(ValueError):
-        lemmas("unlink2", phi)
-    with pytest.raises(ValueError):
-        lemmas("trefoil", indicator(2, 0, 1, coeff=Zm(2)))
-
-
-def test_lemma_scan_detects_violations():
-    # the hopf-separating indicator is not a plus cocycle; over the trefoil
-    # its weights are not translation-stable, and the scan must say so
-    d = named_diagram("trefoil")
-    phi = indicator(3, 0, 1)
-    assert not phi.is_cocycle(D3, "plus")
-    r1, r2 = translation_lemmas(coloring_table(DiagramEngine(d), D3), phi)
-    assert not (r1.ok and r2.ok)
+    engine = DiagramEngine(named_diagram("trefoil"))
+    classes = [X for n in (1, 2, 3, 4) for X, _ in class_representatives(n)]
+    assert all(plus_class_lemmas(X, [coloring_table(engine, X)])[3] for X in classes)
+    monkeypatch.setattr(invariants, "signs", flipped)
+    engine = DiagramEngine(named_diagram("trefoil"))
+    failing = [X.table for X in classes if not plus_class_lemmas(X, [coloring_table(engine, X)])[3]]
+    assert len(failing) == 3
 
 
 # --- the shading-sign structure ---------------------------------------------
@@ -367,6 +322,33 @@ def test_pair_counts_are_cycles_of_their_mode():
                         for u, c in cols[a * X.n + b].items():
                             total[u] += m * c
                     assert not any(total), (d.crossings, X.table, mode, counts)
+
+
+def _arc_sums(d, eps):
+    """Per arc a, the sums over the crossings of eps * ([src = a] + [tgt = a]
+    - 2 [over = a]) and of w * ([src = a] - [tgt = a])."""
+    plus, minus = [0] * d.arc_count, [0] * d.arc_count
+    for s, (src, over, tgt, w) in zip(eps, d.roles):
+        plus[src] += s
+        plus[tgt] += s
+        plus[over] -= 2 * s
+        minus[src] += w
+        minus[tgt] -= w
+    return plus, minus
+
+
+def test_psi_identity_holds_arc_by_arc():
+    # no quandle: the boundary of a coloring's W is the sum over arcs a of
+    # these sums times rho(a), so zero sums make W+ and W- cycles for every
+    # coloring by every quandle
+    closures = _seeded_braid_closures(2727, 40)
+    assert {d.is_knot() for d in closures} == {True, False}
+    for d in [named_diagram(name) for name in CORPUS_NAMES] + closures:
+        plus, minus = _arc_sums(d, signs(d, checkerboard(d)).eps)
+        assert not any(plus) and not any(minus), d.crossings
+    d = named_diagram("trefoil")
+    eps = signs(d, checkerboard(d)).eps
+    assert any(_arc_sums(d, (-eps[0],) + eps[1:])[0])
 
 
 def test_arc_traversals_cover_each_arc():

@@ -49,6 +49,27 @@ def test_every_public_name_of_the_package_is_in_the_readme():
     assert [name for name in public if not re.search(r"`%s`" % re.escape(name), text)] == []
 
 
+def test_every_name_in_the_library_surface_is_importable():
+    # each bullet opens with its module's name; roles, arc_count and face_of
+    # are attributes of the records named beside them
+    bullets = []
+    for line in _readme().split("## Library surface", 1)[1].splitlines():
+        if line.startswith("- "):
+            bullets.append(line[2:])
+        elif line.startswith("  ") and bullets:
+            bullets[-1] += " " + line.strip()
+        elif bullets:
+            break
+    names = []
+    for bullet in bullets:
+        heading, rest = re.match(r"`(\w+)`:(.*)", bullet).groups()
+        assert isinstance(getattr(quandlekit, heading), types.ModuleType)
+        names += re.findall(r"`([A-Za-z_]\w*)`", rest)
+    named = set(names) - {"roles", "arc_count", "face_of"}
+    assert {"QuandleTable", "boundary_columns", "state_sum"} <= named
+    assert sorted(name for name in named if not hasattr(quandlekit, name)) == []
+
+
 def _imported_names(tree):
     """Names a module imports from quandlekit or one of its modules."""
     return {
