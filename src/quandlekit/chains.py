@@ -16,10 +16,8 @@ same columns.
 
 The face lists of ``_faces`` are the one boundary formula in the package.
 ``boundary_columns`` turns them into one sparse column per generator,
-which homology, cocycle bases and the certificates eliminate;
-``Cochain2.is_cocycle`` pairs a 2-cochain with the degree-3 faces; and
-``verify`` checks its psi identity on the degree-2 columns, as "the plus
-pair counts of each coloring have zero boundary".
+which homology, cocycle bases and the certificates eliminate, and
+``Cochain2.is_cocycle`` pairs a 2-cochain with the degree-3 faces.
 
 No face is built as a tuple.  A tuple's rack index is its base-size
 number, first entry most significant, so face i of the generator with

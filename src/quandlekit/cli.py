@@ -13,12 +13,10 @@ import json
 import os
 import sys
 
-from .chains import boundary_columns
 from .diagrams import CORPUS_NAMES, load_diagram
 from .homology import ZZ, Cochain2, CoefficientGroup, cocycle_basis, cohomology_group
 from .invariants import (
     DiagramEngine,
-    _is_cycle,
     check_eps_alternation,
     coloring_table,
     is_trivial,
@@ -230,29 +228,28 @@ def _triviality_required(mode, coeff):
     return mode == "plus" and coeff.kind == "Zm" and coeff.modulus % 2 == 1
 
 
-def _eps_identity_report(engines, small):
+def _eps_identity_report(engines):
     """Failures of the shading-sign identities on each engine's diagram.
 
-    small holds each class of order <= 3 with the coloring tables the sweep
-    already built for it, by diagram name; only the other diagrams are
-    searched here.  The plus weight of the coboundary of psi on a coloring,
-    eps * (psi(source) + psi(target) - 2 psi(over)) summed over the
-    crossings, is psi paired with the plus boundary of the coloring's pair
-    counts W: it vanishes for every psi exactly when W is a plus 2-cycle.
-    Only the searched colorings are checked: the boundary commutes with
-    every automorphism g, and W(g∘rho) = g·W(rho).  Each class's degree-2
-    plus columns are built once."""
-    boundaries = [boundary_columns(X, 2, "plus")[2] for X, _ in small]
+    The plus weight of the coboundary of a 1-cochain psi on a coloring rho
+    is the sum over arcs a of psi(rho(a)) times eps * ([source = a] +
+    [target = a] - 2 [over = a]) summed over the crossings.  Where every
+    arc's sum is 0, the plus pair counts of every coloring by every quandle
+    are a 2-cycle, so the check needs no quandle."""
     bad = []
     for name, engine in engines:
+        eps = engine.crossing_signs.eps
         if not check_eps_alternation(engine):
             bad.append({"diagram": name, "check": "alternation"})
-        if engine.diagram.alternating and len(set(engine.crossing_signs.eps)) > 1:
+        if engine.diagram.alternating and len(set(eps)) > 1:
             bad.append({"diagram": name, "check": "constant-on-alternating"})
-        for (X, swept), cols in zip(small, boundaries):
-            table = swept[name] if name in swept else coloring_table(engine, X)
-            if not all(_is_cycle(cols, X.n, w) for w in table.searched_counts("plus")):
-                bad.append({"diagram": name, "check": "psi-zero-sum"})
+        sums = [0] * engine.arc_count
+        for s, (src, over, tgt, _) in zip(eps, engine.roles):
+            sums[src] += s
+            sums[tgt] += s
+            sums[over] -= 2 * s
+        if any(sums):
+            bad.append({"diagram": name, "check": "psi-zero-sum"})
     return bad
 
 
@@ -285,11 +282,8 @@ def cmd_verify(args):
     counts = dict.fromkeys(mode_names, 0)
     worklist = []  # (labelled table, the modes its class failed in)
     certified = 0
-    small = []  # (class of order <= 3, its coloring tables by diagram name)
     for X, size in classes:
         tables = [coloring_table(engine, X) for _, engine in engines]
-        if X.n <= 3:
-            small.append((X, {name: t for (name, _), t in zip(engines, tables)}))
         failing = []
         for mode_name in mode_names:
             ok, cocycles = triviality_certificate(X, tables, MODE_OF[mode_name], coeff)
@@ -344,7 +338,7 @@ def cmd_verify(args):
         eps_failures = []
         failed = failed or not witnesses
     else:
-        eps_failures = _eps_identity_report(corpus, small)
+        eps_failures = _eps_identity_report(corpus)
         failed = failed or bool(eps_failures)
 
     doc = {

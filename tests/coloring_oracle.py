@@ -7,7 +7,9 @@ the engine to them.  ``sweep_cells`` lists every cell of a basis sweep over
 a set of tables, each a ``ColoringTable.state_sum`` with no certificate in
 the way, and
 ``all_cycles_certificate`` is the triviality certificate on the cycles of
-every coloring, not only of the searched ones.  ``pairwise_lemma_scan``
+every coloring, not only of the searched ones.  ``plus_counts_are_cycles``
+checks the ψ identity on the colorings by one quandle, against the
+degree-2 plus columns.  ``pairwise_lemma_scan``
 checks the translation lemmas 4.1 and 4.2 on the plus weights of one
 coloring at a time, and ``plus_class_lemmas`` on plus homology classes,
 where they have content: over Z a plus certificate makes every weight 0.
@@ -25,6 +27,7 @@ from quandlekit.homology import cocycle_basis, pair_basis
 from quandlekit.invariants import (
     MODES,
     DiagramEngine,
+    _is_cycle,
     coloring_table,
     enumerate_colorings,
     is_trivial,
@@ -113,6 +116,17 @@ def all_cycles_certificate(X, tables, mode, coeff):
     m = coeff.modulus
     sizes = [math.prod(m // math.gcd(d, m) for d in ds) for ds in (divisors, divisors_w)]
     return sizes[0] == sizes[1], cocycles
+
+
+def plus_counts_are_cycles(table):
+    """Is the plus pair-count chain W of every searched coloring in the
+    table a plus 2-cycle of the rack complex?  Then the plus weight of every
+    coboundary vanishes on every coloring in it: that weight is psi paired
+    with the boundary of W, and the other colorings are images of the
+    searched ones under automorphisms, which commute with the boundary."""
+    X = table.X
+    cols = boundary_columns(X, 2, "plus")[2]
+    return all(_is_cycle(cols, X.n, w) for w in table.searched_counts("plus"))
 
 
 def pairwise_lemma_scan(d, X, phi):

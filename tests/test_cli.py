@@ -11,6 +11,7 @@ import pytest
 
 from braids import pd_text, torus_2
 from cochains import coboundary_of, indicator
+from coloring_oracle import plus_counts_are_cycles
 from quandlekit import cli
 from quandlekit.cli import main
 from quandlekit.diagrams import CORPUS_NAMES, named_diagram
@@ -18,9 +19,9 @@ from quandlekit.homology import cocycle_basis
 from quandlekit.quandles import (
     QuandleTable,
     class_representatives,
+    dihedral_quandle,
     enumerate_quandles,
     isomorphic_tables,
-    orbits,
 )
 from test_quandles import canonical_form
 
@@ -594,23 +595,19 @@ def test_verify_output_pinned(capsys, argv, digest, note):
     assert err.splitlines()[0] == note
 
 
-def test_verify_checks_the_eps_identities_on_every_class_of_order_le_3(capsys, monkeypatch):
+def test_verify_checks_the_eps_identities_on_each_corpus_diagram_once(capsys, monkeypatch):
     seen = []
 
-    def record(engines, small):
-        seen.extend(small)
+    def record(engines):
+        seen.extend(engines)
         return []
 
     monkeypatch.setattr("quandlekit.cli._eps_identity_report", record)
     assert main(["verify", "--max-order", "4", "--coeff", "Z", "--mode", "neg"]) == 0
-    # each class once, in whichever labelling verify certifies it
-    forms = sorted((canonical_form(X.table) for X, _ in seen), key=lambda t: (len(t), t))
-    assert forms == [X.table for n in (1, 2, 3) for X in enumerate_quandles(n, dedupe_iso=True)]
-    # R3 is the only connected quandle of order 3
-    assert any(X.n == 3 and orbits(X).connected for X, _ in seen)
-    # each class comes with the sweep's coloring tables of the six knots
-    knots = ["trefoil", "figure8", "5_1", "5_2", "trefoil_kinked", "figure8_kinked"]
-    assert all(list(swept) == knots and all(t.X is X for t in swept.values()) for X, swept in seen)
+    # the ten corpus engines, links included, once each and in corpus order
+    assert [name for name, _ in seen] == list(CORPUS_NAMES)
+    assert [engine.diagram for _, engine in seen] == [named_diagram(name) for name in CORPUS_NAMES]
+    assert len({id(engine) for _, engine in seen}) == 10
 
 
 def test_verify_certifies_one_table_per_class(capsys, monkeypatch):
@@ -630,31 +627,38 @@ def test_verify_certifies_one_table_per_class(capsys, monkeypatch):
 
 
 def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypatch):
-    # the eps report reuses the sweep's tables of the six knots on the five
-    # classes of order <= 3 and searches only the four links (30 + 20
-    # searches), builds the degree-2 plus columns of each of those classes
-    # once for all ten diagrams, and the alternation check reads each
-    # engine's arcs
-    from quandlekit import diagrams, invariants
+    # the sweep searches the six knots on the five classes of order <= 3;
+    # the eps report searches nothing and builds no boundary, and its
+    # alternation check reads each engine's arcs
+    from quandlekit import diagrams, homology, invariants
 
     calls = {"coloring_table": 0, "arcs": 0, "boundary_columns": 0}
+    reporting = []
 
     def counted(module, name):
         fn = getattr(module, name)
 
         def call(*args):
-            calls[name] += 1
+            # the certificates build their own columns; count the report's
+            if name != "boundary_columns" or reporting:
+                calls[name] += 1
             return fn(*args)
 
         monkeypatch.setattr(module, name, call)
 
+    def report(engines, fn=cli._eps_identity_report):
+        reporting.append(engines)
+        return fn(engines)
+
     counted(cli, "coloring_table")
-    counted(cli, "boundary_columns")
+    counted(invariants, "boundary_columns")
+    counted(homology, "boundary_columns")
     counted(invariants, "arcs")
     monkeypatch.setattr(diagrams, "arcs", invariants.arcs)  # calls from inside diagrams count too
+    monkeypatch.setattr(cli, "_eps_identity_report", report)
     rc, doc, _ = run(capsys, ["verify", "--max-order", "3"])
-    assert rc == 0 and doc["eps_failures"] == []
-    assert calls == {"coloring_table": 50, "arcs": 10, "boundary_columns": 5}
+    assert rc == 0 and doc["eps_failures"] == [] and len(reporting) == 1
+    assert calls == {"coloring_table": 30, "arcs": 10, "boundary_columns": 0}
 
 
 def test_default_verify_reads_and_compiles_each_corpus_code_once(capsys, monkeypatch):
@@ -725,33 +729,66 @@ def test_verify_reports_each_shading_identity_a_flipped_sign_breaks(capsys, monk
     ]
 
 
-def test_the_psi_cycle_check_agrees_with_the_unit_coboundaries_under_flipped_signs():
-    # with eps flipped at one crossing (or at the first two), the plus pair
-    # counts of some colorings stop being cycles; the report's check on the
-    # searched colorings must fail exactly where some unit coboundary e_a
-    # has a nonzero plus weight on some coloring
+def _eps_flip_mutants():
+    """(name, flipped crossings, engine) for every corpus diagram with eps
+    flipped at one crossing, and at crossings 0 and 1 where it has two or
+    more."""
     from quandlekit.diagrams import checkerboard, signs
-    from quandlekit.invariants import DiagramEngine, coloring_table
+    from quandlekit.invariants import DiagramEngine
 
-    classes = [X for n in (1, 2, 3) for X, _ in class_representatives(n)]
-    outcomes = []
+    mutants = []
     for name in CORPUS_NAMES:
         d = named_diagram(name)
         sg = signs(d, checkerboard(d))
-        flips = [{i} for i in range(d.n_crossings)] + [{0, 1}] * (d.n_crossings > 1)
-        for flip in flips:
+        for flip in [(i,) for i in range(d.n_crossings)] + [(0, 1)] * (d.n_crossings > 1):
             engine = DiagramEngine(d)
-            eps = tuple(-e if i in flip else e for i, e in enumerate(sg.eps))
-            engine.crossing_signs = sg._replace(eps=eps)
-            for X in classes:
-                table = coloring_table(engine, X)
-                units = [coboundary_of(X, [int(b == a) for b in range(X.n)], "plus") for a in range(X.n)]
-                want = any(any(table.weights(delta, "plus")) for delta in units)
-                report = cli._eps_identity_report([(name, engine)], [(X, {})])
-                assert ({"diagram": name, "check": "psi-zero-sum"} in report) == want, (name, flip, X)
-                outcomes.append(want)
-    assert len(outcomes) == 5 * sum(n + (n > 1) for n in (named_diagram(k).n_crossings for k in CORPUS_NAMES))
-    assert any(outcomes) and not all(outcomes)
+            engine.crossing_signs = sg._replace(eps=tuple(-e if i in flip else e for i, e in enumerate(sg.eps)))
+            mutants.append((name, flip, engine))
+    return mutants
+
+
+def _psi_flagged(name, engine):
+    return {"diagram": name, "check": "psi-zero-sum"} in cli._eps_identity_report([(name, engine)])
+
+
+def test_the_psi_check_flags_every_eps_flip_but_the_other_hopf_shading():
+    # flipping both crossings of hopf negates every eps: the other shading,
+    # which is as valid as the first
+    mutants = _eps_flip_mutants()
+    assert len(mutants) == 42
+    spared = [(name, flip) for name, flip, engine in mutants if not _psi_flagged(name, engine)]
+    assert spared == [("hopf", (0, 1))]
+
+
+def test_the_psi_arc_check_against_the_coloring_oracle_under_flipped_signs():
+    # the oracle checks the searched colorings' W+ of every class of order
+    # <= 5 and of R7 against the degree-2 plus columns; where it finds a
+    # non-cycle, the arc check must fail too
+    from quandlekit.invariants import coloring_table
+
+    classes = [X for n in range(1, 6) for X, _ in class_representatives(n)] + [dihedral_quandle(7)]
+    differ = []
+    for name, flip, engine in _eps_flip_mutants():
+        flagged = _psi_flagged(name, engine)
+        tables = [coloring_table(engine, X) for X in classes]
+        if not all(map(plus_counts_are_cycles, tables)):
+            assert flagged, (name, flip)
+        elif flagged:
+            differ.append((name, flip))
+        else:
+            # where the arc check passes, no unit coboundary weighs anything
+            for table in tables:
+                X = table.X
+                if X.n <= 3:
+                    for a in range(X.n):
+                        delta = coboundary_of(X, [int(b == a) for b in range(X.n)], "plus")
+                        assert not any(table.weights(delta, "plus")), (name, flip, X, a)
+    # both are R1 kinks (over = target): every coloring gives their two
+    # under-arcs one color, so no coloring sees the flip
+    assert differ == [("trefoil_kinked", (3,)), ("figure8_kinked", (4,))]
+    for name, i in (("trefoil_kinked", 3), ("figure8_kinked", 4)):
+        src, over, tgt, _ = named_diagram(name).roles[i]
+        assert over == tgt != src
 
 
 @pytest.mark.parametrize("exc", [RecursionError, ZeroDivisionError, OverflowError])

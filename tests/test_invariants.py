@@ -306,7 +306,7 @@ def _seeded_braid_closures(seed, count):
 
 def test_pair_counts_are_cycles_of_their_mode():
     # W- of every searched coloring is a minus 2-cycle and W+ a plus 2-cycle
-    # of the rack complex: the certificate and verify's psi check rest on it
+    # of the rack complex: the certificate rests on it
     diagrams = [named_diagram(name) for name in CORPUS_NAMES] + _seeded_braid_closures(22, 8)
     assert any(not d.is_knot() for d in diagrams[len(CORPUS_NAMES):])
     classes = [X for n in (1, 2, 3, 4) for X, _ in class_representatives(n)]
