@@ -232,23 +232,16 @@ def _eps_identity_report(engines):
     """Failures of the shading-sign identities on each engine's diagram.
 
     The plus weight of the coboundary of a 1-cochain psi on a coloring rho
-    is the sum over arcs a of psi(rho(a)) times eps * ([source = a] +
-    [target = a] - 2 [over = a]) summed over the crossings.  Where every
-    arc's sum is 0, the plus pair counts of every coloring by every quandle
-    are a 2-cycle, so the check needs no quandle."""
+    is psi paired with the boundary of the coloring's plus pair counts, so
+    it vanishes for every psi, coloring and quandle where the plus arc sums
+    of ``DiagramEngine.premise`` do."""
     bad = []
     for name, engine in engines:
-        eps = engine.crossing_signs.eps
         if not check_eps_alternation(engine):
             bad.append({"diagram": name, "check": "alternation"})
-        if engine.diagram.alternating and len(set(eps)) > 1:
+        if engine.diagram.alternating and len(set(engine.crossing_signs.eps)) > 1:
             bad.append({"diagram": name, "check": "constant-on-alternating"})
-        sums = [0] * engine.arc_count
-        for s, (src, over, tgt, _) in zip(eps, engine.roles):
-            sums[src] += s
-            sums[tgt] += s
-            sums[over] -= 2 * s
-        if any(sums):
+        if not engine.premise("plus"):
             bad.append({"diagram": name, "check": "psi-zero-sum"})
     return bad
 

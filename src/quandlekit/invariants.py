@@ -20,13 +20,17 @@ certificate over Z makes every weight 0, so only the classes carry content.
 A coloring's weight under phi is the pairing of phi with the coloring's
 signed pair counts W, the cycle of the colored diagram, so
 ``triviality_certificate`` decides "every weight is zero under every
-cocycle" at once and builds no cocycle basis: by a theorem whose premise
-it checks on the W's where one applies, and otherwise with one span test
-of the W's against the columns of the degree-3 boundary.  Its answer does
-not change under relabeling, so ``verify`` asks it once per isomorphism
-class and takes every class's cell count from it.  The tests hold it to the basis sweep
-(``state_sum`` of every basis cocycle on every table) on all tables of
-order <= 4, to a perturbed W, and to seeded relabelings.
+cocycle" at once and builds no cocycle basis: by a theorem where one
+applies, and otherwise with one span test of the W's against the columns
+of the degree-3 boundary.  The theorems' premises are facts about the
+diagram, checked once per engine and mode, arc by arc
+(``DiagramEngine.premise``): every W is a 2-cycle, and in minus mode the
+diagram is a knot, whose colors always generate a connected subquandle.
+The certificate's answer does not change under relabeling, so ``verify``
+asks it once per isomorphism class and takes every class's cell count
+from it.  The tests hold it to the basis sweep (``state_sum`` of every
+basis cocycle on every table) on all tables of order <= 4, to a perturbed
+W, to broken signs, and to seeded relabelings.
 
 Which arcs a crossing can decide depends only on which arcs are already
 colored, so each DiagramEngine compiles its colorings' search plan once:
@@ -51,7 +55,7 @@ import math
 from collections import deque, namedtuple
 from functools import cached_property
 
-from .chains import MODES, _positions, boundary_columns
+from .chains import MODES, SIGNS, _positions, boundary_columns
 from .diagrams import arcs, checkerboard, signs
 from .homology import betti, pair_basis
 from .linalg import elementary_divisors
@@ -76,10 +80,37 @@ class DiagramEngine:
         self.outer_face = outer_face
         self.arc_count = d.arc_count
         self.roles = d.roles
+        self._premises = {}
 
     @cached_property
     def crossing_signs(self):
         return signs(self.diagram, checkerboard(self.diagram, self.outer_face))
+
+    def premise(self, mode):
+        """Does the diagram meet the premise of the triviality theorems in
+        mode?  Checked once per mode, on the diagram alone.
+
+        Every arc a must have zero sum over the crossings of s * (w1 [src =
+        a] + w2 [tgt = a] - (w1 + w2) [over = a]), for (w1, w2) the mode's
+        boundary weights and s its sign: w in minus mode, eps in plus mode.
+        The boundary of a coloring rho's pair counts W is the sum over the
+        arcs of these sums times rho(a), so then the W of every coloring by
+        every quandle is a 2-cycle of the mode; in plus mode this is the psi
+        identity that ``verify`` reports.  Minus mode also needs a knot:
+        along it each arc's color is the previous one's translate by an over
+        color, so the colors lie in one Inn(Y)-orbit of the subquandle Y
+        they generate, and so does every product of them: Y is connected.
+        """
+        if mode not in self._premises:
+            w1, w2 = SIGNS[mode]
+            sign = [w for *_, w in self.roles] if mode == "minus" else self.crossing_signs.eps
+            sums = [0] * self.arc_count
+            for s, (src, over, tgt, _) in zip(sign, self.roles):
+                sums[src] += w1 * s
+                sums[tgt] += w2 * s
+                sums[over] -= (w1 + w2) * s
+            self._premises[mode] = not any(sums) and (mode == "plus" or self.diagram.is_knot())
+        return self._premises[mode]
 
     @cached_property
     def schedule(self):
@@ -340,46 +371,6 @@ def check_eps_alternation(engine):
     return True
 
 
-def _is_cycle(cols, n, counts):
-    """Do the pair counts ((a, b), m) have zero boundary under the degree-2
-    rack columns of an order-n table?"""
-    total = [0] * n
-    for (a, b), m in counts:
-        for u, c in cols[a * n + b].items():
-            total[u] += m * c
-    return not any(total)
-
-
-def _generates_connected(X, colors):
-    """Do the colors generate a connected subquandle Y of X?  Y is their
-    closure under the operation; it is connected when the right
-    translation maps by its elements carry one element to all of Y."""
-    op = X.table
-    span = set(colors)
-    while True:
-        new = {op[a][b] for a in span for b in span} - span
-        if not new:
-            break
-        span |= new
-    reached = [min(span)]
-    seen = set(reached)
-    for x in reached:
-        for b in span:
-            if op[x][b] not in seen:
-                seen.add(op[x][b])
-                reached.append(op[x][b])
-    return seen == span
-
-
-def _premise_holds(X, mode, cols, counts):
-    """Does one coloring's W meet its mode's premise in
-    ``triviality_certificate``?  cols are the degree-2 rack columns."""
-    if not _is_cycle(cols, X.n, counts):
-        return False
-    support = {c for (a, b), m in counts if m and a != b for c in (a, b)}
-    return mode == "plus" or not support or _generates_connected(X, support)
-
-
 def _theorem_count(X, mode, coeff):
     """The cocycle count a theorem gives for (X, mode, coeff), or None where
     no theorem decides the certificate: n - b1 + b2 from ``betti``, over Z
@@ -410,24 +401,25 @@ def triviality_certificate(X, tables, mode, coeff):
     shrinks a span).  The cocycle count is c2 - rank d3 = rank d2 + b2, and
     over Z/m one more per divisor of d3 sharing a factor with m.
 
-    A theorem answers first where one applies, and then no d3 is built:
+    A theorem answers first where one applies, and then no pair counts are
+    read and no boundary is built.  Its premise is a fact about each
+    table's diagram, ``DiagramEngine.premise``: every W of every coloring is
+    a 2-cycle of the mode, and in minus mode the diagram is a knot.
     - plus mode, over Z or over Z/m with gcd(m, 2g) = 1, for g the gcd of
-      the orbit sizes.  Premise: every W is a plus 2-cycle, the shading-sign
-      identity that ``verify`` checks.  2g kills plus H_2 (``homology``), so
-      2g W is a boundary and every weight vanishes; the count is n - 1;
-    - minus mode over Z.  Premise: every W is a minus 2-cycle, and the
-      colors of its off-diagonal pairs generate a connected subquandle Y.
-      W is then a cycle of Y's quandle complex, where b2 = 0, so a multiple
-      of W is a boundary; the count is n + o^2 - 2o for o orbits.
-    A premise that fails (a link such as ``hopf`` in minus mode), or a
-    table that fails the quandle axioms, falls through to the elimination,
-    which gives the same answer wherever a premise holds.
+      the orbit sizes.  2g kills plus H_2 (``homology``), so 2g W is a
+      boundary and every weight vanishes; the count is n - 1;
+    - minus mode over Z.  A knot's colors generate a connected subquandle
+      Y, so W is a cycle of Y's quandle complex, where b2 = 0, and a
+      multiple of W is a boundary; the count is n + o^2 - 2o for o orbits.
+    A premise that fails (a link in minus mode, a broken sign), or a table
+    that fails the quandle axioms, falls through to the elimination, which
+    gives the same answer wherever a theorem applies.
 
-    Only the searched colorings' W's are read.  The boundary commutes
-    with every automorphism g, so g maps the span of its columns onto
-    itself, over Q and over Z/m, and the premises are Inn(X)-invariant;
-    W(g∘rho) = g·W(rho) then passes exactly when W(rho) does.  Neither
-    answer changes under relabeling, and no basis is built.
+    The elimination reads only the searched colorings' W's.  The boundary
+    commutes with every automorphism g, so g maps the span of its columns
+    onto itself, over Q and over Z/m; W(g∘rho) = g·W(rho) then passes
+    exactly when W(rho) does.  Neither answer changes under relabeling, and
+    no basis is built.
     """
     if mode not in MODES:
         raise ValueError("mode must be 'minus' or 'plus'")
@@ -435,14 +427,11 @@ def triviality_certificate(X, tables, mode, coeff):
         raise ValueError("certificates are computed over Z or Z/m")
     count = _theorem_count(X, mode, coeff)
     if count == 0:
-        # like a sweep over an empty basis, build no pair counts: plus mode
+        # like a sweep over an empty basis, check no premise: plus mode
         # needs the faces, which a disconnected code lacks
         return True, 0
-    if count is not None:
-        cols = boundary_columns(X, 2, mode)[2]
-        rows = (counts for table in tables for counts in table.searched_counts(mode))
-        if all(_premise_holds(X, mode, cols, counts) for counts in rows):
-            return True, count
+    if count is not None and all(table.engine.premise(mode) for table in tables):
+        return True, count
     cols = boundary_columns(X, 3, mode, "quandle")[2]
     rank, divisors = elementary_divisors(cols)
     cocycles = len(pair_basis(X.n)) - rank

@@ -7,9 +7,12 @@ the engine to them.  ``sweep_cells`` lists every cell of a basis sweep over
 a set of tables, each a ``ColoringTable.state_sum`` with no certificate in
 the way, and
 ``all_cycles_certificate`` is the triviality certificate on the cycles of
-every coloring, not only of the searched ones.  ``plus_counts_are_cycles``
-checks the ψ identity on the colorings by one quandle, against the
-degree-2 plus columns.  ``pairwise_lemma_scan``
+every coloring, not only of the searched ones.  ``counts_are_cycles``
+checks that the searched colorings' pair counts by one quandle are
+2-cycles, against the degree-2 columns of either mode, and
+``generates_connected`` that a coloring's colors generate a connected
+subquandle: the premises that ``DiagramEngine.premise`` checks once per
+diagram.  ``pairwise_lemma_scan``
 checks the translation lemmas 4.1 and 4.2 on the plus weights of one
 coloring at a time, and ``plus_class_lemmas`` on plus homology classes,
 where they have content: over Z a plus certificate makes every weight 0.
@@ -27,7 +30,6 @@ from quandlekit.homology import cocycle_basis, pair_basis
 from quandlekit.invariants import (
     MODES,
     DiagramEngine,
-    _is_cycle,
     coloring_table,
     enumerate_colorings,
     is_trivial,
@@ -118,15 +120,47 @@ def all_cycles_certificate(X, tables, mode, coeff):
     return sizes[0] == sizes[1], cocycles
 
 
-def plus_counts_are_cycles(table):
-    """Is the plus pair-count chain W of every searched coloring in the
-    table a plus 2-cycle of the rack complex?  Then the plus weight of every
-    coboundary vanishes on every coloring in it: that weight is psi paired
-    with the boundary of W, and the other colorings are images of the
-    searched ones under automorphisms, which commute with the boundary."""
+def _is_cycle(cols, n, counts):
+    """Do the pair counts ((a, b), m) have zero boundary under the degree-2
+    rack columns of an order-n table?"""
+    total = [0] * n
+    for (a, b), m in counts:
+        for u, c in cols[a * n + b].items():
+            total[u] += m * c
+    return not any(total)
+
+
+def counts_are_cycles(table, mode):
+    """Is the mode pair-count chain W of every searched coloring in the
+    table a 2-cycle of the mode's rack complex?  In plus mode the plus
+    weight of every coboundary then vanishes on every coloring in it: that
+    weight is psi paired with the boundary of W, and the other colorings
+    are images of the searched ones under automorphisms, which commute with
+    the boundary."""
     X = table.X
-    cols = boundary_columns(X, 2, "plus")[2]
-    return all(_is_cycle(cols, X.n, w) for w in table.searched_counts("plus"))
+    cols = boundary_columns(X, 2, mode)[2]
+    return all(_is_cycle(cols, X.n, w) for w in table.searched_counts(mode))
+
+
+def generates_connected(X, colors):
+    """Do the colors generate a connected subquandle Y of X?  Y is their
+    closure under the operation; it is connected when the right
+    translation maps by its elements carry one element to all of Y."""
+    op = X.table
+    span = set(colors)
+    while True:
+        new = {op[a][b] for a in span for b in span} - span
+        if not new:
+            break
+        span |= new
+    reached = [min(span)]
+    seen = set(reached)
+    for x in reached:
+        for b in span:
+            if op[x][b] not in seen:
+                seen.add(op[x][b])
+                reached.append(op[x][b])
+    return seen == span
 
 
 def pairwise_lemma_scan(d, X, phi):

@@ -11,7 +11,7 @@ import pytest
 
 from braids import pd_text, torus_2
 from cochains import coboundary_of, indicator
-from coloring_oracle import plus_counts_are_cycles
+from coloring_oracle import counts_are_cycles
 from quandlekit import cli
 from quandlekit.cli import main
 from quandlekit.diagrams import CORPUS_NAMES, named_diagram
@@ -582,9 +582,22 @@ def test_verify_output_deterministic(capsys):
             "54086fa1f354497f4ae42947dc02dff20e7e3c8bb107785c0cbe742bb2eddd83",
             "11 classes certified, 1 fallback",
         ),
+        # a link in minus mode: no theorem applies, every class eliminates
+        (
+            ["verify", "--max-order", "5", "--coeff", "Z", "--mode", "neg",
+             "--expect-nontrivial", "hopf"],
+            "1543e261da6a4918bdebf4db67edb42d11b9f5c5f2be4c0c89e1e3fca6a7f5a2",
+            "15 classes certified, 19 fallbacks",
+        ),
+        # gated plus, ungated plus (orbit sizes divisible by 3) and minus over Z/m
+        (
+            ["verify", "--max-order", "5", "--coeff", "Z3", "--mode", "both"],
+            "2a10b84200e3fa08b751e3f31221ec9c5b3f969208d1aa7a7071542621ad60c6",
+            "34 classes certified, 0 fallbacks",
+        ),
     ],
     ids=["Z-both", "Z2-neg-trefoil", "Z-both-5", "Z3-pos-5", "Z-both-6", "Z2-neg-trefoil-5",
-         "Z2-neg-trefoil-6", "Z2-both-4", "Z6-both-4"],
+         "Z2-neg-trefoil-6", "Z2-both-4", "Z6-both-4", "Z-neg-hopf-5", "Z3-both-5"],
 )
 def test_verify_output_pinned(capsys, argv, digest, note):
     # sha256 of the whole stdout document; any change to a cell, witness,
@@ -771,7 +784,7 @@ def test_the_psi_arc_check_against_the_coloring_oracle_under_flipped_signs():
     for name, flip, engine in _eps_flip_mutants():
         flagged = _psi_flagged(name, engine)
         tables = [coloring_table(engine, X) for X in classes]
-        if not all(map(plus_counts_are_cycles, tables)):
+        if not all(counts_are_cycles(table, "plus") for table in tables):
             assert flagged, (name, flip)
         elif flagged:
             differ.append((name, flip))

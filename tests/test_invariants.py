@@ -10,7 +10,9 @@ from coloring_oracle import (
     act_coloring,
     all_cycles_certificate,
     contribution,
+    counts_are_cycles,
     exhaustive_colorings,
+    generates_connected,
     is_valid_coloring,
     pairwise_lemma_scan,
     plus_class_lemmas,
@@ -305,23 +307,22 @@ def _seeded_braid_closures(seed, count):
 
 
 def test_pair_counts_are_cycles_of_their_mode():
-    # W- of every searched coloring is a minus 2-cycle and W+ a plus 2-cycle
-    # of the rack complex: the certificate rests on it
-    diagrams = [named_diagram(name) for name in CORPUS_NAMES] + _seeded_braid_closures(22, 8)
-    assert any(not d.is_knot() for d in diagrams[len(CORPUS_NAMES):])
+    # the certificate's premise, checked once per diagram, against the
+    # searched colorings: W- of every searched coloring is a minus 2-cycle
+    # and W+ a plus 2-cycle of the rack complex, and on a knot the colors of
+    # every coloring generate a connected subquandle
+    diagrams = [named_diagram(name) for name in CORPUS_NAMES] + _seeded_braid_closures(22, 20)
+    assert {d.is_knot() for d in diagrams[len(CORPUS_NAMES):]} == {True, False}
     classes = [X for n in (1, 2, 3, 4) for X, _ in class_representatives(n)]
     for d in diagrams:
         engine = DiagramEngine(d)
+        assert engine.premise("plus") and engine.premise("minus") == d.is_knot(), d.crossings
         for X in classes:
             table = coloring_table(engine, X)
             for mode in MODES:
-                cols = boundary_columns(X, 2, mode)[2]
-                for counts in table.searched_counts(mode):
-                    total = [0] * X.n
-                    for (a, b), m in counts:
-                        for u, c in cols[a * X.n + b].items():
-                            total[u] += m * c
-                    assert not any(total), (d.crossings, X.table, mode, counts)
+                assert counts_are_cycles(table, mode), (d.crossings, X.table, mode)
+            if d.is_knot():
+                assert all(generates_connected(X, rho) for rho in table.searched), (d.crossings, X.table)
 
 
 def _arc_sums(d, eps):
@@ -524,7 +525,7 @@ class _Mutated:
     representative's, gains 1 at one pair of its counts."""
 
     def __init__(self, table, pair):
-        self.table, self.pair = table, pair
+        self.table, self.pair, self.engine = table, pair, table.engine
 
     def searched_counts(self, mode):
         rows = [dict(counts) for counts in self.table.searched_counts(mode)]
@@ -534,12 +535,60 @@ class _Mutated:
 
 @pytest.mark.parametrize("mode", MODES)
 def test_certificate_sees_a_perturbed_cycle(mode):
+    # outside the theorems' gate (plus over Z/3 on the connected D3, minus
+    # over Z/m) the elimination reads every searched W
+    coeff = {"plus": Zm(3), "minus": Zm(5)}[mode]
     table = coloring_table(DiagramEngine(named_diagram("trefoil")), D3)
-    assert triviality_certificate(D3, [table], mode, ZZ) == (True, len(cocycle_basis(D3, mode, ZZ)))
-    passes, _ = triviality_certificate(D3, [_Mutated(table, (0, 1))], mode, ZZ)
-    assert not passes
+    cocycles = len(cocycle_basis(D3, mode, coeff))
+    assert cocycles == {"plus": 3, "minus": 2}[mode]
+    assert triviality_certificate(D3, [table], mode, coeff) == (True, cocycles)
+    assert triviality_certificate(D3, [_Mutated(table, (0, 1))], mode, coeff) == (False, cocycles)
     # a diagonal pair carries no weight, so perturbing it changes nothing
-    assert triviality_certificate(D3, [_Mutated(table, (1, 1))], mode, ZZ)[0]
+    assert triviality_certificate(D3, [_Mutated(table, (1, 1))], mode, coeff) == (True, cocycles)
+    # over Z a theorem answers from the diagram and reads no W
+    answer = (True, len(cocycle_basis(D3, mode, ZZ)))
+    for pair in (None, (0, 1), (1, 1)):
+        tables = [table if pair is None else _Mutated(table, pair)]
+        assert triviality_certificate(D3, tables, mode, ZZ) == answer
+
+
+def test_a_broken_sign_sends_the_theorems_to_the_elimination(monkeypatch):
+    # oracle: the span test on every coloring's cycle.  With eps flipped at
+    # crossing 0 of the trefoil the plus arc sums fail, and with w flipped
+    # the minus ones do; then the certificate eliminates, and some classes
+    # fail where the theorems would have passed them
+    signs_of = invariants.signs
+
+    def flipped(d, shading):
+        sg = signs_of(d, shading)
+        return sg._replace(eps=(-sg.eps[0],) + sg.eps[1:])
+
+    monkeypatch.setattr(invariants, "signs", flipped)
+    engine = DiagramEngine(named_diagram("trefoil"))
+    assert not engine.premise("plus")
+    classes = [X for n in (1, 2, 3, 4) for X, _ in class_representatives(n)]
+    for coeff in (ZZ, Zm(3)):
+        failing = 0
+        for X in classes:
+            tables = [coloring_table(engine, X)]
+            answer = triviality_certificate(X, tables, "plus", coeff)
+            assert answer == all_cycles_certificate(X, tables, "plus", coeff), (X.table, coeff)
+            failing += not answer[0]
+        assert (len(classes), failing) == (12, 3), coeff
+    monkeypatch.undo()
+
+    engine = DiagramEngine(named_diagram("trefoil"))
+    src, over, tgt, w = engine.roles[0]
+    engine.roles = ((src, over, tgt, -w),) + engine.roles[1:]
+    assert not engine.premise("minus") and engine.premise("plus")
+    classes += [X for X, _ in class_representatives(5)]
+    failing = 0
+    for X in classes:
+        tables = [coloring_table(engine, X)]
+        answer = triviality_certificate(X, tables, "minus", ZZ)
+        assert answer == all_cycles_certificate(X, tables, "minus", ZZ), X.table
+        failing += not answer[0]
+    assert (len(classes), failing) == (34, 7)
 
 
 @pytest.mark.parametrize("coeff", [ZZ, Zm(2), Zm(3), Zm(4)], ids=str)
@@ -597,7 +646,8 @@ def test_minus_certificate_counts_the_cocycles_of_the_eliminated_boundary():
 def test_theorem_certificates_build_no_degree_3_boundary(monkeypatch, coeff):
     # oracle: the span test on every coloring's cycle.  On knots both
     # premises hold, so exactly the gated (class, mode) pairs answer by
-    # theorem: over Z, and in plus mode over Z/m with gcd(m, 2g) = 1
+    # theorem, over Z and in plus mode over Z/m with gcd(m, 2g) = 1, and
+    # build no boundary at all
     builds = []
 
     def counted(X, n, sign, flavor="rack"):
@@ -616,7 +666,7 @@ def test_theorem_certificates_build_no_degree_3_boundary(monkeypatch, coeff):
                 answer = triviality_certificate(X, tables, mode, coeff)
                 assert answer == all_cycles_certificate(X, tables, mode, coeff), (X.table, mode)
                 gated = coeff == ZZ or mode == "plus" and math.gcd(coeff.modulus, 2 * g) == 1
-                assert (3 not in builds) == gated, (X.table, mode)
+                assert builds == ([] if gated else [3]), (X.table, mode)
                 by_theorem += gated
     assert by_theorem == {"Z": 214, "Z2": 0, "Z3": 99, "Z5": 104, "Z7": 107}[str(coeff)]
 
