@@ -249,16 +249,16 @@ def _eps_identity_report(engines):
 def cmd_verify(args):
     """Sweep every quandle of order <= max order against the diagrams.
 
-    Each isomorphism class is certified once per mode, on the table
-    class_representatives yields for it.  The certificate's cocycle count
-    is that of every labelled table in the class, so it gives the class's
-    cells, pass or fail.  A pass means every cell of every table in the
-    class is trivial; a plus-mode pass over Z makes every translated weight
-    0 too, so the translation lemmas hold on values, and "lemma_failures"
-    stays an empty list (the tests check the lemmas on homology classes).
-    Weights do not change under relabeling, so a class that fails in a mode
-    can hold witnesses only in its own labelled tables: those are swept in
-    that mode, in (order, table) order, for the witnesses.
+    Each isomorphism class is certified once per mode, on the knots' engines
+    and the table class_representatives yields for it; only an elimination
+    searches colorings.  The cocycle count is that of every labelled table
+    in the class, so it gives the class's cells, pass or fail.  A pass means
+    every cell of every table in the class is trivial; a plus-mode pass over
+    Z makes every translated weight 0 too, so the translation lemmas hold on
+    values, and "lemma_failures" stays an empty list (the tests check the
+    lemmas on homology classes).  Weights do not change under relabeling, so
+    a failing class can hold witnesses only in its own labelled tables,
+    swept in its failing modes in (order, table) order.
     """
     _check_bound("max order", args.max_order, MAX_ENUMERATION_ORDER)
     coeff = CoefficientGroup.parse(args.coeff)
@@ -276,11 +276,10 @@ def cmd_verify(args):
     worklist = []  # (labelled table, the modes its class failed in)
     certified = 0
     for X, size in classes:
-        tables = [coloring_table(engine, X) for _, engine in engines]
         failing = []
         for mode_name in mode_names:
-            ok, cocycles = triviality_certificate(X, tables, MODE_OF[mode_name], coeff)
-            counts[mode_name] += size * len(tables) * cocycles
+            ok, cocycles = triviality_certificate(X, [e for _, e in engines], MODE_OF[mode_name], coeff)
+            counts[mode_name] += size * len(engines) * cocycles
             if not ok:
                 failing.append(mode_name)
         certified += not failing

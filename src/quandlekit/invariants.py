@@ -26,11 +26,11 @@ of the degree-3 boundary.  The theorems' premises are facts about the
 diagram, checked once per engine and mode, arc by arc
 (``DiagramEngine.premise``): every W is a 2-cycle, and in minus mode the
 diagram is a knot, whose colors always generate a connected subquandle.
-The certificate's answer does not change under relabeling, so ``verify``
+The certificate takes the engines and searches colorings only to
+eliminate.  Its answer does not change under relabeling, so ``verify``
 asks it once per isomorphism class and takes every class's cell count
-from it.  The tests hold it to the basis sweep (``state_sum`` of every
-basis cocycle on every table) on all tables of order <= 4, to a perturbed
-W, to broken signs, and to seeded relabelings.
+from it.  The tests hold it to the basis sweep on all tables of order <= 4,
+to a perturbed W, to broken signs, and to seeded relabelings.
 
 Which arcs a crossing can decide depends only on which arcs are already
 colored, so each DiagramEngine compiles its colorings' search plan once:
@@ -86,26 +86,32 @@ class DiagramEngine:
     def crossing_signs(self):
         return signs(self.diagram, checkerboard(self.diagram, self.outer_face))
 
+    def signed_roles(self, mode):
+        """(s, src, over, tgt) per crossing: s is w in minus mode, eps in plus mode."""
+        if mode not in MODES:
+            raise ValueError("mode must be 'minus' or 'plus'")
+        sign = [w for *_, w in self.roles] if mode == "minus" else self.crossing_signs.eps
+        return [(s, src, over, tgt) for s, (src, over, tgt, _) in zip(sign, self.roles)]
+
     def premise(self, mode):
         """Does the diagram meet the premise of the triviality theorems in
         mode?  Checked once per mode, on the diagram alone.
 
         Every arc a must have zero sum over the crossings of s * (w1 [src =
         a] + w2 [tgt = a] - (w1 + w2) [over = a]), for (w1, w2) the mode's
-        boundary weights and s its sign: w in minus mode, eps in plus mode.
-        The boundary of a coloring rho's pair counts W is the sum over the
-        arcs of these sums times rho(a), so then the W of every coloring by
-        every quandle is a 2-cycle of the mode; in plus mode this is the psi
-        identity that ``verify`` reports.  Minus mode also needs a knot:
-        along it each arc's color is the previous one's translate by an over
-        color, so the colors lie in one Inn(Y)-orbit of the subquandle Y
-        they generate, and so does every product of them: Y is connected.
+        boundary weights and s its sign (``signed_roles``).  Then every
+        coloring's W is a 2-cycle, its boundary being these sums paired with
+        the arc colors; in plus mode this is the psi identity ``verify``
+        reports.  The minus sums, w ([src = a] - [tgt = a]), vanish on every
+        code ``parse_pd`` accepts, so in practice the knot test decides the
+        minus premise: along a knot each arc's color is the previous one's
+        translate by an over color, so the colors, and their products, lie
+        in one Inn(Y)-orbit of the subquandle Y they generate: Y is connected.
         """
         if mode not in self._premises:
             w1, w2 = SIGNS[mode]
-            sign = [w for *_, w in self.roles] if mode == "minus" else self.crossing_signs.eps
             sums = [0] * self.arc_count
-            for s, (src, over, tgt, _) in zip(sign, self.roles):
+            for s, src, over, tgt in self.signed_roles(mode):
                 sums[src] += w1 * s
                 sums[tgt] += w2 * s
                 sums[over] -= (w1 + w2) * s
@@ -209,19 +215,12 @@ class ColoringTable:
 
     def searched_counts(self, mode):
         """Per searched coloring: (((source color, over color), summed sign), ...)."""
-        if mode not in MODES:
-            raise ValueError("mode must be 'minus' or 'plus'")
         if mode not in self._searched_counts:
-            roles = self.engine.roles
-            if mode == "minus":
-                crossings = [(w, src, over) for src, over, _, w in roles]
-            else:
-                eps = self.engine.crossing_signs.eps
-                crossings = [(s, src, over) for s, (src, over, _, _) in zip(eps, roles)]
+            crossings = self.engine.signed_roles(mode)
             rows = []
             for rho in self.searched:
                 counts = {}
-                for s, src, over in crossings:
+                for s, src, over, _ in crossings:
                     key = (rho[src], rho[over])
                     counts[key] = counts.get(key, 0) + s
                 rows.append(tuple(counts.items()))
@@ -388,10 +387,10 @@ def _theorem_count(X, mode, coeff):
     return X.n - b1 + betti(X, mode, "quandle", 2)
 
 
-def triviality_certificate(X, tables, mode, coeff):
-    """(passes, cocycles): is every weight of every coloring in the tables
-    zero under every mode-cocycle over coeff, and how many cocycles would
-    ``cocycle_basis(X, mode, coeff)`` return?
+def triviality_certificate(X, engines, mode, coeff):
+    """(passes, cocycles): is every weight of every coloring of the engines'
+    diagrams by X zero under every mode-cocycle over coeff, and how many
+    cocycles would ``cocycle_basis(X, mode, coeff)`` return?
 
     A coloring's weight under phi is the pairing of phi with its pair-count
     vector W, so all weights vanish exactly when every W lies in the span
@@ -401,10 +400,10 @@ def triviality_certificate(X, tables, mode, coeff):
     shrinks a span).  The cocycle count is c2 - rank d3 = rank d2 + b2, and
     over Z/m one more per divisor of d3 sharing a factor with m.
 
-    A theorem answers first where one applies, and then no pair counts are
-    read and no boundary is built.  Its premise is a fact about each
-    table's diagram, ``DiagramEngine.premise``: every W of every coloring is
-    a 2-cycle of the mode, and in minus mode the diagram is a knot.
+    A theorem answers first where one applies, and then no coloring is
+    searched and no boundary is built.  Its premise is a fact about each
+    engine's diagram, ``DiagramEngine.premise``: every W of every coloring
+    is a 2-cycle of the mode, and in minus mode the diagram is a knot.
     - plus mode, over Z or over Z/m with gcd(m, 2g) = 1, for g the gcd of
       the orbit sizes.  2g kills plus H_2 (``homology``), so 2g W is a
       boundary and every weight vanishes; the count is n - 1;
@@ -415,11 +414,11 @@ def triviality_certificate(X, tables, mode, coeff):
     that fails the quandle axioms, falls through to the elimination, which
     gives the same answer wherever a theorem applies.
 
-    The elimination reads only the searched colorings' W's.  The boundary
-    commutes with every automorphism g, so g maps the span of its columns
-    onto itself, over Q and over Z/m; W(g∘rho) = g·W(rho) then passes
-    exactly when W(rho) does.  Neither answer changes under relabeling, and
-    no basis is built.
+    Only the elimination searches colorings, and it reads only the searched
+    ones' W's.  The boundary commutes with every automorphism g, so g maps
+    the span of its columns onto itself, over Q and over Z/m; W(g∘rho) =
+    g·W(rho) then passes exactly when W(rho) does.  Neither answer changes
+    under relabeling, and no basis is built.
     """
     if mode not in MODES:
         raise ValueError("mode must be 'minus' or 'plus'")
@@ -430,7 +429,7 @@ def triviality_certificate(X, tables, mode, coeff):
         # like a sweep over an empty basis, check no premise: plus mode
         # needs the faces, which a disconnected code lacks
         return True, 0
-    if count is not None and all(table.engine.premise(mode) for table in tables):
+    if count is not None and all(engine.premise(mode) for engine in engines):
         return True, count
     cols = boundary_columns(X, 3, mode, "quandle")[2]
     rank, divisors = elementary_divisors(cols)
@@ -442,8 +441,8 @@ def triviality_certificate(X, tables, mode, coeff):
         return True, 0
     index = _positions(X.n, 2, "quandle")
     cycles = set()
-    for table in tables:
-        for counts in table.searched_counts(mode):
+    for engine in engines:
+        for counts in coloring_table(engine, X).searched_counts(mode):
             w = tuple(sorted((index[a * X.n + b], c) for (a, b), c in counts if c and a != b))
             if w:
                 cycles.add(w)

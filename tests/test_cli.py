@@ -461,7 +461,7 @@ def test_certified_verify_matches_the_labelled_sweep(capsys, monkeypatch, argv):
     certified = run(capsys, ["verify"] + argv)
     monkeypatch.setattr(
         "quandlekit.cli.triviality_certificate",
-        lambda X, tables, mode, coeff: (False, len(cocycle_basis(X, mode, coeff))),
+        lambda X, engines, mode, coeff: (False, len(cocycle_basis(X, mode, coeff))),
     )
     labelled = run(capsys, ["verify"] + argv)
     assert labelled[:2] == certified[:2]
@@ -488,8 +488,8 @@ def test_verify_with_a_seeded_half_of_the_classes_failing(capsys, monkeypatch, a
     certify, basis = cli.triviality_certificate, cli.cocycle_basis
     failed, swept = set(), []
 
-    def half(X, tables, mode, coeff):
-        ok, cocycles = certify(X, tables, mode, coeff)
+    def half(X, engines, mode, coeff):
+        ok, cocycles = certify(X, engines, mode, coeff)
         if not ok or (X.table, mode) in forced:
             failed.add((X, mode))
             return False, cocycles
@@ -627,9 +627,9 @@ def test_verify_certifies_one_table_per_class(capsys, monkeypatch):
     certify = cli.triviality_certificate
     seen = {"minus": [], "plus": []}
 
-    def record(X, tables, mode, coeff):
+    def record(X, engines, mode, coeff):
         seen[mode].append(X.table)
-        return certify(X, tables, mode, coeff)
+        return certify(X, engines, mode, coeff)
 
     monkeypatch.setattr("quandlekit.cli.triviality_certificate", record)
     rc, _, _ = run(capsys, ["verify", "--max-order", "5", "--coeff", "Z", "--mode", "both"])
@@ -640,9 +640,12 @@ def test_verify_certifies_one_table_per_class(capsys, monkeypatch):
 
 
 def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypatch):
-    # the sweep searches the six knots on the five classes of order <= 3;
-    # the eps report searches nothing and builds no boundary, and its
-    # alternation check reads each engine's arcs
+    # searches are counted wherever they run, in cli and in invariants:
+    # only an eliminating certificate searches, so none run over Z, one per
+    # knot on the four classes of order 2 and 3 in minus mode over Z/3, and
+    # one per knot on the three connected order-5 classes outside the plus
+    # gate over Z/5.  The eps report searches nothing and builds no
+    # boundary, and its alternation check reads each engine's arcs
     from quandlekit import diagrams, homology, invariants
 
     calls = {"coloring_table": 0, "arcs": 0, "boundary_columns": 0}
@@ -664,14 +667,22 @@ def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypat
         return fn(engines)
 
     counted(cli, "coloring_table")
+    counted(invariants, "coloring_table")
     counted(invariants, "boundary_columns")
     counted(homology, "boundary_columns")
     counted(invariants, "arcs")
     monkeypatch.setattr(diagrams, "arcs", invariants.arcs)  # calls from inside diagrams count too
     monkeypatch.setattr(cli, "_eps_identity_report", report)
-    rc, doc, _ = run(capsys, ["verify", "--max-order", "3"])
-    assert rc == 0 and doc["eps_failures"] == [] and len(reporting) == 1
-    assert calls == {"coloring_table": 30, "arcs": 10, "boundary_columns": 0}
+    for argv, searches in (
+        (["--max-order", "3"], 0),
+        (["--max-order", "3", "--coeff", "Z3", "--mode", "neg"], 24),
+        (["--max-order", "5", "--coeff", "Z5", "--mode", "pos"], 18),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        reporting.clear()
+        rc, doc, _ = run(capsys, ["verify"] + argv)
+        assert rc == 0 and doc["eps_failures"] == [] and len(reporting) == 1
+        assert calls == {"coloring_table": searches, "arcs": 10, "boundary_columns": 0}, argv
 
 
 def test_default_verify_reads_and_compiles_each_corpus_code_once(capsys, monkeypatch):
@@ -700,7 +711,7 @@ def test_verify_fails_when_a_required_state_sum_is_nontrivial(capsys, monkeypatc
     # no class is certified, and the swept "basis" is an indicator, which is
     # no cocycle: its sums on R3 are not trivial.  The lemmas are checked
     # in the tests, on homology classes, so the document lists no failure
-    monkeypatch.setattr("quandlekit.cli.triviality_certificate", lambda X, tables, mode, coeff: (False, 0))
+    monkeypatch.setattr("quandlekit.cli.triviality_certificate", lambda X, engines, mode, coeff: (False, 0))
     monkeypatch.setattr(
         "quandlekit.cli.cocycle_basis",
         lambda X, mode, coeff: [indicator(X.n, 0, 1)] if X.n > 1 else [],
