@@ -28,14 +28,12 @@ from .homology import (
 
 from .diagrams import (
     CORPUS_NAMES,
-    ArcSet,
     CrossingSigns,
     FaceSet,
     PDDiagram,
     PDStructureError,
     PDSyntaxError,
     Shading,
-    arcs,
     checkerboard,
     faces,
     load_diagram,

@@ -11,12 +11,13 @@ Parsing reads a code in one walk over the crossing ends, numbered
 under-end ``c`` and follows the strand through every crossing it meets,
 leaving each by the end opposite the one it arrived at, until it closes; a
 component that only passes over starts at its lowest free end.  That one
-walk orients every edge end, lists the component cycles, cuts the arcs
-(maximal over-passages between undercrossings) where it arrives under a
-crossing, and records each crossing's roles: its under-arcs, its over-arc
-and its writhe sign w.  The ArcSet (each arc's edges and traversal) is cut
-from the recorded walk when first asked for.  On the same end numbers we
-then derive the faces of the sphere, by turning counterclockwise at each
+walk orients every edge end, lists the component cycles, numbers the arcs
+(maximal over-passages between undercrossings), cutting one where it
+arrives under a crossing, and records each crossing's roles: its
+under-arcs, its over-arc and its writhe sign w.  No record of the arcs'
+edges is kept; what follows a strand (``PDDiagram.alternating``, the
+shading-sign alternation) reads ``partner``.  On the same end numbers
+we then derive the faces of the sphere, by turning counterclockwise at each
 crossing: each face is a cycle of end numbers, and the FaceSet keeps the
 face of every end.  The checkerboard shading (white outer face) and the
 shading sign eps at each crossing read that one record.
@@ -83,26 +84,6 @@ def _tokenize(text):
     return terms["X"], terms["O"]
 
 
-class ArcTraversal(namedtuple("ArcTraversal", "start overs end closed")):
-    """One arc's travel: the undercrossing it starts from, the crossings it
-    passes over in order, and the undercrossing it ends at.  A closed arc
-    (a crossingless loop, or a component that passes over everything it
-    meets) has no start or end: both are None."""
-
-    __slots__ = ()
-
-
-class ArcSet(namedtuple("ArcSet", "arcs arc_of traversals")):
-    """Partition of the edges into arcs (cut only at under-passages): the
-    arcs as sorted tuples of edge ids, the dict edge id -> arc index, and
-    each arc's ArcTraversal."""
-
-    __slots__ = ()
-
-    def __len__(self):
-        return len(self.arcs)
-
-
 class PDDiagram(Frozen):
     """A validated, oriented planar-diagram code.
 
@@ -111,14 +92,15 @@ class PDDiagram(Frozen):
     source is the incoming under-arc when w is +1 and the outgoing one when
     it is -1), ``arc_count``, and ``partner`` (per end, numbered
     4 * crossing + position, the other end of its edge).  Arcs are indexed
-    in order of their least edge.  ``arcset`` is cut from the strands the
-    reading walked, on first use.  All of these follow from the fields, so
-    equality and hashing leave them out.
+    in order of their least edge; which edges make up an arc is not kept,
+    and what follows a strand (``alternating``, the shading-sign
+    alternation) reads ``partner``.  All of these follow from the
+    fields, so equality and hashing leave them out.
     """
 
     __match_args__ = ("crossings", "loops", "incoming", "components")
 
-    def __init__(self, crossings, loops, incoming, components, roles, arc_count, partner, strands):
+    def __init__(self, crossings, loops, incoming, components, roles, arc_count, partner):
         vars(self).update(
             crossings=crossings,  # of (a, b, c, d)
             loops=loops,  # O-term edge ids
@@ -127,34 +109,6 @@ class PDDiagram(Frozen):
             roles=roles,
             arc_count=arc_count,
             partner=partner,
-            _strands=strands,  # per walk: its edges, the ends it arrived at, its arc cuts
-        )
-
-    @cached_property
-    def arcset(self):
-        """The ArcSet: each walk's edges cut at its arc cuts, and each arc's
-        traversal read off the ends it arrived at (the crossing of end t is
-        t >> 2)."""
-        found = []  # (sorted edge block, traversal)
-        for cycle, path, cuts in self._strands:
-            if cuts is None:  # a component that only passes over, from its lowest edge
-                k = cycle.index(min(cycle))
-                overs = [t >> 2 for t in path]
-                found.append((tuple(sorted(cycle)), ArcTraversal(None, tuple(overs[k:] + overs[:k]), None, True)))
-                continue
-            start = path[-1] >> 2  # the walk ends where it started
-            for lo, hi in zip(cuts, cuts[1:]):
-                end = path[hi - 1] >> 2
-                overs = tuple(t >> 2 for t in path[lo:hi - 1])
-                found.append((tuple(sorted(cycle[lo:hi])), ArcTraversal(start, overs, end, False)))
-                start = end
-        found += [((k,), ArcTraversal(None, (), None, True)) for k in self.loops]
-        found.sort(key=lambda f: f[0])  # by least edge: the arcs' index order
-        blocks = tuple(block for block, _ in found)
-        return ArcSet(
-            arcs=blocks,
-            arc_of={e: i for i, block in enumerate(blocks) for e in block},
-            traversals=tuple(t for _, t in found),
         )
 
     @property
@@ -214,8 +168,8 @@ def _conflict_edge(flat, partner, t):
 
 
 def _walk(crossings):
-    """Orient every crossing end, list the component cycles, cut the arcs
-    and record the crossing roles, in one walk over the ends.
+    """Orient every crossing end, list the component cycles, number the
+    arcs and record the crossing roles, in one walk over the ends.
 
     Ends are numbered 4 * crossing + position.  Every walk follows one
     strand: it leaves by an end, arrives at that end's partner and leaves
@@ -236,10 +190,8 @@ def _walk(crossings):
     there; a walk from a position 2 ends on such a cut, where it started.
     Arriving at a position 1 or 3 passes over that crossing and fixes its
     writhe sign: +1 when the over-strand arrives at d.  A component that
-    only passes over is one closed arc, its passages listed from its lowest
-    edge.  Returns the writhe signs; the edge cycles, each rotated to start
-    at its lowest edge; per walk, its edges, the ends it arrived at and
-    where its arcs end in them (None for a closed arc); each arc's least
+    only passes over is one closed arc.  Returns the writhe signs; the edge
+    cycles, each rotated to start at its lowest edge; each arc's least
     edge, in walk order; each crossing's (under-in, over, under-out) arc
     indices in that order; and the partner ends.
     """
@@ -247,7 +199,7 @@ def _walk(crossings):
     n = len(crossings)
     w = [0] * n
     under_in, over, under_out = [0] * n, [0] * n, [None] * n
-    cycles, strands, least = [], [], []  # least: each arc's least edge
+    cycles, least = [], []  # least: each arc's least edge
     for seed in range(2, 4 * n, 4):
         if under_out[seed >> 2] is not None:
             continue
@@ -273,7 +225,6 @@ def _walk(crossings):
             under_out[t >> 2] = a
         cycle = list(map(flat.__getitem__, path))
         least += map(min, map(cycle.__getitem__, map(slice, cuts, cuts[1:])))
-        strands.append((cycle, path, cuts))
         k = cycle.index(min(cycle))
         cycles.append(tuple(cycle[k:] + cycle[:k]))
     for i in range(n):
@@ -292,17 +243,16 @@ def _walk(crossings):
                 break
         cycle = list(map(flat.__getitem__, path))
         least.append(min(cycle))
-        strands.append((cycle, path, None))
         k = cycle.index(least[-1])
         cycles.append(tuple(cycle[k:] + cycle[:k]))
-    return w, cycles, strands, least, (under_in, over, under_out), partner
+    return w, cycles, least, (under_in, over, under_out), partner
 
 
 def parse_pd(text):
     crossings, loops = _tokenize(text)
     crossings = tuple(crossings)
     loops = tuple(sorted(k for k, in loops))
-    w, cycles, strands, least, ends, partner = _walk(crossings)
+    w, cycles, least, ends, partner = _walk(crossings)
     if len(set(loops)) != len(loops):
         raise PDStructureError("repeated O-component edge id")
     shared = set(loops).intersection(chain.from_iterable(crossings))
@@ -323,14 +273,7 @@ def parse_pd(text):
         ),
         arc_count=len(least),
         partner=partner,
-        strands=strands,
     )
-
-
-def arcs(d):
-    """The diagram's ArcSet: its component cycles cut where they pass under
-    a crossing, as the parse's walk found them."""
-    return d.arcset
 
 
 class FaceSet(namedtuple("FaceSet", "faces outer_default face_of")):

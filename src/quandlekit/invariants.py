@@ -56,7 +56,7 @@ from collections import deque, namedtuple
 from functools import cached_property
 
 from .chains import MODES, SIGNS, _positions, boundary_columns
-from .diagrams import arcs, checkerboard, signs
+from .diagrams import checkerboard, signs
 from .homology import betti, pair_basis
 from .linalg import elementary_divisors
 from .quandles import orbits
@@ -359,15 +359,21 @@ def check_eps_alternation(engine):
     """Do the shading signs alternate along every over-passing run of the
     engine's diagram?
 
-    A closed all-over component crosses the other components an even number
-    of times, so alternation along its run closes up by itself.
+    A strand passes over a crossing through its odd ends (numbered as in
+    ``PDDiagram.partner``), so an edge whose two ends s and partner[s] are
+    both odd joins consecutive crossings of one run, and their signs must
+    differ.  These are the edges that the strand walk of
+    ``PDDiagram.alternating``, from an arrival at t to the next arrival at
+    partner[t ^ 2], crosses between two over-passages; either end of an
+    edge names it, so no orientation is read.  The pair across the ends of
+    a closed all-over run is one of them.  An edge joining a crossing's two
+    over-ends closes a run of one crossing, and has no pair to check.
     """
     eps = engine.crossing_signs.eps
-    for trav in arcs(engine.diagram).traversals:
-        run = [eps[i] for i in trav.overs]
-        if any(u == v for u, v in zip(run, run[1:])):
-            return False
-    return True
+    return not any(
+        s & u & 1 and u != s ^ 2 and eps[s >> 2] == eps[u >> 2]
+        for s, u in enumerate(engine.diagram.partner)
+    )
 
 
 def _theorem_count(X, mode, coeff):

@@ -25,7 +25,8 @@ import math
 from collections import namedtuple
 
 from quandlekit.chains import _positions, boundary_columns
-from quandlekit.diagrams import arcs, checkerboard, load_diagram, signs
+from diagram_oracle import arcs
+from quandlekit.diagrams import checkerboard, load_diagram, signs
 from quandlekit.homology import cocycle_basis, pair_basis
 from quandlekit.invariants import (
     MODES,
@@ -38,8 +39,7 @@ from quandlekit.linalg import elementary_divisors
 
 
 def is_valid_coloring(d, X, rho):
-    ar = arcs(d)
-    if len(rho) != len(ar):
+    if len(rho) != len(arcs(d).arcs):
         return False
     for src, over, tgt, _ in d.roles:
         if X.op(rho[src], rho[over]) != rho[tgt]:
@@ -49,7 +49,7 @@ def is_valid_coloring(d, X, rho):
 
 def exhaustive_colorings(d, X):
     """Every arc assignment that is a coloring, in scan order."""
-    combos = itertools.product(range(X.n), repeat=len(arcs(d)))
+    combos = itertools.product(range(X.n), repeat=len(arcs(d).arcs))
     return [c for c in combos if is_valid_coloring(d, X, c)]
 
 

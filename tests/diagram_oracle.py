@@ -1,24 +1,39 @@
 """The two-pass reading of a parsed diagram, kept as the tests' oracle.
 
-``quandlekit.diagrams`` reads a code in one walk over its ends and cuts
+``quandlekit.diagrams`` reads a code in one walk over its ends, numbers
 the arcs, records the crossing roles and walks the faces on integer end
 numbers.  The code here reads the same records the slow way, from the
-edge ids: the arcs by cutting each component's edge cycle through every
-edge's head, the roles by looking each crossing's edges up in ``arc_of``,
-and the faces dart by dart through the ends of each edge.  Only the
-parsed fields of a PDDiagram (crossings, loops, incoming, components) are
-read.  A dart (i, p) is written as the end number 4 * i + p only where a
-FaceSet is built, and read back from it the same way.
+edge ids: the arcs (an ArcSet, which the library does not keep) by
+cutting each component's edge cycle through every edge's head, the roles
+by looking each crossing's edges up in ``arc_of``, and the faces dart by
+dart through the ends of each edge.  ``eps_alternates`` checks the
+shading signs along each arc's traversal, as the library's end-walk
+``check_eps_alternation`` must.  Only the parsed fields of a PDDiagram
+(crossings, loops, incoming, components) are read.  A dart (i, p) is
+written as the end number 4 * i + p only where a FaceSet is built, and
+read back from it the same way.
 """
 
+from collections import namedtuple
+
 from quandlekit.diagrams import (
-    ArcSet,
-    ArcTraversal,
     CrossingSigns,
     FaceSet,
     PDStructureError,
     Shading,
 )
+
+# The partition of the edges into arcs (cut only at under-passages): the
+# arcs as sorted tuples of edge ids, the dict edge id -> arc index, and
+# each arc's ArcTraversal.  A plain namedtuple, so its len is 3: count the
+# arcs with len(arcset.arcs).
+ArcSet = namedtuple("ArcSet", "arcs arc_of traversals")
+
+# One arc's travel: the undercrossing it starts from, the crossings it
+# passes over in order, and the undercrossing it ends at.  A closed arc (a
+# crossingless loop, or a component that passes over everything it meets)
+# has no start or end: both are None.
+ArcTraversal = namedtuple("ArcTraversal", "start overs end closed")
 
 
 def ends(d):
@@ -65,6 +80,17 @@ def arcs(d):
     blocks = tuple(block for block, _ in found)
     arc_of = {e: i for i, block in enumerate(blocks) for e in block}
     return ArcSet(arcs=blocks, arc_of=arc_of, traversals=tuple(t for _, t in found))
+
+
+def eps_alternates(d, eps):
+    """Do the signs eps alternate along the crossings each arc passes over?
+    A closed all-over run is read from its lowest edge, with no pair across
+    its ends."""
+    for t in arcs(d).traversals:
+        run = [eps[i] for i in t.overs]
+        if any(u == v for u, v in zip(run, run[1:])):
+            return False
+    return True
 
 
 def crossing_roles(d, arcset):

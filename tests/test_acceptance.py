@@ -18,7 +18,7 @@ from coloring_oracle import (
 from test_chains import NON_QUANDLE_ROWS, identity_failures
 
 from quandlekit.chains import boundary_columns
-from quandlekit.diagrams import CORPUS_NAMES, arcs, checkerboard, named_diagram, signs
+from quandlekit.diagrams import CORPUS_NAMES, checkerboard, named_diagram, signs
 from quandlekit.homology import (
     ZZ,
     AbelianGroupDescriptor,
@@ -221,7 +221,7 @@ def test_odd_modulus_plus_sweep_is_fully_trivial():
 
 
 def test_backtracking_matches_the_exhaustive_scan():
-    small_diagrams = [n for n in CORPUS_NAMES if len(arcs(named_diagram(n))) <= 4]
+    small_diagrams = [n for n in CORPUS_NAMES if named_diagram(n).arc_count <= 4]
     assert sorted(small_diagrams) == [
         "figure8",
         "hopf",

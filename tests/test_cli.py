@@ -639,16 +639,15 @@ def test_verify_certifies_one_table_per_class(capsys, monkeypatch):
         assert sorted(map(canonical_form, tables), key=lambda t: (len(t), t)) == classes
 
 
-def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypatch):
+def test_verify_searches_colorings_only_where_a_certificate_eliminates(capsys, monkeypatch):
     # searches are counted wherever they run, in cli and in invariants:
     # only an eliminating certificate searches, so none run over Z, one per
     # knot on the four classes of order 2 and 3 in minus mode over Z/3, and
     # one per knot on the three connected order-5 classes outside the plus
-    # gate over Z/5.  The eps report searches nothing and builds no
-    # boundary, and its alternation check reads each engine's arcs
-    from quandlekit import diagrams, homology, invariants
+    # gate over Z/5.  The eps report searches nothing and builds no boundary
+    from quandlekit import homology, invariants
 
-    calls = {"coloring_table": 0, "arcs": 0, "boundary_columns": 0}
+    calls = {"coloring_table": 0, "boundary_columns": 0}
     reporting = []
 
     def counted(module, name):
@@ -670,8 +669,6 @@ def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypat
     counted(invariants, "coloring_table")
     counted(invariants, "boundary_columns")
     counted(homology, "boundary_columns")
-    counted(invariants, "arcs")
-    monkeypatch.setattr(diagrams, "arcs", invariants.arcs)  # calls from inside diagrams count too
     monkeypatch.setattr(cli, "_eps_identity_report", report)
     for argv, searches in (
         (["--max-order", "3"], 0),
@@ -682,7 +679,7 @@ def test_verify_searches_colorings_and_cuts_arcs_once_per_pair(capsys, monkeypat
         reporting.clear()
         rc, doc, _ = run(capsys, ["verify"] + argv)
         assert rc == 0 and doc["eps_failures"] == [] and len(reporting) == 1
-        assert calls == {"coloring_table": searches, "arcs": 10, "boundary_columns": 0}, argv
+        assert calls == {"coloring_table": searches, "boundary_columns": 0}, argv
 
 
 def test_default_verify_reads_and_compiles_each_corpus_code_once(capsys, monkeypatch):

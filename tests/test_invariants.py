@@ -1,8 +1,10 @@
 """Colorings, contributions, state sums, and the translation lemmas."""
 
+import itertools
 import math
 import random
 
+import diagram_oracle as oracle
 import pytest
 from braids import closure_crossings, pd_text
 from cochains import coboundary_of, indicator, zero
@@ -24,8 +26,8 @@ from quandlekit import invariants
 from quandlekit.chains import boundary_columns
 from quandlekit.diagrams import (
     CORPUS_NAMES,
+    CrossingSigns,
     PDStructureError,
-    arcs,
     checkerboard,
     faces,
     named_diagram,
@@ -240,16 +242,6 @@ def test_minus_mode_needs_no_faces():
         state_sum(d, D3, phi, "plus")
 
 
-def test_state_sums_read_the_roles_and_cut_no_arc_set():
-    # the ArcSet is cut from the parse's walk only when asked for; a state
-    # sum in either mode reads the arc count and the crossing roles
-    d = parse_pd(pd_text(closure_crossings([1, -2, 1, -2, 1], 3)))
-    for mode in MODES:
-        state_sum(d, D3, indicator(3, 0, 1), mode)
-    assert "arcset" not in vars(d)
-    assert len(arcs(d)) == d.arc_count
-
-
 def test_state_sum_mod_m_reduces_weights():
     phi = indicator(2, 0, 1, coeff=Zm(2))
     v = state_sum(named_diagram("hopf"), T2, phi, "minus")
@@ -353,11 +345,12 @@ def test_psi_identity_holds_arc_by_arc():
 
 
 def test_arc_traversals_cover_each_arc():
+    # the oracle's traversals, which its alternation check reads
     for name in ("trefoil", "figure8", "borromean", "trefoil_kinked", "unlink2"):
         d = named_diagram(name)
-        ar = arcs(d)
+        ar = oracle.arcs(d)
         travs = ar.traversals
-        assert len(travs) == len(ar)
+        assert len(travs) == len(ar.arcs) == d.arc_count
         # every crossing is passed over exactly once in total
         overs = sorted(i for t in travs for i in t.overs)
         assert overs == list(range(d.n_crossings))
@@ -370,10 +363,12 @@ def test_arc_traversals_cover_each_arc():
 
 
 def test_kink_passes_over_its_own_crossing():
+    # the strand leaving crossing 3 under, by end 14, next arrives over at
+    # crossing 3; the arc it starts is that crossing's over-arc
     d = named_diagram("trefoil_kinked")
-    travs = arcs(d).traversals
-    kink = [t for t in travs if t.start == 3]
-    assert len(kink) == 1 and kink[0].overs[0] == 3
+    assert d.partner[4 * 3 + 2] == 4 * 3 + 3
+    src, over, tgt, w = d.roles[3]
+    assert w == 1 and over == tgt != src
 
 
 def test_eps_alternates_along_every_corpus_arc():
@@ -404,6 +399,47 @@ def test_a_flipped_shading_sign_breaks_the_alternation(code, crossing, monkeypat
     assert not check_eps_alternation(DiagramEngine(d))
 
 
+def _alternation_agrees(d, patterns):
+    """check_eps_alternation on d's engine with each eps pattern in turn,
+    against the oracle's traversal check; the number of patterns that fail."""
+    sg = signs(d, checkerboard(d))
+    failed = 0
+    for eps in map(tuple, patterns):
+        engine = DiagramEngine(d)
+        engine.crossing_signs = sg._replace(eps=eps)
+        alternates = check_eps_alternation(engine)
+        assert alternates == oracle.eps_alternates(d, eps), (d.crossings, eps)
+        failed += not alternates
+    return failed
+
+
+def test_eps_alternation_walks_the_ends_like_the_oracle_traversals():
+    # the end walk against the arcs' traversals, on the corpus eps-flip
+    # mutants, on every sign pattern of seeded closures, and on codes with
+    # a closed all-over run, where the end walk also checks the pair across
+    # the run's ends
+    from test_cli import _eps_flip_mutants
+
+    failed = 0
+    for _, _, engine in _eps_flip_mutants():
+        alternates = check_eps_alternation(engine)
+        assert alternates == oracle.eps_alternates(engine.diagram, engine.crossing_signs.eps)
+        failed += not alternates
+    assert failed
+    closures = _seeded_braid_closures(31, 40)
+    assert max(d.n_crossings for d in closures) <= 10
+    assert sum(_alternation_agrees(d, itertools.product((1, -1), repeat=d.n_crossings)) for d in closures)
+    for d in parse_pd("X[3,1,4,2] X[4,1,3,2]"), parse_pd(pd_text(closure_crossings([1, -1], 2))):
+        # the all-over run passes both crossings: equal signs fail it
+        assert _alternation_agrees(d, itertools.product((1, -1), repeat=2)) == 2
+    # a nonplanar code whose over-strand closes at its one crossing: a run of
+    # one crossing, with no pair to check
+    d = parse_pd("X[1,2,1,2]")
+    engine = DiagramEngine(d)
+    engine.crossing_signs = CrossingSigns(w=(d.roles[0][3],), eps=(1,))
+    assert check_eps_alternation(engine) and oracle.eps_alternates(d, (1,))
+
+
 def test_eps_psi_sum_vanishes():
     rng = random.Random(20240814)
     for name in ("trefoil", "figure8", "hopf", "borromean", "5_2", "figure8_kinked"):
@@ -424,7 +460,7 @@ def test_arc_endpoint_eps_relation():
     # above is what the weighted sum relies on; here just pin alternation
     d = named_diagram("figure8")
     sg = signs(d, checkerboard(d))
-    for t in arcs(d).traversals:
+    for t in oracle.arcs(d).traversals:
         run = [sg.eps[i] for i in t.overs]
         assert all(run[j] != run[j + 1] for j in range(len(run) - 1))
 

@@ -4,7 +4,7 @@ compare and hash by value, and the validating constructors reject bad input."""
 import pytest
 from cochains import indicator
 
-from quandlekit.diagrams import arcs, checkerboard, faces, named_diagram, signs
+from quandlekit.diagrams import checkerboard, faces, named_diagram, signs
 from quandlekit.homology import (
     QQ,
     ZZ,
@@ -40,7 +40,6 @@ def every_record():
         "CoefficientGroup": CoefficientGroup("Zm", 5),
         "AbelianGroupDescriptor": cohomology_group(X, "quandle", "minus", 3, ZZ),
         "PDDiagram": d,
-        "ArcSet": arcs(d),
         "FaceSet": faces(d),
         "Shading": checkerboard(d),
         "CrossingSigns": signs(d, checkerboard(d)),
@@ -52,7 +51,7 @@ RECORDS = every_record()
 
 
 def test_every_record_type_is_covered():
-    assert len(RECORDS) == 12
+    assert len(RECORDS) == 11
     assert all(type(r).__name__ == name for name, r in RECORDS.items())
 
 
