@@ -303,7 +303,7 @@ def cmd_verify(args):
                                 "mode": mode_name,
                                 "coeff": str(coeff),
                                 "cocycle": [list(r) for r in phi.values],
-                                "colorings": len(table.colorings),
+                                "colorings": len(table),
                                 "invariant": value.to_doc(),
                                 "trivial": False,
                             }

@@ -29,7 +29,7 @@ import os
 import re
 from functools import cached_property
 from collections import Counter, namedtuple
-from itertools import chain
+from itertools import chain, repeat
 
 from .quandles import Frozen
 
@@ -59,8 +59,23 @@ class PDStructureError(ValueError):
 
 def _tokenize(text):
     """The X terms and the O terms of a code, each as tuples of edge ids, in
-    one pass; whitespace may stand anywhere except inside an edge id."""
+    one pass; whitespace may stand anywhere except inside an edge id.
+
+    A code of X terms only, with no text between them and three commas in
+    every body, is first read in bulk: one ``int`` map over the joined
+    bodies.  Any other code, or one whose ids fail that read, is read term
+    by term, so that an error names its first bad term.
+    """
     parts = _TERM.split(text)  # text before each term, the term, its kind and body; then the rest
+    bodies = parts[3::4]
+    commas = set(map(str.count, bodies, repeat(",")))
+    if "O" not in parts[2::4] and not any(parts[0::4]) and commas == {3}:
+        try:
+            ids = list(map(int, ",".join(bodies).split(",")))
+        except ValueError:
+            ids = [0]  # read term by term below, for the message
+        if 0 not in ids:
+            return list(zip(*[iter(ids)] * 4)), []
     terms = {"X": [], "O": []}
     for gap, term, kind, body in zip(parts[0::4], parts[1::4], parts[2::4], parts[3::4]):
         if gap:
@@ -255,9 +270,10 @@ def parse_pd(text):
     w, cycles, least, ends, partner = _walk(crossings)
     if len(set(loops)) != len(loops):
         raise PDStructureError("repeated O-component edge id")
-    shared = set(loops).intersection(chain.from_iterable(crossings))
-    if shared:
-        raise PDStructureError("edge %d used both as a loop and at a crossing" % min(shared))
+    if loops:
+        shared = set(loops).intersection(chain.from_iterable(crossings))
+        if shared:
+            raise PDStructureError("edge %d used both as a loop and at a crossing" % min(shared))
     least += loops  # arcs are indexed in order of their least edge
     order = sorted(range(len(least)), key=least.__getitem__)
     rank = sorted(range(len(order)), key=order.__getitem__)

@@ -1,13 +1,14 @@
 """Quandle colorings of diagrams and the 2-cocycle state-sum invariants.
 
 A coloring assigns a quandle element to every arc.  It is a plain tuple
-of colors indexed by arc, and ``enumerate_colorings`` and every
-ColoringTable list colorings sorted.  At a crossing the source under-arc
-is the incoming one when the writhe sign is +1 and the outgoing one when
-it is -1; the other under-arc must carry source * over.  Each crossing
-then contributes s(tau) * phi(source, over) to its coloring's weight,
-where s is the writhe sign w in minus mode and the shading sign eps in
-plus mode, and the invariant is the multiset of weights.
+of colors indexed by arc, and ``enumerate_colorings`` and
+``ColoringTable.colorings`` list colorings sorted.  At a crossing the
+source under-arc is the incoming one when the writhe sign is +1 and the
+outgoing one when it is -1; the other under-arc must carry source * over.
+Each crossing then contributes s(tau) * phi(source, over) to its
+coloring's weight, where s is the writhe sign w in minus mode and the
+shading sign eps in plus mode, and the invariant is the multiset of
+weights.
 
 State sums, the certificate, the witnesses of ``verify`` and the CLI's
 ``invariant`` share one engine: DiagramEngine and coloring_table().  Each
@@ -43,10 +44,13 @@ coloring_table() only runs table lookups along the plan.
 Every right translation x -> x*a of a quandle is an automorphism, and an
 automorphism g turns a coloring rho into the coloring g∘rho, so the
 colorings fall into Inn(X)-orbits.  The search tries one color per orbit
-on the first branch arc and carries what it finds to the rest of the orbit;
-the pair counts and the certificate follow the same orbits.  A search costs
-about representatives × n^(branches-1) leaves times the crossings for a
-quandle of order n with that many orbit representatives.
+on the first branch arc, and a ColoringTable keeps what it finds as
+orbits: each searched coloring with the automorphisms to the rest of its
+orbit.  State sums, pair counts and the certificate follow the same
+orbits, and the sorted list of every coloring is built only where it is
+read.  A search costs about representatives × n^(branches-1) leaves times
+the crossings for a quandle of order n with that many orbit
+representatives.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from __future__ import annotations
 import math
 from collections import deque, namedtuple
 from functools import cached_property
+from itertools import repeat
 
 from .chains import MODES, SIGNS, _positions, boundary_columns
 from .diagrams import checkerboard, signs
@@ -134,8 +139,11 @@ class DiagramEngine:
         roles, k = self.roles, self.arc_count
         touch = [[] for _ in range(k)]
         for i, (src, over, tgt, _) in enumerate(roles):
-            for arc in {src, over, tgt}:
-                touch[arc].append(i)
+            # a kink touches its arc twice; the second visit finds the
+            # crossing placed, or queues a duplicate that is dropped lazily
+            touch[src].append(i)
+            touch[over].append(i)
+            touch[tgt].append(i)
         known = [False] * k
         placed = [False] * len(roles)
         overs, unders = deque(), deque()
@@ -185,28 +193,42 @@ class DiagramEngine:
 
 
 class ColoringTable:
-    """The sorted colorings of one diagram by one quandle, and their weights.
+    """The colorings of one diagram by one quandle, kept as Inn(X)-orbits,
+    and their state sums.
 
     The search finds the colorings whose first branch arc carries an orbit
     representative (``QuandleTable.orbit_plan``); every other coloring is
-    g∘rho for one of them and an automorphism g, and ``sources`` says which.
-    A weight is the dot product of the coloring's signed (source color, over
-    color) pair counts with the cocycle's values.  The counts are built once
-    per mode, crossing by crossing on the searched colorings only, since
-    W(g∘rho) = g·W(rho); each cocycle then costs one exact dot product per
-    coloring.
+    g∘rho for one of them and an automorphism g.  ``searched`` keeps the
+    colorings found and ``carriers``, per searched coloring, the
+    automorphisms to the rest of its orbit (None for the identity), so
+    ``len`` counts colorings without listing them; the sorted
+    ``colorings`` are built on first read.  A weight is the dot product of
+    a coloring's signed (source color, over color) pair counts with the
+    cocycle's values.  The counts are built once per mode, crossing by
+    crossing on the searched colorings only, since W(g∘rho) = g·W(rho);
+    each cocycle then costs one exact dot product per coloring.
     """
 
-    def __init__(self, engine, X, colorings, nodes, searched, sources):
+    def __init__(self, engine, X, nodes, searched, carriers):
         self.engine = engine
         self.X = X
-        self.colorings = colorings  # sorted tuples of arc colors
         self.branches = len(engine.schedule)  # arcs the search branched on
         self.nodes = nodes  # branch values tried
         self.searched = searched  # the colorings the search found
-        self.sources = sources  # per coloring: (index in searched, automorphism or None)
+        self.carriers = carriers  # per searched coloring: automorphisms, None for the identity
         self._searched_counts = {}
-        self._pair_counts = {}
+
+    def __len__(self):
+        return sum(map(len, self.carriers))
+
+    @cached_property
+    def colorings(self):
+        """Every coloring, as sorted tuples of arc colors."""
+        return sorted(
+            rho if g is None else tuple([g[c] for c in rho])
+            for rho, gs in zip(self.searched, self.carriers)
+            for g in gs
+        )
 
     @property
     def first_arc_colors(self):
@@ -214,59 +236,57 @@ class ColoringTable:
         return sum(r == c for c, (r, _) in enumerate(self.X.orbit_plan))
 
     def searched_counts(self, mode):
-        """Per searched coloring: (((source color, over color), summed sign), ...)."""
+        """Per searched coloring: (((source color, over color), summed sign), ...),
+        in order of first occurrence.  A pair is counted on the int key
+        source * n + over and turned back into a tuple once."""
         if mode not in self._searched_counts:
+            n = self.X.n
             crossings = self.engine.signed_roles(mode)
             rows = []
             for rho in self.searched:
                 counts = {}
                 for s, src, over, _ in crossings:
-                    key = (rho[src], rho[over])
+                    key = rho[src] * n + rho[over]
                     counts[key] = counts.get(key, 0) + s
-                rows.append(tuple(counts.items()))
+                rows.append(tuple(zip(map(divmod, counts, repeat(n)), counts.values())))
             self._searched_counts[mode] = rows
         return self._searched_counts[mode]
 
-    def pair_counts(self, mode):
-        """Per coloring: (((source color, over color), summed sign), ...),
-        each g∘rho's the image under g of its searched rho's."""
-        if mode not in self._pair_counts:
-            base = self.searched_counts(mode)
-            self._pair_counts[mode] = [
-                base[i] if g is None else tuple(((g[a], g[b]), m) for (a, b), m in base[i])
-                for i, g in self.sources
-            ]
-        return self._pair_counts[mode]
-
-    def weights(self, phi, mode):
-        """One weight per coloring, reduced in the cocycle's coefficient group."""
-        return [
-            phi.coeff.reduce(sum(m * phi.values[a][b] for (a, b), m in counts))
-            for counts in self.pair_counts(mode)
-        ]
-
     def state_sum(self, phi, mode):
-        """The invariant on this table: its weights as a GroupRingValue."""
-        return GroupRingValue.from_values(phi.coeff, self.weights(phi, mode))
+        """The invariant on this table: its weights as a GroupRingValue,
+        summed orbit by orbit over the searched colorings."""
+        values = phi.values
+        weights = []
+        for counts, gs in zip(self.searched_counts(mode), self.carriers):
+            for g in gs:
+                if g is None:
+                    weights.append(sum(m * values[a][b] for (a, b), m in counts))
+                else:
+                    weights.append(sum(m * values[g[a]][g[b]] for (a, b), m in counts))
+        return GroupRingValue.from_values(phi.coeff, weights)
 
 
 def coloring_table(engine, X):
-    """All colorings of the engine's diagram by X, sorted.
+    """The colorings of the engine's diagram by X, as orbits.
 
     An iterative depth-first search over the engine's schedule: each level
     tries every element on its branch arc and runs the level's steps as
-    plain table lookups, stopping at the first failed check.  The first
-    level tries only the representatives of X's orbit plan; a coloring g∘rho
-    is a coloring for every automorphism g, so the plan's g with g[r] == c
-    carries the colorings found at r to those at c.  A level only reads
-    arcs colored at or before it, so nothing is ever uncolored.  The cost is
-    about representatives × n^(branches-1) leaves times the crossings, where
-    n is the order of X and branches the schedule's length; a T(2, m) code
-    compiles to two branch arcs whatever m is.
+    plain lookups, each in the table its kind names, stopping at the first
+    failed check.  The first level tries only the representatives of X's
+    orbit plan; a coloring g∘rho is a coloring for every automorphism g, so
+    the plan's g with g[r] == c carries the colorings found at r to those
+    at c.  A level only reads arcs colored at or before it, so nothing is
+    ever uncolored.  The cost is about representatives × n^(branches-1)
+    leaves times the crossings, where n is the order of X and branches the
+    schedule's length; a T(2, m) code compiles to two branch arcs whatever
+    m is.
     """
-    levels = engine.schedule
     op, n = X.table, X.n
-    tables = (op, X.dual_table)  # indexed by FORWARD and BACKWARD
+    tables = (op, X.dual_table, None)  # indexed by FORWARD, BACKWARD and CHECK
+    levels = [
+        (arc, [(tables[kind], x, o, y) for kind, x, o, y in steps])
+        for arc, steps in engine.schedule
+    ]
     plan = X.orbit_plan
     first = levels[0][0]
     values = [tuple(c for c, (r, _) in enumerate(plan) if r == c)] + [range(n)] * (len(levels) - 1)
@@ -290,25 +310,18 @@ def coloring_table(engine, X):
         nodes += 1
         arc, steps = levels[depth]
         colors[arc] = values[depth][v]
-        for kind, x, o, y in steps:
-            if kind == CHECK:
+        for table, x, o, y in steps:
+            if table is None:
                 if op[colors[x]][colors[o]] != colors[y]:
                     break
             else:
-                colors[y] = tables[kind][colors[x]][colors[o]]
+                colors[y] = table[colors[x]][colors[o]]
         else:
             depth += 1
     images = [[] for _ in range(n)]  # per representative: the automorphisms to its orbit
     for r, g in plan:
         images[r].append(g)
-    rows = []
-    for i, rho in enumerate(found):
-        for g in images[rho[first]]:
-            rows.append((rho if g is None else tuple([g[c] for c in rho]), i, g))
-    rows.sort(key=lambda row: row[0])
-    colorings = [row[0] for row in rows]
-    sources = [row[1:] for row in rows]
-    return ColoringTable(engine, X, colorings, nodes, found, sources)
+    return ColoringTable(engine, X, nodes, found, [images[rho[first]] for rho in found])
 
 
 def enumerate_colorings(d, X):

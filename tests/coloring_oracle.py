@@ -3,7 +3,9 @@
 The library weighs, translates and checks colorings a whole coloring table
 at a time (``invariants.coloring_table``).  These work on one coloring at a
 time, straight from the crossing roles and the signs, so the tests can hold
-the engine to them.  ``sweep_cells`` lists every cell of a basis sweep over
+the engine to them.  ``pair_counts`` and ``weights`` list a table's pair
+counts and weights per sorted coloring, the multiset that
+``ColoringTable.state_sum`` sums orbit by orbit.  ``sweep_cells`` lists every cell of a basis sweep over
 a set of tables, each a ``ColoringTable.state_sum`` with no certificate in
 the way, and
 ``all_cycles_certificate`` is the triviality certificate on the cycles of
@@ -70,6 +72,30 @@ def contribution(d, rho, phi, mode, crossing_signs=None):
     return phi.coeff.reduce(total)
 
 
+def pair_counts(table, mode):
+    """Per coloring of ``table.colorings``: (((source color, over color),
+    summed sign), ...), each g∘rho's the image under g of its searched
+    rho's, carried coloring by coloring and sorted with the colorings."""
+    rows = []
+    for rho, counts, gs in zip(table.searched, table.searched_counts(mode), table.carriers):
+        for g in gs:
+            if g is None:
+                rows.append((rho, counts))
+            else:
+                rows.append((tuple(g[c] for c in rho), tuple(((g[a], g[b]), m) for (a, b), m in counts)))
+    rows.sort(key=lambda row: row[0])
+    return [counts for _, counts in rows]
+
+
+def weights(table, phi, mode):
+    """One weight per coloring of ``table.colorings``, reduced in the
+    cocycle's coefficient group."""
+    return [
+        phi.coeff.reduce(sum(m * phi.values[a][b] for (a, b), m in counts))
+        for counts in pair_counts(table, mode)
+    ]
+
+
 Cell = namedtuple("Cell", "diagram colorings invariant trivial")
 
 
@@ -106,7 +132,7 @@ def all_cycles_certificate(X, tables, mode, coeff):
     index = _positions(X.n, 2, "quandle")
     cycles = set()
     for table in tables:
-        for counts in table.pair_counts(mode):
+        for counts in pair_counts(table, mode):
             w = tuple(sorted((index[a * X.n + b], c) for (a, b), c in counts if c and a != b))
             if w:
                 cycles.add(w)
@@ -222,7 +248,7 @@ def plus_class_lemmas(X, tables):
     colorings = pairs = 0
     cycles, lemma = {}, set()
     for table in tables:
-        for counts in table.pair_counts("plus"):
+        for counts in pair_counts(table, "plus"):
             w = _vector((index[a * n + b], m) for (a, b), m in counts if a != b)
             colorings += 1
             cycles[w] = cycles.get(w, 0) + 1

@@ -11,17 +11,50 @@ shading signs along each arc's traversal, as the library's end-walk
 ``check_eps_alternation`` must.  Only the parsed fields of a PDDiagram
 (crossings, loops, incoming, components) are read.  A dart (i, p) is
 written as the end number 4 * i + p only where a FaceSet is built, and
-read back from it the same way.
+read back from it the same way.  ``tokenize`` reads a code's text term by
+term, where the library reads a code of X terms only in bulk.
 """
 
+import re
 from collections import namedtuple
 
 from quandlekit.diagrams import (
     CrossingSigns,
     FaceSet,
     PDStructureError,
+    PDSyntaxError,
     Shading,
 )
+
+_TERM = re.compile(r"\s*(([XO])\s*\[([0-9,\s]*)\])\s*")
+
+
+def tokenize(text):
+    """The X terms and the O terms of a code, each as tuples of edge ids,
+    read one term at a time; the first bad term, then trailing text, then
+    an empty code raises."""
+    parts = _TERM.split(text)  # text before each term, the term, its kind and body; then the rest
+    terms = {"X": [], "O": []}
+    for gap, term, kind, body in zip(parts[0::4], parts[1::4], parts[2::4], parts[3::4]):
+        if gap:
+            raise PDSyntaxError("unexpected text %r" % gap)
+        try:
+            ids = tuple(map(int, body.split(",")))
+        except ValueError:
+            if body.strip():
+                raise PDSyntaxError("bad edge list in %r" % term)
+            ids = ()
+        want = 4 if kind == "X" else 1
+        if len(ids) != want:
+            raise PDSyntaxError("%s term needs %d edge ids, got %r" % (kind, want, ids))
+        if 0 in ids:
+            raise PDSyntaxError("edge ids are 1-based positive integers")
+        terms[kind].append(ids)
+    if parts[-1]:
+        raise PDSyntaxError("unexpected text %r" % parts[-1])
+    if len(parts) == 1:
+        raise PDSyntaxError("empty code (a crossingless unknot is written O[1])")
+    return terms["X"], terms["O"]
 
 # The partition of the edges into arcs (cut only at under-passages): the
 # arcs as sorted tuples of edge ids, the dict edge id -> arc index, and

@@ -11,8 +11,8 @@ import pytest
 
 from braids import pd_text, torus_2
 from cochains import coboundary_of, indicator
-from coloring_oracle import counts_are_cycles
-from quandlekit import cli
+from coloring_oracle import counts_are_cycles, weights
+from quandlekit import cli, invariants
 from quandlekit.cli import main
 from quandlekit.diagrams import CORPUS_NAMES, named_diagram
 from quandlekit.homology import cocycle_basis
@@ -281,6 +281,26 @@ def test_invariant_warns_on_a_cochain_that_is_not_a_cocycle(capsys, files, tmp_p
             assert capsys.readouterr() == (out, err[len(warning):])
         assert main(argv + [str(good)]) == 0
         assert "warning" not in capsys.readouterr().err
+
+
+def test_invariant_never_lists_the_colorings(capsys, files, tmp_path, monkeypatch):
+    # the state sum runs over the searched colorings' orbits; the sorted
+    # list of every coloring, which only ColoringTable.colorings builds, is
+    # built only where something reads it
+    def listed(table):
+        raise AssertionError("the sorted colorings were built")
+
+    phi = tmp_path / "ind01_3.json"
+    phi.write_text(json.dumps(indicator(3, 0, 1).to_doc()))
+    for mode in ("neg", "pos"):
+        argv = ["invariant", "-q", files["d3"], "-k", "trefoil", "--mode", mode,
+                "--cocycle", str(phi)]
+        want = run(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(invariants.ColoringTable, "colorings", property(listed))
+            assert run(capsys, argv) == want
+        assert want[0] == 0 and want[1]["colorings"] == 9
+        assert want[1]["invariant"] != [["0", 9]]
 
 
 @pytest.mark.parametrize("p,colorings", [(3, 3), (7, 49)])
@@ -803,7 +823,7 @@ def test_the_psi_arc_check_against_the_coloring_oracle_under_flipped_signs():
                 if X.n <= 3:
                     for a in range(X.n):
                         delta = coboundary_of(X, [int(b == a) for b in range(X.n)], "plus")
-                        assert not any(table.weights(delta, "plus")), (name, flip, X, a)
+                        assert not any(weights(table, delta, "plus")), (name, flip, X, a)
     # both are R1 kinks (over = target): every coloring gives their two
     # under-arcs one color, so no coloring sees the flip
     assert differ == [("trefoil_kinked", (3,)), ("figure8_kinked", (4,))]

@@ -141,6 +141,78 @@ def test_whitespace_may_separate_anything_but_the_digits_of_an_id():
                 parse_pd(text.replace("10", "1 0"))
 
 
+# --- bulk reading against the term-by-term oracle ----------------------------
+
+CORRUPTING = "XO[],0123456789 \n"
+
+
+def tokenized(tokenize, text):
+    """What a tokenizer makes of text: its terms, or its error's class and message."""
+    try:
+        return tokenize(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def respaced(text, rng):
+    """text with whitespace around every character but the digits of an id."""
+    spaces = ("", "", " ", "\n", " \t ")
+    return "".join(
+        piece if piece.isdigit() else "".join(rng.choice(spaces) + c for c in piece + " ")
+        for piece in re.split(r"(\d+)", text)
+    )
+
+
+def with_loops(crossings, rng):
+    """The code of crossings with one to three O terms on fresh ids, each
+    placed at a random term."""
+    fresh = max(e for t in crossings for e in t) + 1
+    terms = ["X[%d,%d,%d,%d]" % t for t in crossings]
+    for k in range(rng.randint(1, 3)):
+        terms.insert(rng.randint(0, len(terms)), "O[%d]" % (fresh + k))
+    return " ".join(terms)
+
+
+def valid_codes(rng):
+    for name in CORPUS_NAMES:
+        yield (resources.files("quandlekit") / "diagrams" / (name + ".txt")).read_text()
+    for strands, word in _seeded_words(31, 12):
+        crossings = closure_crossings(word, strands)
+        yield pd_text(crossings)
+        yield with_loops(crossings, rng)
+        yield respaced(with_loops(crossings, rng), rng)
+    yield "O[1]"
+    yield " O [ 3 ]\nO[1]\t"
+
+
+def corrupted(text, rng):
+    """text with one character inserted, deleted or replaced."""
+    i = rng.randrange(len(text) + 1)
+    c = rng.choice(CORRUPTING)
+    edit = rng.choice(("insert", "delete", "replace")) if i < len(text) else "insert"
+    if edit == "insert":
+        return text[:i] + c + text[i:]
+    return text[:i] + ("" if edit == "delete" else c) + text[i + 1:]
+
+
+def test_bulk_reading_matches_the_term_by_term_oracle():
+    rng = random.Random(32)
+    outcomes = set()
+    for text in valid_codes(rng):
+        assert _tokenize(text) == oracle.tokenize(text)
+        for _ in range(40):
+            bad = corrupted(text, rng)
+            got = tokenized(_tokenize, bad)
+            assert got == tokenized(oracle.tokenize, bad), bad
+            outcomes.add(got[1].split(" ")[0] if got[0] is PDSyntaxError else "read")
+    # the corruptions reach every kind of message, and some still read
+    assert outcomes >= {"read", "unexpected", "bad", "X", "O", "edge"}
+    # an O term with an X term's three commas is no X term
+    for bad in ("O[1,2,3,4]", "X[1,5,2,4] O[6,7,8,9] X[3,1,4,6]"):
+        assert tokenized(_tokenize, bad) == tokenized(oracle.tokenize, bad)
+        assert tokenized(_tokenize, bad)[0] is PDSyntaxError
+
+
 @by_text(
     [
         ("X[1,1,1,1]", "edge 1 occurs 4 times, expected 2"),

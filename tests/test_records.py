@@ -14,7 +14,7 @@ from quandlekit.homology import (
     Zm,
     cohomology_group,
 )
-from quandlekit.invariants import DiagramEngine, GroupRingValue, coloring_table
+from quandlekit.invariants import DiagramEngine, coloring_table
 from quandlekit.quandles import (
     QuandleTable,
     dihedral_quandle,
@@ -43,7 +43,7 @@ def every_record():
         "FaceSet": faces(d),
         "Shading": checkerboard(d),
         "CrossingSigns": signs(d, checkerboard(d)),
-        "GroupRingValue": GroupRingValue.from_values(ZZ, table.weights(phi, "minus")),
+        "GroupRingValue": table.state_sum(phi, "minus"),
     }
 
 

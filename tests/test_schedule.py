@@ -8,15 +8,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braids import braid_words, closure_crossings, pd_text, torus_2
+from coloring_oracle import pair_counts, weights
 from quandlekit.diagrams import CORPUS_NAMES, named_diagram, parse_pd
 from quandlekit.invariants import (
     BACKWARD,
     CHECK,
     FORWARD,
     DiagramEngine,
+    GroupRingValue,
     coloring_table,
 )
-from quandlekit.quandles import QuandleTable, dihedral_quandle, enumerate_quandles, orbits
+from quandlekit.homology import ZZ, Cochain2, Zm
+from quandlekit.quandles import (
+    QuandleTable,
+    class_representatives,
+    dihedral_quandle,
+    enumerate_quandles,
+    orbits,
+)
 from test_invariants import NOT_A_QUANDLE
 from test_quandles import closure_orbits
 
@@ -186,7 +195,7 @@ def test_transported_pair_counts_equal_the_direct_counts():
         for X in ORDER_LE_4 + [R5, R3_T2]:
             table = coloring_table(engine, X)
             for mode in ("minus", "plus"):
-                rows = table.pair_counts(mode)
+                rows = pair_counts(table, mode)
                 assert len(rows) == len(table.colorings)
                 for rho, counts in zip(table.colorings, rows):
                     assert dict(counts) == direct_pair_counts(engine, rho, mode)
@@ -198,8 +207,46 @@ def test_transported_closure_pair_counts_equal_the_direct_counts(sw, X):
     engine = closure_engine(sw[1], sw[0])
     table = coloring_table(engine, X)
     for mode in ("minus", "plus"):
-        for rho, counts in zip(table.colorings, table.pair_counts(mode)):
+        for rho, counts in zip(table.colorings, pair_counts(table, mode)):
             assert dict(counts) == direct_pair_counts(engine, rho, mode)
+
+
+def random_cochain(X, rng, coeff=ZZ):
+    """Seeded integer values off the diagonal, which a quandle cochain keeps 0."""
+    n = X.n
+    return Cochain2(coeff, [[rng.randint(-3, 3) * (a != b) for b in range(n)] for a in range(n)])
+
+
+def assert_orbit_sums(table, phi, mode):
+    """The state sum over the orbits is the multiset of the sorted
+    colorings' weights, and the orbits count the colorings."""
+    listed = weights(table, phi, mode)
+    assert table.state_sum(phi, mode) == GroupRingValue.from_values(phi.coeff, listed)
+    assert len(table) == len(table.colorings) == len(listed)
+
+
+def test_state_sums_over_orbits_equal_the_sums_over_sorted_colorings():
+    rng = random.Random(32)
+    classes = [X for n in range(1, 5) for X, _ in class_representatives(n)]
+    for name in CORPUS_NAMES:
+        engine = DiagramEngine(named_diagram(name))
+        for X in classes:
+            table = coloring_table(engine, X)
+            for mode in ("minus", "plus"):
+                for coeff in (ZZ, Zm(3)):
+                    assert_orbit_sums(table, random_cochain(X, rng, coeff), mode)
+
+
+def test_state_sums_over_orbits_with_pair_keys_past_256():
+    # R17 on T(2, 17): 17 * 17 colorings, pair keys a * 17 + b up to 288
+    rng = random.Random(17)
+    R17 = dihedral_quandle(17)
+    table = coloring_table(DiagramEngine(parse_pd(pd_text(torus_2(17)))), R17)
+    assert len(table) == 289 and len(table.searched) == 17
+    pairs = [pair for counts in table.searched_counts("minus") for pair, _ in counts]
+    assert max(a * 17 + b for a, b in pairs) > 256
+    for mode in ("minus", "plus"):
+        assert_orbit_sums(table, random_cochain(R17, rng), mode)
 
 
 # --- link invariance -------------------------------------------------------------
