@@ -28,18 +28,15 @@ from .homology import (
 
 from .diagrams import (
     CORPUS_NAMES,
-    CrossingSigns,
     FaceSet,
     PDDiagram,
     PDStructureError,
     PDSyntaxError,
-    Shading,
-    checkerboard,
     faces,
     load_diagram,
     named_diagram,
     parse_pd,
-    signs,
+    shading_signs,
 )
 from .invariants import (
     DiagramEngine,

@@ -123,7 +123,7 @@ def cmd_quandle_info(args):
 
 
 def cmd_quandle_gen(args):
-    _check_bound("max order", args.order, MAX_ENUMERATION_ORDER)
+    _check_bound("order", args.order, MAX_ENUMERATION_ORDER)
     found = enumerate_quandles(args.order, dedupe_iso=args.dedupe)
     outdir = args.out or "quandles%d" % args.order
     files = _write_docs(
@@ -187,7 +187,7 @@ def cmd_invariant(args):
     mode = MODE_OF[args.mode]
     engine = DiagramEngine(d, outer_face=args.outer_face)
     if args.outer_face is not None:
-        engine.crossing_signs  # a face out of range fails here, before the search
+        engine.eps  # a face out of range fails here, before the search
     table = coloring_table(engine, X)
     value = table.state_sum(phi, mode)
     if not phi.is_cocycle(X, mode):
@@ -239,7 +239,7 @@ def _eps_identity_report(engines):
     for name, engine in engines:
         if not check_eps_alternation(engine):
             bad.append({"diagram": name, "check": "alternation"})
-        if engine.diagram.alternating and len(set(engine.crossing_signs.eps)) > 1:
+        if engine.diagram.alternating and len(set(engine.eps)) > 1:
             bad.append({"diagram": name, "check": "constant-on-alternating"})
         if not engine.premise("plus"):
             bad.append({"diagram": name, "check": "psi-zero-sum"})

@@ -19,8 +19,9 @@ edges is kept; what follows a strand (``PDDiagram.alternating``, the
 shading-sign alternation) reads ``partner``.  On the same end numbers
 we then derive the faces of the sphere, by turning counterclockwise at each
 crossing: each face is a cycle of end numbers, and the FaceSet keeps the
-face of every end.  The checkerboard shading (white outer face) and the
-shading sign eps at each crossing read that one record.
+face of every end.  ``shading_signs`` reads that one record for the
+checkerboard shading (white outer face) and the shading sign eps at each
+crossing.
 """
 
 from __future__ import annotations
@@ -340,22 +341,20 @@ def faces(d):
     return FaceSet(faces=tuple(cycles), outer_default=face[head], face_of=tuple(face))
 
 
-class Shading(namedtuple("Shading", "faceset outer shaded")):
-    """Checkerboard 2-coloring of the faces: the FaceSet, the outer face,
-    which is white, and the frozenset of shaded faces."""
+def shading_signs(d, outer_face=None):
+    """The shading sign eps per crossing: +1 where the quadrant between a
+    and b, the face at end 4 * i, is shaded in the checkerboard shading
+    whose outer face (by default ``faces(d).outer_default``) is white.
 
-    __slots__ = ()
-
-    def is_shaded(self, face):
-        return face in self.shaded
-
-
-def checkerboard(d, outer_face=None):
+    The shading spreads from the outer face: faces across an edge differ,
+    and the end s and its partner see both.  Raises the Euler error of
+    ``faces``, then an out-of-range outer face, then a face adjacency that
+    is not 2-colorable or not connected.
+    """
     fs = faces(d)
     outer = fs.outer_default if outer_face is None else outer_face
     if not 0 <= outer < len(fs.faces):
         raise ValueError("outer face %r out of range" % (outer_face,))
-    # faces across an edge differ: the end s and its partner see both
     partner, face_of = d.partner, fs.face_of
     dark = [None] * len(fs.faces)
     dark[outer] = False
@@ -372,25 +371,7 @@ def checkerboard(d, outer_face=None):
                 raise PDStructureError("face adjacency is not 2-colorable")
     if None in dark:
         raise PDStructureError("face adjacency is not connected")
-    return Shading(
-        faceset=fs,
-        outer=outer,
-        shaded=frozenset(f for f, shaded in enumerate(dark) if shaded),
-    )
-
-
-class CrossingSigns(namedtuple("CrossingSigns", "w eps")):
-    """w: writhe signs; eps: +1 where the quadrant between a and b is shaded."""
-
-    __slots__ = ()
-
-
-def signs(d, shading):
-    return CrossingSigns(
-        w=tuple(role[3] for role in d.roles),
-        # the face at end 4 * i, the quadrant between a and b
-        eps=tuple(1 if shading.is_shaded(f) else -1 for f in shading.faceset.face_of[::4]),
-    )
+    return tuple(1 if dark[f] else -1 for f in face_of[::4])
 
 
 def named_diagram(name):

@@ -61,7 +61,7 @@ from functools import cached_property
 from itertools import repeat
 
 from .chains import MODES, SIGNS, _positions, boundary_columns
-from .diagrams import checkerboard, signs
+from .diagrams import shading_signs
 from .homology import betti, pair_basis
 from .linalg import elementary_divisors
 from .quandles import orbits
@@ -75,9 +75,10 @@ class DiagramEngine:
     """A diagram's coloring schedule and signs, once, over the arc count and
     crossing roles its reading found.
 
-    The shading signs need the faces, which a disconnected code lacks, so
-    they wait for first use in plus mode; ``outer_face`` picks the shading's
-    white outer face.  Minus mode reads the writhe signs off the roles.
+    ``eps``, the shading signs from ``shading_signs``, needs the faces,
+    which a disconnected code lacks, so it waits for first use in plus mode;
+    ``outer_face`` picks the shading's white outer face.  Minus mode reads
+    the writhe signs off the roles.
     """
 
     def __init__(self, d, outer_face=None):
@@ -88,14 +89,14 @@ class DiagramEngine:
         self._premises = {}
 
     @cached_property
-    def crossing_signs(self):
-        return signs(self.diagram, checkerboard(self.diagram, self.outer_face))
+    def eps(self):
+        return shading_signs(self.diagram, self.outer_face)
 
     def signed_roles(self, mode):
         """(s, src, over, tgt) per crossing: s is w in minus mode, eps in plus mode."""
         if mode not in MODES:
             raise ValueError("mode must be 'minus' or 'plus'")
-        sign = [w for *_, w in self.roles] if mode == "minus" else self.crossing_signs.eps
+        sign = [w for *_, w in self.roles] if mode == "minus" else self.eps
         return [(s, src, over, tgt) for s, (src, over, tgt, _) in zip(sign, self.roles)]
 
     def premise(self, mode):
@@ -382,7 +383,7 @@ def check_eps_alternation(engine):
     a closed all-over run is one of them.  An edge joining a crossing's two
     over-ends closes a run of one crossing, and has no pair to check.
     """
-    eps = engine.crossing_signs.eps
+    eps = engine.eps
     return not any(
         s & u & 1 and u != s ^ 2 and eps[s >> 2] == eps[u >> 2]
         for s, u in enumerate(engine.diagram.partner)

@@ -28,7 +28,7 @@ from collections import namedtuple
 
 from quandlekit.chains import _positions, boundary_columns
 from diagram_oracle import arcs
-from quandlekit.diagrams import checkerboard, load_diagram, signs
+from quandlekit.diagrams import load_diagram, shading_signs
 from quandlekit.homology import cocycle_basis, pair_basis
 from quandlekit.invariants import (
     MODES,
@@ -60,12 +60,16 @@ def act_coloring(X, rho, a):
     return tuple(X.op(c, a) for c in rho)
 
 
-def contribution(d, rho, phi, mode, crossing_signs=None):
-    """Total weight of one coloring: sum of s(tau) * phi(source, over)."""
+def contribution(d, rho, phi, mode, eps=None):
+    """Total weight of one coloring: sum of s(tau) * phi(source, over), s
+    the writhe sign in minus mode and in plus mode eps, by default the
+    shading signs of the default outer face."""
     if mode not in MODES:
         raise ValueError("mode must be 'minus' or 'plus'")
-    sg = crossing_signs or signs(d, checkerboard(d))
-    s = sg.w if mode == "minus" else sg.eps
+    if mode == "minus":
+        s = [role[3] for role in d.roles]
+    else:
+        s = shading_signs(d) if eps is None else eps
     total = 0
     for i, (src, over, _, _) in enumerate(d.roles):
         total += s[i] * phi(rho[src], rho[over])
@@ -195,17 +199,17 @@ def pairwise_lemma_scan(d, X, phi):
     to cancel, those whose weights differ).  A failure is (coloring,
     element, weight, translated weight), or (coloring, element, "not a
     coloring", None) on both lists."""
-    sg = signs(d, checkerboard(d))
+    eps = shading_signs(d)
     checked, cancel, agree = 0, [], []
     for rho in enumerate_colorings(d, X):
-        base = contribution(d, rho, phi, "plus", sg)
+        base = contribution(d, rho, phi, "plus", eps)
         for a in range(X.n):
             moved = act_coloring(X, rho, a)
             if not is_valid_coloring(d, X, moved):
                 cancel.append((rho, a, "not a coloring", None))
                 agree.append(cancel[-1])
                 continue
-            other = contribution(d, moved, phi, "plus", sg)
+            other = contribution(d, moved, phi, "plus", eps)
             checked += 1
             if base + other:
                 cancel.append((rho, a, base, other))

@@ -11,20 +11,17 @@ shading signs along each arc's traversal, as the library's end-walk
 ``check_eps_alternation`` must.  Only the parsed fields of a PDDiagram
 (crossings, loops, incoming, components) are read.  A dart (i, p) is
 written as the end number 4 * i + p only where a FaceSet is built, and
-read back from it the same way.  ``tokenize`` reads a code's text term by
-term, where the library reads a code of X terms only in bulk.
+read back from it the same way.  ``checkerboard`` and ``signs`` shade
+the faces and read the crossing signs into records of their own, which
+the library does not keep: it gives eps alone (``shading_signs``).
+``tokenize`` reads a code's text term by term, where the library reads a
+code of X terms only in bulk.
 """
 
 import re
 from collections import namedtuple
 
-from quandlekit.diagrams import (
-    CrossingSigns,
-    FaceSet,
-    PDStructureError,
-    PDSyntaxError,
-    Shading,
-)
+from quandlekit.diagrams import FaceSet, PDStructureError, PDSyntaxError
 
 _TERM = re.compile(r"\s*(([XO])\s*\[([0-9,\s]*)\])\s*")
 
@@ -67,6 +64,14 @@ ArcSet = namedtuple("ArcSet", "arcs arc_of traversals")
 # crossingless loop, or a component that passes over everything it meets)
 # has no start or end: both are None.
 ArcTraversal = namedtuple("ArcTraversal", "start overs end closed")
+
+# A checkerboard shading: the FaceSet, the outer face, which is white, and
+# the frozenset of shaded faces.
+Shading = namedtuple("Shading", "faceset outer shaded")
+
+# Per crossing, the writhe sign w and the shading sign eps: +1 where the
+# quadrant between a and b is shaded.
+CrossingSigns = namedtuple("CrossingSigns", "w eps")
 
 
 def ends(d):
@@ -227,7 +232,7 @@ def signs(d, shading):
     w = tuple(1 if flags[3] else -1 for flags in d.incoming)
     face_of = shading.faceset.face_of
     eps = tuple(
-        1 if shading.is_shaded(face_of[4 * i]) else -1
+        1 if face_of[4 * i] in shading.shaded else -1
         for i in range(d.n_crossings)
     )
     return CrossingSigns(w=w, eps=eps)

@@ -18,7 +18,7 @@ from coloring_oracle import (
 from test_chains import NON_QUANDLE_ROWS, identity_failures
 
 from quandlekit.chains import boundary_columns
-from quandlekit.diagrams import CORPUS_NAMES, checkerboard, named_diagram, signs
+from quandlekit.diagrams import CORPUS_NAMES, named_diagram, shading_signs
 from quandlekit.homology import (
     ZZ,
     AbelianGroupDescriptor,
@@ -137,15 +137,15 @@ def test_shading_sign_structure_on_the_corpus():
     for name in CORPUS_NAMES:
         d = named_diagram(name)
         assert check_eps_alternation(DiagramEngine(d))
-        sg = signs(d, checkerboard(d))
+        eps = shading_signs(d)
         if d.alternating and d.n_crossings:
-            assert len(set(sg.eps)) == 1
+            assert len(set(eps)) == 1
         # eps * (psi(source) + psi(target) - 2 psi(over)) summed over the
         # crossings is the plus weight of the coboundary of psi
         for rho in enumerate_colorings(d, X):
             for _ in range(100):
                 psi = [rng.randrange(-20, 21) for _ in range(X.n)]
-                assert contribution(d, rho, coboundary_of(X, psi, "plus"), "plus", sg) == 0
+                assert contribution(d, rho, coboundary_of(X, psi, "plus"), "plus", eps) == 0
 
 
 def test_cohomologous_cocycles_give_equal_state_sums():

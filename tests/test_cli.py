@@ -138,9 +138,10 @@ def test_cohomology_rejects_degree_4(capsys, files):
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--max-order", "0"], "max order must be between 1 and 6"),
     (["verify", "--max-order", "7"], "max order must be between 1 and 6"),
-    (["quandle", "gen", "--order", "0"], "max order must be between 1 and 6"),
+    (["quandle", "gen", "--order", "0"], "order must be between 1 and 6"),
     (["cohomology", "-f", "d3", "-n", "0", "--sign", "neg"], "degree must be between 1 and 3"),
     (["cohomology", "-f", "d3", "-n", "4", "--sign", "neg"], "degree must be between 1 and 3"),
+    (["quandle", "gen", "--order", "7"], "order must be between 1 and 6"),
 ])
 def test_out_of_range_bounds_exit_2_before_any_work(capsys, files, monkeypatch, argv, message):
     monkeypatch.chdir(files["dir"])
@@ -749,16 +750,16 @@ def test_verify_reports_each_shading_identity_a_flipped_sign_breaks(capsys, monk
     from quandlekit import invariants
 
     flips = {named_diagram("trefoil").crossings: 0, named_diagram("trefoil_kinked").crossings: 1}
-    signs = invariants.signs
+    shading_signs = invariants.shading_signs
 
-    def flipped(d, shading):
-        sg = signs(d, shading)
+    def flipped(d, outer_face=None):
+        eps = shading_signs(d, outer_face)
         if d.crossings not in flips:
-            return sg
+            return eps
         i = flips[d.crossings]
-        return sg._replace(eps=sg.eps[:i] + (-sg.eps[i],) + sg.eps[i + 1:])
+        return eps[:i] + (-eps[i],) + eps[i + 1:]
 
-    monkeypatch.setattr(invariants, "signs", flipped)
+    monkeypatch.setattr(invariants, "shading_signs", flipped)
     rc, doc, _ = run(capsys, ["verify", "--max-order", "3", "--mode", "neg"])
     assert rc == 1 and doc["ok"] is False
     assert doc["witnesses"] == [] and doc["lemma_failures"] == []
@@ -774,16 +775,16 @@ def _eps_flip_mutants():
     """(name, flipped crossings, engine) for every corpus diagram with eps
     flipped at one crossing, and at crossings 0 and 1 where it has two or
     more."""
-    from quandlekit.diagrams import checkerboard, signs
+    from quandlekit.diagrams import shading_signs
     from quandlekit.invariants import DiagramEngine
 
     mutants = []
     for name in CORPUS_NAMES:
         d = named_diagram(name)
-        sg = signs(d, checkerboard(d))
+        eps = shading_signs(d)
         for flip in [(i,) for i in range(d.n_crossings)] + [(0, 1)] * (d.n_crossings > 1):
             engine = DiagramEngine(d)
-            engine.crossing_signs = sg._replace(eps=tuple(-e if i in flip else e for i, e in enumerate(sg.eps)))
+            engine.eps = tuple(-e if i in flip else e for i, e in enumerate(eps))
             mutants.append((name, flip, engine))
     return mutants
 

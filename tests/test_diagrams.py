@@ -20,12 +20,11 @@ from quandlekit.diagrams import (
     PDStructureError,
     PDSyntaxError,
     _tokenize,
-    checkerboard,
     faces,
     load_diagram,
     named_diagram,
     parse_pd,
-    signs,
+    shading_signs,
 )
 
 EULER = "face count %d fails the Euler check (disconnected or nonplanar code)"
@@ -45,8 +44,8 @@ CORPUS_FACTS = {
 }
 
 
-def corpus_signs(d):
-    return signs(d, checkerboard(d))
+def writhe_signs(d):
+    return tuple(role[3] for role in d.roles)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -58,10 +57,9 @@ def test_corpus_structure(name):
     assert d.arc_count == narcs
     assert len(faces(d)) == nfaces
     assert d.alternating == alt
-    sg = corpus_signs(d)
-    assert sg.w == w
-    assert sg.eps == eps
-    assert sum(sg.w) == writhe
+    assert writhe_signs(d) == w
+    assert shading_signs(d) == eps
+    assert sum(writhe_signs(d)) == writhe
 
 
 def test_unknown_name_rejected():
@@ -296,7 +294,7 @@ def test_disconnected_crossing_diagram_has_no_faces():
 def test_shading_errors(text, message):
     d = parse_pd(text)
     with pytest.raises(PDStructureError, match=exactly(message)):
-        checkerboard(d)
+        shading_signs(d)
     assert oracle_raises(oracle.checkerboard, d) == (PDStructureError, message)
 
 
@@ -304,7 +302,7 @@ def test_an_outer_face_out_of_range_is_rejected():
     d = named_diagram("trefoil")
     for face in (-1, 5):
         with pytest.raises(ValueError, match=exactly("outer face %d out of range" % face)):
-            checkerboard(d, outer_face=face)
+            shading_signs(d, outer_face=face)
 
 
 # --- faces and shading ------------------------------------------------------
@@ -319,16 +317,33 @@ def test_face_sizes_trefoil():
     assert sum(sizes) == 4 * d.n_crossings
 
 
+def negated(eps):
+    return tuple(-e for e in eps)
+
+
 def test_checkerboard_is_proper_two_coloring():
+    # the shading, read back from eps: declaring a face outer keeps every
+    # eps where that face is white and negates every eps where it is shaded
     for name in CORPUS_NAMES:
         d = named_diagram(name)
         fs = faces(d)
-        sh = checkerboard(d)
-        assert 0 <= sh.outer < len(fs.faces)
-        assert not sh.is_shaded(sh.outer)
+        eps = shading_signs(d)
+        assert 0 <= fs.outer_default < len(fs.faces)
+        if not d.crossings:
+            assert eps == () and len(fs.faces) == 1
+            continue
+        shaded = set()
+        for f in range(len(fs.faces)):
+            other = shading_signs(d, outer_face=f)
+            assert other in (eps, negated(eps))
+            if other != eps:
+                shaded.add(f)
+        assert fs.outer_default not in shaded
+        # eps is +1 where the quadrant between a and b is shaded
+        assert eps == tuple(1 if fs.face_of[4 * i] in shaded else -1 for i in range(d.n_crossings))
         # quadrants diagonal at a crossing share shading, adjacent differ
         for i in range(d.n_crossings):
-            corner = [sh.is_shaded(sh.faceset.face_of[4 * i + p]) for p in range(4)]
+            corner = [fs.face_of[4 * i + p] in shaded for p in range(4)]
             assert corner[0] == corner[2]
             assert corner[1] == corner[3]
             assert corner[0] != corner[1]
@@ -357,22 +372,22 @@ def test_faces_are_cycles_of_end_numbers():
 
 
 def test_outer_face_override():
+    # the oracle's shading with the default outer face white: declaring
+    # face f outer makes f white, so eps negates exactly where f was shaded
     d = named_diagram("trefoil")
     fs = faces(d)
-    base = checkerboard(d)
-    base_sg = signs(d, base)
+    base = oracle.checkerboard(d)
+    eps = shading_signs(d)
+    assert base.outer not in base.shaded and eps == oracle.signs(d, base).eps
     for f in range(len(fs.faces)):
-        sh = checkerboard(d, outer_face=f)
-        assert sh.outer == f
-        flipped = base.is_shaded(f)
-        for face in range(len(fs.faces)):
-            assert sh.is_shaded(face) == (base.is_shaded(face) != flipped)
-        sg = signs(d, sh)
-        expect = tuple(-e for e in base_sg.eps) if flipped else base_sg.eps
-        assert sg.eps == expect
-        assert sg.w == base_sg.w
+        flipped = f in base.shaded
+        other = shading_signs(d, outer_face=f)
+        assert other == (negated(eps) if flipped else eps)
+        # the new outer face is white: every crossing's quadrant in it is -1
+        assert all(other[s >> 2] == -1 for s in fs.faces[f] if s & 3 == 0)
+    assert writhe_signs(d) == oracle.signs(d, base).w
     with pytest.raises(ValueError):
-        checkerboard(d, outer_face=len(fs.faces))
+        shading_signs(d, outer_face=len(fs.faces))
 
 
 def test_shading_flip_negates_every_eps():
@@ -380,10 +395,11 @@ def test_shading_flip_negates_every_eps():
         d = named_diagram(name)
         if d.n_crossings == 0:
             continue
-        base = checkerboard(d)
-        base_eps = signs(d, base).eps
-        sh = checkerboard(d, outer_face=min(base.shaded))
-        assert signs(d, sh).eps == tuple(-e for e in base_eps)
+        base = oracle.checkerboard(d)
+        eps = shading_signs(d)
+        assert base.shaded
+        for f in range(len(base.faceset)):
+            assert shading_signs(d, outer_face=f) == (negated(eps) if f in base.shaded else eps)
 
 
 def test_writhe_sign_convention_on_hopf():
@@ -391,7 +407,7 @@ def test_writhe_sign_convention_on_hopf():
     # b -> d, which is the negative convention
     d = named_diagram("hopf")
     assert all(not d.incoming[i][3] for i in range(2))
-    assert corpus_signs(d).w == (-1, -1)
+    assert writhe_signs(d) == (-1, -1)
 
 
 def test_arc_merging_matches_over_strand_passes():
@@ -492,8 +508,8 @@ def oracle_raises(f, *args):
 
 
 def assert_reads_like_the_oracle(d):
-    """The walk's arc count and roles equal the oracle's; so do the faces,
-    every shading and its signs, or the error each raises."""
+    """The walk's arc count and roles equal the oracle's; so do the faces
+    and the shading signs at every outer face, or the error each raises."""
     ar = oracle.arcs(d)
     assert d.arc_count == len(ar.arcs)
     assert d.roles == tuple(oracle.crossing_roles(d, ar))
@@ -502,18 +518,16 @@ def assert_reads_like_the_oracle(d):
         fs = oracle.faces(d)
     except PDStructureError:
         assert oracle_raises(faces, d) == oracle_raises(oracle.faces, d)
-        assert oracle_raises(checkerboard, d) == oracle_raises(oracle.checkerboard, d)
+        assert oracle_raises(shading_signs, d) == oracle_raises(oracle.checkerboard, d)
         return
     assert faces(d) == fs
     for outer in [None] + list(range(len(fs))):
         try:
             want = oracle.checkerboard(d, outer)
         except PDStructureError:
-            assert oracle_raises(checkerboard, d, outer) == oracle_raises(oracle.checkerboard, d, outer)
+            assert oracle_raises(shading_signs, d, outer) == oracle_raises(oracle.checkerboard, d, outer)
             continue
-        sh = checkerboard(d, outer)
-        assert sh == want
-        assert signs(d, sh) == oracle.signs(d, want)
+        assert shading_signs(d, outer) == oracle.signs(d, want).eps
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -575,4 +589,4 @@ def test_split_and_nonplanar_codes_read_like_the_oracle(text):
     # their arcs and roles are read; faces or shading raise the oracle's error
     d = parse_pd(text)
     assert_reads_like_the_oracle(d)
-    assert oracle_raises(checkerboard, d)[0] is PDStructureError
+    assert oracle_raises(shading_signs, d)[0] is PDStructureError

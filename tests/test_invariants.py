@@ -27,13 +27,11 @@ from quandlekit import invariants
 from quandlekit.chains import boundary_columns
 from quandlekit.diagrams import (
     CORPUS_NAMES,
-    CrossingSigns,
     PDStructureError,
-    checkerboard,
     faces,
     named_diagram,
     parse_pd,
-    signs,
+    shading_signs,
 )
 from quandlekit.homology import QQ, ZZ, Cochain2, Zm, cocycle_basis, pair_basis
 from quandlekit.invariants import (
@@ -134,12 +132,11 @@ def test_hopf_indicator_state_sum():
 
 def test_contribution_additive_in_cocycle():
     d = named_diagram("hopf")
-    sg = signs(d, checkerboard(d))
     phis = [indicator(3, a, b) for a, b in [(0, 1), (1, 2), (2, 0)]]
     total = Cochain2(ZZ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     for rho in enumerate_colorings(d, D3):
-        parts = [contribution(d, rho, p, "minus", crossing_signs=sg) for p in phis]
-        assert contribution(d, rho, total, "minus", crossing_signs=sg) == sum(parts)
+        parts = [contribution(d, rho, p, "minus") for p in phis]
+        assert contribution(d, rho, total, "minus") == sum(parts)
 
 
 def _random_cochain(rng, n):
@@ -153,7 +150,7 @@ def test_engine_weights_match_contribution():
     for name in CORPUS_NAMES:
         d = named_diagram(name)
         engine = DiagramEngine(d)
-        sg = signs(d, checkerboard(d))
+        eps = shading_signs(d)
         for X in ORDER_LE_3:
             table = coloring_table(engine, X)
             assert table.colorings == enumerate_colorings(d, X)
@@ -162,7 +159,7 @@ def test_engine_weights_match_contribution():
                 cochains += [_random_cochain(rng, X.n) for _ in range(2)]
                 for phi in cochains:
                     want = [
-                        contribution(d, rho, phi, mode, crossing_signs=sg)
+                        contribution(d, rho, phi, mode, eps)
                         for rho in table.colorings
                     ]
                     assert weights(table, phi, mode) == want
@@ -173,11 +170,11 @@ def test_engine_weights_follow_the_outer_face():
     X = dihedral_quandle(5)
     phi = _random_cochain(random.Random(5), X.n)
     for face in range(len(faces(d))):
-        sg = signs(d, checkerboard(d, outer_face=face))
+        eps = shading_signs(d, outer_face=face)
         table = coloring_table(DiagramEngine(d, outer_face=face), X)
         for mode in MODES:
             assert weights(table, phi, mode) == [
-                contribution(d, rho, phi, mode, crossing_signs=sg)
+                contribution(d, rho, phi, mode, eps)
                 for rho in table.colorings
             ]
 
@@ -186,13 +183,11 @@ def test_contribution_mode_uses_matching_sign():
     d = named_diagram("trefoil")
     phi = indicator(3, 0, 1)
     rho = enumerate_colorings(d, D3)[1]
-    sg = signs(d, checkerboard(d))
+    eps = shading_signs(d)
     roles = d.roles
-    by_hand_minus = sum(
-        sg.w[i] * phi(rho[src], rho[over]) for i, (src, over, _, _) in enumerate(roles)
-    )
+    by_hand_minus = sum(w * phi(rho[src], rho[over]) for src, over, _, w in roles)
     by_hand_plus = sum(
-        sg.eps[i] * phi(rho[src], rho[over]) for i, (src, over, _, _) in enumerate(roles)
+        eps[i] * phi(rho[src], rho[over]) for i, (src, over, _, _) in enumerate(roles)
     )
     assert contribution(d, rho, phi, "minus") == by_hand_minus
     assert contribution(d, rho, phi, "plus") == by_hand_plus
@@ -269,14 +264,14 @@ def test_lemma_checks_on_knots():
 def test_a_flipped_shading_sign_breaks_the_class_lemmas(monkeypatch):
     # eps flipped at crossing 0 of the trefoil: W+ is no longer a plus cycle
     # where that crossing's colors differ, so neither W+ nor 2 W+ is a boundary
-    def flipped(d, shading):
-        sg = signs(d, shading)
-        return sg._replace(eps=(-sg.eps[0],) + sg.eps[1:])
+    def flipped(d, outer_face=None):
+        eps = shading_signs(d, outer_face)
+        return (-eps[0],) + eps[1:]
 
     engine = DiagramEngine(named_diagram("trefoil"))
     classes = [X for n in (1, 2, 3, 4) for X, _ in class_representatives(n)]
     assert all(plus_class_lemmas(X, [coloring_table(engine, X)])[3] for X in classes)
-    monkeypatch.setattr(invariants, "signs", flipped)
+    monkeypatch.setattr(invariants, "shading_signs", flipped)
     engine = DiagramEngine(named_diagram("trefoil"))
     failing = [X.table for X in classes if not plus_class_lemmas(X, [coloring_table(engine, X)])[3]]
     assert len(failing) == 3
@@ -338,10 +333,10 @@ def test_psi_identity_holds_arc_by_arc():
     closures = _seeded_braid_closures(2727, 40)
     assert {d.is_knot() for d in closures} == {True, False}
     for d in [named_diagram(name) for name in CORPUS_NAMES] + closures:
-        plus, minus = _arc_sums(d, signs(d, checkerboard(d)).eps)
+        plus, minus = _arc_sums(d, shading_signs(d))
         assert not any(plus) and not any(minus), d.crossings
     d = named_diagram("trefoil")
-    eps = signs(d, checkerboard(d)).eps
+    eps = shading_signs(d)
     assert any(_arc_sums(d, (-eps[0],) + eps[1:])[0])
 
 
@@ -392,22 +387,47 @@ def test_a_flipped_shading_sign_breaks_the_alternation(code, crossing, monkeypat
     d = named_diagram(code) if code == "trefoil_kinked" else parse_pd(code)
     assert check_eps_alternation(DiagramEngine(d))
 
-    def flipped(d, shading):
-        sg = signs(d, shading)
-        return sg._replace(eps=sg.eps[:crossing] + (-sg.eps[crossing],) + sg.eps[crossing + 1:])
+    def flipped(d, outer_face=None):
+        eps = shading_signs(d, outer_face)
+        return eps[:crossing] + (-eps[crossing],) + eps[crossing + 1:]
 
-    monkeypatch.setattr(invariants, "signs", flipped)
+    monkeypatch.setattr(invariants, "shading_signs", flipped)
     assert not check_eps_alternation(DiagramEngine(d))
+
+
+def test_the_engine_reads_the_shading_signs_once(monkeypatch):
+    # plus weights, the plus premise, the alternation check and verify's
+    # identity report all read the engine's one eps; minus mode reads none
+    from quandlekit import cli
+
+    calls = []
+
+    def counted(d, outer_face=None):
+        calls.append(outer_face)
+        return shading_signs(d, outer_face)
+
+    monkeypatch.setattr(invariants, "shading_signs", counted)
+    d = named_diagram("figure8")
+    engine = DiagramEngine(d)
+    table = coloring_table(engine, D3)
+    table.state_sum(indicator(3, 0, 1), "minus")
+    assert engine.premise("minus") and calls == []
+    table.state_sum(indicator(3, 0, 1), "plus")
+    assert engine.premise("plus") and check_eps_alternation(engine)
+    assert cli._eps_identity_report([("figure8", engine)]) == []
+    assert calls == [None] and engine.eps == shading_signs(d)
+    engine = DiagramEngine(d, outer_face=0)
+    assert engine.eps == engine.eps == tuple(-e for e in shading_signs(d))
+    assert calls == [None, 0]
 
 
 def _alternation_agrees(d, patterns):
     """check_eps_alternation on d's engine with each eps pattern in turn,
     against the oracle's traversal check; the number of patterns that fail."""
-    sg = signs(d, checkerboard(d))
     failed = 0
     for eps in map(tuple, patterns):
         engine = DiagramEngine(d)
-        engine.crossing_signs = sg._replace(eps=eps)
+        engine.eps = eps
         alternates = check_eps_alternation(engine)
         assert alternates == oracle.eps_alternates(d, eps), (d.crossings, eps)
         failed += not alternates
@@ -424,7 +444,7 @@ def test_eps_alternation_walks_the_ends_like_the_oracle_traversals():
     failed = 0
     for _, _, engine in _eps_flip_mutants():
         alternates = check_eps_alternation(engine)
-        assert alternates == oracle.eps_alternates(engine.diagram, engine.crossing_signs.eps)
+        assert alternates == oracle.eps_alternates(engine.diagram, engine.eps)
         failed += not alternates
     assert failed
     closures = _seeded_braid_closures(31, 40)
@@ -437,7 +457,7 @@ def test_eps_alternation_walks_the_ends_like_the_oracle_traversals():
     # one crossing, with no pair to check
     d = parse_pd("X[1,2,1,2]")
     engine = DiagramEngine(d)
-    engine.crossing_signs = CrossingSigns(w=(d.roles[0][3],), eps=(1,))
+    engine.eps = (1,)
     assert check_eps_alternation(engine) and oracle.eps_alternates(d, (1,))
 
 
@@ -445,14 +465,14 @@ def test_eps_psi_sum_vanishes():
     rng = random.Random(20240814)
     for name in ("trefoil", "figure8", "hopf", "borromean", "5_2", "figure8_kinked"):
         d = named_diagram(name)
-        sg = signs(d, checkerboard(d))
+        eps = shading_signs(d)
         for X in (D3, D4):
             cols = enumerate_colorings(d, X)
             for _ in range(10):
                 # the plus weight of a coboundary is the eps-psi sum
                 phi = coboundary_of(X, [rng.randrange(-5, 6) for _ in range(X.n)], "plus")
                 for rho in cols:
-                    assert contribution(d, rho, phi, "plus", sg) == 0
+                    assert contribution(d, rho, phi, "plus", eps) == 0
 
 
 def test_arc_endpoint_eps_relation():
@@ -460,9 +480,9 @@ def test_arc_endpoint_eps_relation():
     # eps, the signs alternate, and for writhe-balanced enumeration the check
     # above is what the weighted sum relies on; here just pin alternation
     d = named_diagram("figure8")
-    sg = signs(d, checkerboard(d))
+    eps = shading_signs(d)
     for t in oracle.arcs(d).traversals:
-        run = [sg.eps[i] for i in t.overs]
+        run = [eps[i] for i in t.overs]
         assert all(run[j] != run[j + 1] for j in range(len(run) - 1))
 
 
@@ -601,13 +621,11 @@ def test_a_broken_sign_sends_the_theorems_to_the_elimination(monkeypatch):
     # crossing 0 of the trefoil the plus arc sums fail, and with w flipped
     # the minus ones do; then the certificate eliminates, and some classes
     # fail where the theorems would have passed them
-    signs_of = invariants.signs
+    def flipped(d, outer_face=None):
+        eps = shading_signs(d, outer_face)
+        return (-eps[0],) + eps[1:]
 
-    def flipped(d, shading):
-        sg = signs_of(d, shading)
-        return sg._replace(eps=(-sg.eps[0],) + sg.eps[1:])
-
-    monkeypatch.setattr(invariants, "signs", flipped)
+    monkeypatch.setattr(invariants, "shading_signs", flipped)
     engine = DiagramEngine(named_diagram("trefoil"))
     assert not engine.premise("plus")
     classes = [X for n in (1, 2, 3, 4) for X, _ in class_representatives(n)]

@@ -4,7 +4,7 @@ compare and hash by value, and the validating constructors reject bad input."""
 import pytest
 from cochains import indicator
 
-from quandlekit.diagrams import checkerboard, faces, named_diagram, signs
+from quandlekit.diagrams import faces, named_diagram
 from quandlekit.homology import (
     QQ,
     ZZ,
@@ -41,8 +41,6 @@ def every_record():
         "AbelianGroupDescriptor": cohomology_group(X, "quandle", "minus", 3, ZZ),
         "PDDiagram": d,
         "FaceSet": faces(d),
-        "Shading": checkerboard(d),
-        "CrossingSigns": signs(d, checkerboard(d)),
         "GroupRingValue": table.state_sum(phi, "minus"),
     }
 
@@ -51,7 +49,7 @@ RECORDS = every_record()
 
 
 def test_every_record_type_is_covered():
-    assert len(RECORDS) == 11
+    assert len(RECORDS) == 9
     assert all(type(r).__name__ == name for name, r in RECORDS.items())
 
 

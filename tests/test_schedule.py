@@ -144,7 +144,7 @@ def test_closure_colorings_match_the_exhaustive_scan_on_every_order_le_4_quandle
 def direct_pair_counts(engine, rho, mode):
     """Oracle: one coloring's signed (source color, over color) counts, crossing
     by crossing."""
-    signs = [w for *_, w in engine.roles] if mode == "minus" else engine.crossing_signs.eps
+    signs = [w for *_, w in engine.roles] if mode == "minus" else engine.eps
     counts = {}
     for s, (src, over, _, _) in zip(signs, engine.roles):
         counts[rho[src], rho[over]] = counts.get((rho[src], rho[over]), 0) + s
