@@ -113,7 +113,9 @@ def boundary_columns(X, n, sign, flavor="rack"):
     """Degree-n boundary as (domain, codomain, sparse columns {row: coeff}),
     rows numbered by their position in the codomain basis.
 
-    A degenerate boundary must land on the degenerate basis exactly (the
+    Each column sums the coefficients of coinciding faces, keyed in the
+    order the faces are first met, and drops the sums that cancel.  A
+    degenerate boundary must land on the degenerate basis exactly (the
     subcomplex property) and raises ArithmeticError where it does not; the
     quandle quotient drops the stray tuples.
     """
@@ -133,15 +135,10 @@ def boundary_columns(X, n, sign, flavor="rack"):
     faces, coeffs = _faces(X, n, sign, gens)
     cols = []
     for terms in zip(*faces):
-        col = dict(zip(terms, coeffs))
-        if len(col) < len(coeffs):  # faces coincide: merge, drop what cancels
-            col = {}
-            for u, c in zip(terms, coeffs):
-                col[u] = col.get(u, 0) + c
-            col = {u: c for u, c in col.items() if c}
-        elif not coeffs[0]:  # d1 - d2 cancels the i = 0 term
-            del col[terms[0]]
-        cols.append(col)
+        col = {}
+        for u, c in zip(terms, coeffs):
+            col[u] = col.get(u, 0) + c
+        cols.append({u: c for u, c in col.items() if c})
     if flavor == "rack":
         return domain, codomain, cols
     pos = _positions(size, n - 1, flavor)

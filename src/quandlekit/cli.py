@@ -123,7 +123,6 @@ def cmd_quandle_info(args):
 
 
 def cmd_quandle_gen(args):
-    _check_bound("order", args.order, MAX_ENUMERATION_ORDER)
     found = enumerate_quandles(args.order, dedupe_iso=args.dedupe)
     outdir = args.out or "quandles%d" % args.order
     files = _write_docs(
@@ -175,6 +174,19 @@ def cmd_cocycles(args):
 # --- invariant ----------------------------------------------------------------
 
 
+def _cell_doc(X, diagram, mode_name, value):
+    """The state-sum document of one (quandle, diagram, mode) cell."""
+    return {
+        "quandle": [list(r) for r in X.table],
+        "diagram": diagram,
+        "mode": mode_name,
+        "coeff": str(value.coeff),
+        "colorings": value.total,
+        "invariant": value.to_doc(),
+        "trivial": is_trivial(value),
+    }
+
+
 def cmd_invariant(args):
     X = _load_valid_quandle(args.quandle)
     d = load_diagram(args.diagram)
@@ -192,17 +204,7 @@ def cmd_invariant(args):
     value = table.state_sum(phi, mode)
     if not phi.is_cocycle(X, mode):
         _note("warning: the cochain is not a %s-cocycle; the sum is not an invariant" % args.mode)
-    _emit(
-        {
-            "quandle": [list(r) for r in X.table],
-            "diagram": args.diagram,
-            "mode": args.mode,
-            "coeff": str(phi.coeff),
-            "colorings": value.total,
-            "invariant": value.to_doc(),
-            "trivial": is_trivial(value),
-        }
-    )
+    _emit(_cell_doc(X, args.diagram, args.mode, value))
     _note(
         "%d colorings, %s; search: %d branch arcs, %d nodes, %d of %d first-arc colors"
         % (
@@ -296,18 +298,9 @@ def cmd_verify(args):
                 for phi in basis:
                     value = table.state_sum(phi, mode)
                     if not is_trivial(value):
-                        bad[mode_name].append(
-                            {
-                                "quandle": [list(r) for r in Y.table],
-                                "diagram": name,
-                                "mode": mode_name,
-                                "coeff": str(coeff),
-                                "cocycle": [list(r) for r in phi.values],
-                                "colorings": len(table),
-                                "invariant": value.to_doc(),
-                                "trivial": False,
-                            }
-                        )
+                        doc = _cell_doc(Y, name, mode_name, value)
+                        doc["cocycle"] = [list(r) for r in phi.values]
+                        bad[mode_name].append(doc)
 
     mode_docs = []
     witnesses = []

@@ -15,13 +15,20 @@ walk orients every edge end, lists the component cycles, numbers the arcs
 (maximal over-passages between undercrossings), cutting one where it
 arrives under a crossing, and records each crossing's roles: its
 under-arcs, its over-arc and its writhe sign w.  No record of the arcs'
-edges is kept; what follows a strand (``PDDiagram.alternating``, the
-shading-sign alternation) reads ``partner``.  On the same end numbers
-we then derive the faces of the sphere, by turning counterclockwise at each
-crossing: each face is a cycle of end numbers, and the FaceSet keeps the
-face of every end.  ``shading_signs`` reads that one record for the
-checkerboard shading (white outer face) and the shading sign eps at each
-crossing.
+edges is kept; what follows a strand reads ``partner``.  On the same end
+numbers we then derive the faces of the sphere, by turning
+counterclockwise at each crossing: each face is a cycle of end numbers,
+and the FaceSet keeps the face of every end.  ``shading_signs`` reads that
+one record for the checkerboard shading (white outer face) and the shading
+sign eps at each crossing.
+
+The edge rule: across an edge (p, q = partner[p]), eps changes exactly
+when p and q have the same parity, both over (odd) or both under (even).
+The corners of a crossing alternate in shade, eps being +1 where corner
+0 is shaded, and turning counterclockwise from end p - 1 reaches p, so
+corner p - 1 and corner q lie in one face.  Hence eps alternates along an
+over-passing run, is constant on a connected alternating diagram, and
+has the zero arc sums of ``DiagramEngine.premise`` in plus mode.
 """
 
 from __future__ import annotations
@@ -108,10 +115,9 @@ class PDDiagram(Frozen):
     source is the incoming under-arc when w is +1 and the outgoing one when
     it is -1), ``arc_count``, and ``partner`` (per end, numbered
     4 * crossing + position, the other end of its edge).  Arcs are indexed
-    in order of their least edge; which edges make up an arc is not kept,
-    and what follows a strand (``alternating``, the shading-sign
-    alternation) reads ``partner``.  All of these follow from the
-    fields, so equality and hashing leave them out.
+    in order of their least edge; which edges make up an arc is not kept.
+    All of these follow from the fields, so equality and hashing leave
+    them out.
     """
 
     __match_args__ = ("crossings", "loops", "incoming", "components")
@@ -136,19 +142,10 @@ class PDDiagram(Frozen):
 
     @cached_property
     def alternating(self):
-        """Does every component alternate over/under along its travel?
-
-        A strand that arrives at end t leaves by t ^ 2 and next arrives at
-        that end's partner; arrivals at position 0 pass under.  A component
-        that arrives only once alternates.
-        """
-        partner = self.partner
-        for t in range(len(partner)):
-            if self.incoming[t >> 2][t & 3]:
-                u = partner[t ^ 2]
-                if u != t and (u & 3 == 0) == (t & 3 == 0):
-                    return False
-        return True
+        """Does every component alternate over/under along its travel?  Even
+        ends pass under and odd ones over, so every edge must join ends of
+        unlike parity, unless it closes a component at one crossing."""
+        return all((s ^ u) & 1 or u == s ^ 2 for s, u in enumerate(self.partner))
 
 
 # A crossing's incoming flags by its writhe sign: the under-strand runs

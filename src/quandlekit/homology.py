@@ -290,7 +290,9 @@ def cocycle_basis(X, sign, coeff=ZZ):
     quandle boundary, with its column transform V serves both cases.  Over
     Z the columns of V past the rank are a lattice basis of the kernel;
     over Z/m a spanning set keeps those reduced and adds the m-torsion
-    lifts of the columns at the nonzero elementary divisors.
+    lifts (m/g)·V_j of the columns at the divisors s_jj with g = gcd(s_jj,
+    m) > 1.  V is unimodular, so each of its columns is primitive and none
+    of these vanishes mod m.
     """
     _check_sign(sign)
     if coeff.kind == "Q":
@@ -311,7 +313,5 @@ def cocycle_basis(X, sign, coeff=ZZ):
             mult = m // g
         else:
             mult = 1
-        vec = [(mult * row[j]) % m for row in v]
-        if any(vec):
-            out.append(Cochain2.from_vector(X.n, vec, coeff))
+        out.append(Cochain2.from_vector(X.n, [(mult * row[j]) % m for row in v], coeff))
     return out

@@ -198,16 +198,16 @@ class ColoringTable:
     and their state sums.
 
     The search finds the colorings whose first branch arc carries an orbit
-    representative (``QuandleTable.orbit_plan``); every other coloring is
-    g∘rho for one of them and an automorphism g.  ``searched`` keeps the
+    representative (``QuandleTable.orbit_plan``); every coloring is g∘rho
+    for one of them and an automorphism g.  ``searched`` keeps the
     colorings found and ``carriers``, per searched coloring, the
-    automorphisms to the rest of its orbit (None for the identity), so
-    ``len`` counts colorings without listing them; the sorted
-    ``colorings`` are built on first read.  A weight is the dot product of
-    a coloring's signed (source color, over color) pair counts with the
-    cocycle's values.  The counts are built once per mode, crossing by
-    crossing on the searched colorings only, since W(g∘rho) = g·W(rho);
-    each cocycle then costs one exact dot product per coloring.
+    automorphisms onto its orbit, the identity first, so ``len`` counts
+    colorings without listing them; the sorted ``colorings`` are built on
+    first read.  A weight is the dot product of a coloring's signed (source
+    color, over color) pair counts with the cocycle's values.  The counts
+    are built once per mode, crossing by crossing on the searched colorings
+    only, since W(g∘rho) = g·W(rho); each cocycle then costs one exact dot
+    product per coloring.
     """
 
     def __init__(self, engine, X, nodes, searched, carriers):
@@ -216,7 +216,7 @@ class ColoringTable:
         self.branches = len(engine.schedule)  # arcs the search branched on
         self.nodes = nodes  # branch values tried
         self.searched = searched  # the colorings the search found
-        self.carriers = carriers  # per searched coloring: automorphisms, None for the identity
+        self.carriers = carriers  # per searched coloring: automorphisms, the identity first
         self._searched_counts = {}
 
     def __len__(self):
@@ -226,9 +226,7 @@ class ColoringTable:
     def colorings(self):
         """Every coloring, as sorted tuples of arc colors."""
         return sorted(
-            rho if g is None else tuple([g[c] for c in rho])
-            for rho, gs in zip(self.searched, self.carriers)
-            for g in gs
+            tuple([g[c] for c in rho]) for rho, gs in zip(self.searched, self.carriers) for g in gs
         )
 
     @property
@@ -260,10 +258,7 @@ class ColoringTable:
         weights = []
         for counts, gs in zip(self.searched_counts(mode), self.carriers):
             for g in gs:
-                if g is None:
-                    weights.append(sum(m * values[a][b] for (a, b), m in counts))
-                else:
-                    weights.append(sum(m * values[g[a]][g[b]] for (a, b), m in counts))
+                weights.append(sum(m * values[g[a]][g[b]] for (a, b), m in counts))
         return GroupRingValue.from_values(phi.coeff, weights)
 
 
@@ -375,13 +370,11 @@ def check_eps_alternation(engine):
 
     A strand passes over a crossing through its odd ends (numbered as in
     ``PDDiagram.partner``), so an edge whose two ends s and partner[s] are
-    both odd joins consecutive crossings of one run, and their signs must
-    differ.  These are the edges that the strand walk of
-    ``PDDiagram.alternating``, from an arrival at t to the next arrival at
-    partner[t ^ 2], crosses between two over-passages; either end of an
-    edge names it, so no orientation is read.  The pair across the ends of
-    a closed all-over run is one of them.  An edge joining a crossing's two
-    over-ends closes a run of one crossing, and has no pair to check.
+    both odd joins consecutive crossings of one run, or closes an all-over
+    run, and their signs must differ (the edge rule of ``diagrams``).
+    Either end names the edge, so no orientation is read.  An edge joining
+    a crossing's two over-ends closes a run of one crossing, and has no
+    pair to check.
     """
     eps = engine.eps
     return not any(

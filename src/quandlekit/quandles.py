@@ -140,8 +140,8 @@ class QuandleTable(Frozen):
     @cached_property
     def orbit_plan(self) -> tuple:
         """Per element c: (r, g), where g is a product of right translation maps
-        with g[r] == c (None when c == r), and r is the least element that
-        such products carry to c.
+        with g[r] == c (the identity when c == r), and r is the least element
+        that such products carry to c.
 
         Only a right translation that is a bijection preserving this table's
         operation is a factor, so every g is an automorphism.  In a rack each
@@ -162,8 +162,8 @@ class QuandleTable(Frozen):
         for r in range(n):
             if plan[r] is not None:
                 continue
-            plan[r] = (r, None)
-            reached = [(r, tuple(range(n)))]
+            plan[r] = (r, tuple(range(n)))
+            reached = [plan[r]]
             for x, g in reached:
                 for t in gens:
                     if plan[t[x]] is None:

@@ -83,10 +83,7 @@ def pair_counts(table, mode):
     rows = []
     for rho, counts, gs in zip(table.searched, table.searched_counts(mode), table.carriers):
         for g in gs:
-            if g is None:
-                rows.append((rho, counts))
-            else:
-                rows.append((tuple(g[c] for c in rho), tuple(((g[a], g[b]), m) for (a, b), m in counts)))
+            rows.append((tuple(g[c] for c in rho), tuple(((g[a], g[b]), m) for (a, b), m in counts)))
     rows.sort(key=lambda row: row[0])
     return [counts for _, counts in rows]
 

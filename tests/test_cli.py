@@ -448,6 +448,23 @@ def test_verify_expect_nontrivial_z2(capsys):
     assert w["diagram"] == "trefoil" and w["trivial"] is False
 
 
+def test_a_verify_witness_is_what_invariant_prints_for_its_cell(capsys, tmp_path):
+    _, doc, _ = run(
+        capsys,
+        ["verify", "--max-order", "4", "--coeff", "Z2", "--mode", "neg",
+         "--expect-nontrivial", "trefoil"],
+    )
+    witness = doc["witnesses"][0]
+    quandle, cocycle = tmp_path / "quandle.json", tmp_path / "cocycle.json"
+    quandle.write_text(json.dumps({"n": len(witness["quandle"]), "table": witness["quandle"]}))
+    cocycle.write_text(json.dumps({"coeff": "Z2", "values": witness.pop("cocycle")}))
+    rc, cell, _ = run(
+        capsys,
+        ["invariant", "-q", str(quandle), "-k", "trefoil", "--mode", "neg", "--cocycle", str(cocycle)],
+    )
+    assert rc == 0 and cell == witness
+
+
 @pytest.mark.parametrize(
     "argv,note",
     [

@@ -402,6 +402,39 @@ def test_shading_flip_negates_every_eps():
             assert shading_signs(d, outer_face=f) == (negated(eps) if f in base.shaded else eps)
 
 
+def follows_the_edge_rule(d, eps):
+    """Does eps change across exactly the edges whose two ends have the same
+    parity, both over or both under?"""
+    return all((eps[s >> 2] != eps[u >> 2]) == (not (s ^ u) & 1) for s, u in enumerate(d.partner))
+
+
+def test_eps_flips_exactly_across_same_parity_edges():
+    # corners alternate in shade around a crossing, and the corner at end
+    # p - 1 and the corner at q = partner[p] lie in one face
+    pairs = 0
+    for name in CORPUS_NAMES:
+        d = named_diagram(name)
+        for f in range(len(faces(d))):
+            assert follows_the_edge_rule(d, shading_signs(d, f)), (name, f)
+            pairs += 1
+    assert pairs == 52
+    ends = 0
+    for strands, word in _seeded_words(34, 300):
+        d = parse_pd(pd_text(closure_crossings(word, strands)))
+        assert follows_the_edge_rule(d, shading_signs(d)), (strands, word)
+        ends += len(d.partner)
+    assert ends > 10000
+    # as a check, the rule flags the same eps-flip mutants as the psi arc sums
+    from test_cli import _eps_flip_mutants, _psi_flagged
+
+    spared = [
+        (name, flip)
+        for name, flip, engine in _eps_flip_mutants()
+        if follows_the_edge_rule(engine.diagram, engine.eps) or not _psi_flagged(name, engine)
+    ]
+    assert spared == [("hopf", (0, 1))]
+
+
 def test_writhe_sign_convention_on_hopf():
     # both crossings of the bundled hopf link have the over-strand running
     # b -> d, which is the negative convention

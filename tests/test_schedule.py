@@ -167,7 +167,7 @@ def test_orbit_plan_entries_are_automorphisms_onto_each_color():
 def test_a_table_without_inner_automorphisms_tries_every_first_arc_color():
     # every column of NOT_A_QUANDLE is a bijection, but only the identity
     # column preserves its operation
-    assert NOT_A_QUANDLE.orbit_plan == tuple((c, None) for c in range(4))
+    assert NOT_A_QUANDLE.orbit_plan == tuple((c, (0, 1, 2, 3)) for c in range(4))
     # so orbits follows the plan, not the closure under every translation
     assert orbits(NOT_A_QUANDLE) == (((0,), (1,), (2,), (3,)), (0, 1, 2, 3))
     assert closure_orbits(NOT_A_QUANDLE) == ((0, 1, 2, 3),)
@@ -178,6 +178,20 @@ def test_a_table_without_inner_automorphisms_tries_every_first_arc_color():
         assert table.colorings == exhaustive_colorings(engine, NOT_A_QUANDLE)
     table = coloring_table(DiagramEngine(parse_pd("O[1]")), NOT_A_QUANDLE)
     assert (table.colorings, table.nodes) == ([(0,), (1,), (2,), (3,)], 4)
+
+
+def test_every_carrier_is_an_automorphism_and_the_identity_comes_first():
+    classes = [X for n in range(1, 5) for X, _ in class_representatives(n)]
+    for name in CORPUS_NAMES:
+        engine = DiagramEngine(named_diagram(name))
+        for X in classes + [R5.relabeled((3, 0, 4, 1, 2))]:
+            op, n = X.table, X.n
+            table = coloring_table(engine, X)
+            for gs in table.carriers:
+                assert gs[0] == tuple(range(n))
+                for g in gs:
+                    assert all(g[op[a][b]] == op[g[a]][g[b]] for a in range(n) for b in range(n))
+            assert table.colorings == exhaustive_colorings(engine, X)
 
 
 def test_the_search_tries_one_color_per_orbit():
