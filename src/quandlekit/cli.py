@@ -357,14 +357,7 @@ def cmd_verify(args):
 # --- wiring -------------------------------------------------------------------
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="quandlekit",
-        description="finite quandles, their (co)homology, and 2-cocycle knot invariants",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("quandle", help="validate, describe, or enumerate quandles")
+def _quandle_args(q):
     qsub = q.add_subparsers(dest="subcommand", required=True)
     qc = qsub.add_parser("check", help="axiom-check a table file")
     qc.add_argument("-f", "--file", required=True)
@@ -378,7 +371,8 @@ def build_parser():
     qg.add_argument("--out", help="output directory (default quandles<order>)")
     qg.set_defaults(func=cmd_quandle_gen)
 
-    ch = sub.add_parser("cohomology", help="print one cohomology group")
+
+def _cohomology_args(ch):
     ch.add_argument("-f", "--file", required=True)
     ch.add_argument("-n", type=int, required=True, help="degree (1..3)")
     ch.add_argument("--sign", choices=("neg", "pos"), required=True)
@@ -386,14 +380,16 @@ def build_parser():
     ch.add_argument("--flavor", choices=("rack", "degenerate", "quandle"), default="quandle")
     ch.set_defaults(func=cmd_cohomology)
 
-    cy = sub.add_parser("cocycles", help="degree-2 cocycle basis")
+
+def _cocycles_args(cy):
     cy.add_argument("-f", "--file", required=True)
     cy.add_argument("--sign", choices=("neg", "pos"), required=True)
     cy.add_argument("--coeff", default="Z")
     cy.add_argument("--out", help="write one JSON file per basis element")
     cy.set_defaults(func=cmd_cocycles)
 
-    inv = sub.add_parser("invariant", help="evaluate a 2-cocycle state sum")
+
+def _invariant_args(inv):
     inv.add_argument("-q", "--quandle", required=True)
     inv.add_argument("-k", "--diagram", required=True, help="corpus name or PD file")
     inv.add_argument("--mode", choices=("neg", "pos"), required=True)
@@ -402,7 +398,8 @@ def build_parser():
     inv.add_argument("--outer-face", type=int, dest="outer_face")
     inv.set_defaults(func=cmd_invariant)
 
-    ver = sub.add_parser("verify", help="run the triviality sweeps and identity checks")
+
+def _verify_args(ver):
     ver.add_argument("--max-order", type=int, default=4)
     ver.add_argument("--coeff", default="Z")
     ver.add_argument("--mode", choices=("neg", "pos", "both"), default="both")
@@ -412,11 +409,44 @@ def build_parser():
         help="succeed iff the sweep finds a nontrivial value on this diagram",
     )
     ver.set_defaults(func=cmd_verify)
+
+
+def _commands():
+    """The subcommands in help order: name -> (help, the function that adds
+    its arguments).  Made per call, so that a function rebound in this
+    module, as a tracer or a test may do, is the one that runs."""
+    return {
+        "quandle": ("validate, describe, or enumerate quandles", _quandle_args),
+        "cohomology": ("print one cohomology group", _cohomology_args),
+        "cocycles": ("degree-2 cocycle basis", _cocycles_args),
+        "invariant": ("evaluate a 2-cocycle state sum", _invariant_args),
+        "verify": ("run the triviality sweeps and identity checks", _verify_args),
+    }
+
+
+def build_parser(command=None):
+    """The argument parser.  Given a subcommand's name, only that subcommand
+    is configured; the parser then reads that subcommand's arguments, and
+    prints its help and errors, as the full parser does."""
+    parser = argparse.ArgumentParser(
+        prog="quandlekit",
+        description="finite quandles, their (co)homology, and 2-cocycle knot invariants",
+    )
+    commands = _commands()
+    if command not in commands:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # every name stays in the usage line of an "unrecognized arguments" error
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(commands))
+        commands = {command: commands[command]}
+    for name, (help_text, add_arguments) in commands.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RecursionError, ArithmeticError) as exc:

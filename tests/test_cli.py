@@ -868,6 +868,57 @@ def test_unknown_command_exits_2():
     assert exc.value.code == 2
 
 
+def parse_exit(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["frobnicate"], ["frobnicate", "-h"], ["-h", "verify"],
+    ["quandle"], ["quandle", "-h"], ["quandle", "frobnicate"], ["quandle", "check", "--bogus"],
+    ["quandle", "check", "-h"], ["quandle", "check"],
+    ["quandle", "info", "-h"], ["quandle", "info"],
+    ["quandle", "gen", "-h"], ["quandle", "gen"], ["quandle", "gen", "--order", "x"],
+    ["cohomology", "-h"], ["cohomology"], ["cohomology", "-f", "q.json", "-n", "2"],
+    ["cocycles", "-h"], ["cocycles"], ["cocycles", "-f", "q.json", "--sign", "zero"],
+    ["invariant", "-h"], ["invariant"], ["invariant", "-q", "q.json", "-k", "trefoil", "--mode", "neg"],
+    ["verify", "-h"], ["verify", "--mode", "sideways"], ["verify", "--max-order"],
+    ["verify", "--bogus"], ["verify", "extra"],
+])
+def test_main_parses_as_the_full_parser_does(capsys, argv):
+    # main configures only the named subcommand; its help, its errors and
+    # the top level's "unrecognized arguments" error stay the full parser's
+    want = parse_exit(cli.build_parser().parse_args, argv, capsys)
+    assert parse_exit(main, argv, capsys) == want
+    assert want[0] in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["quandle", "check", "-f", "q.json"],
+    ["quandle", "gen", "--order", "5", "--dedupe"],
+    ["cohomology", "-f", "q.json", "-n", "3", "--sign", "pos", "--coeff", "Z7", "--flavor", "rack"],
+    ["cocycles", "-f", "q.json", "--sign", "neg", "--out", "d"],
+    ["invariant", "-q", "q.json", "-k", "hopf", "--mode", "pos", "--cocycle", "c.json", "--outer-face", "1"],
+    ["verify", "--max-order", "6", "--coeff", "Z3", "--expect-nontrivial", "hopf"],
+    ["verify"],
+])
+def test_the_one_command_parser_reads_what_the_full_parser_reads(argv):
+    full = cli.build_parser().parse_args(argv)
+    assert cli.build_parser(argv[0]).parse_args(argv) == full
+    assert full.func is getattr(cli, "cmd_" + "_".join(argv[:2] if argv[0] == "quandle" else argv[:1]))
+
+
+def test_the_one_command_parser_configures_one_subcommand():
+    parser = cli.build_parser("cocycles")
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert list(sub.choices) == ["cocycles"]
+    (full,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert list(full.choices) == ["quandle", "cohomology", "cocycles", "invariant", "verify"]
+
+
 def test_the_cli_imports_neither_dataclasses_nor_importlib_resources():
     # every command pays its imports in a fresh interpreter; -S keeps site's
     # own imports out, the corpus must load without importlib.resources, and

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from class_search import least_with_cycle_type, search_representatives
 from quandlekit.quandles import (
     MalformedTableError,
     QuandleTable,
     _least_relabeling,
-    _least_with_cycle_type,
     _relabelings,
     class_representatives,
     dihedral_quandle,
@@ -305,13 +306,14 @@ def test_least_permutation_of_each_cycle_type(n):
             t = cycle_lengths(p)
             brute[t] = min(brute.get(t, p), p)
     for t, p in brute.items():
-        assert _least_with_cycle_type(t) == p
+        assert least_with_cycle_type(t) == p
 
 
 def columns(table):
     return tuple(zip(*table))
 
 
+@functools.cache
 def column_major_classes(n):
     """Oracle: each relabeling class of the labelled tables, as its
     column-major least table and its size, in column-major order."""
@@ -327,20 +329,46 @@ def column_major_classes(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_search_representatives_are_the_column_major_least_tables(n):
-    found = class_representatives(n)
+    found = search_representatives(n)
     assert [(X.table, size) for X, size in found] == column_major_classes(n)
     for X, size in found:
         assert size * automorphism_count(X) == math.factorial(n)
 
 
 def test_order_6_representatives():
-    found = class_representatives(6)
+    found = search_representatives(6)
     assert len(found) == 73
     assert sum(size for _, size in found) == 6658
     assert [columns(X.table) for X, _ in found] == sorted(columns(X.table) for X, _ in found)
     # the row-major pass turns them into the deduplicated tables
     forms = sorted(_least_relabeling(X.table, _relabelings(6)) for X, _ in found)
     assert forms == [X.table for X in enumerate_quandles(6, dedupe_iso=True)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_class_table_is_the_search(n):
+    # the checked-in table, line by line, against the search that made it
+    table = [(X.table, size) for X, size in class_representatives(n)]
+    assert table == [(X.table, size) for X, size in search_representatives(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_table_matches_the_column_major_oracle(n):
+    assert [(X.table, size) for X, size in class_representatives(n)] == column_major_classes(n)
+
+
+def test_class_table_counts_and_sizes():
+    # OEIS A181771 counts the classes; the sizes add up to the labelled tables
+    tables = [class_representatives(n) for n in range(1, 7)]
+    assert [len(found) for found in tables] == [1, 1, 3, 7, 22, 73]
+    assert [sum(size for _, size in found) for found in tables] == [1, 1, 5, 36, 404, 6658]
+    for n, found in enumerate(tables, 1):
+        assert all(validate_quandle(X.table).valid and X.n == n for X, _ in found)
+    for X, size in random.Random(7).sample(tables[5], 8):
+        assert size * automorphism_count(X) == math.factorial(6)
+    # each call builds a new list, so a caller's edit does not reach the next
+    class_representatives(3).clear()
+    assert len(class_representatives(3)) == 3
 
 
 def test_enumeration_rejects_out_of_range_orders():
