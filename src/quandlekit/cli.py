@@ -4,14 +4,23 @@ Every subcommand prints one JSON document on stdout (sorted keys, so
 identical invocations are byte-identical) and keeps human-readable chatter
 on stderr.  Exit codes: 0 when the requested properties hold, 1 when a
 checked property fails, 2 for unusable input.
+
+COMMANDS declares every command's options once.  ``main`` reads a plain
+command line straight from it: the command's words, then its options, each
+an exact option string given once and followed by one value that does not
+start with "-" (a flag takes none), every value of its type and in its
+choices, every required option there.  Any other command line (``-h``, an
+error, an abbreviated option, ``--opt=value``, a repeat, a value starting
+with "-") goes to the argparse parser built from the same table, which
+writes all help, usage and error text; argparse is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+import types
 
 from .diagrams import CORPUS_NAMES, load_diagram
 from .homology import ZZ, Cochain2, CoefficientGroup, cocycle_basis, cohomology_group
@@ -356,97 +365,172 @@ def cmd_verify(args):
 
 # --- wiring -------------------------------------------------------------------
 
+_FILE = (("-f", "--file"), {"dest": "file", "required": True})
+_SIGN = (("--sign",), {"dest": "sign", "choices": ("neg", "pos"), "required": True})
+_COEFF = (("--coeff",), {"dest": "coeff", "default": "Z"})
 
-def _quandle_args(q):
-    qsub = q.add_subparsers(dest="subcommand", required=True)
-    qc = qsub.add_parser("check", help="axiom-check a table file")
-    qc.add_argument("-f", "--file", required=True)
-    qc.set_defaults(func=cmd_quandle_check)
-    qi = qsub.add_parser("info", help="order, orbits, connectedness")
-    qi.add_argument("-f", "--file", required=True)
-    qi.set_defaults(func=cmd_quandle_info)
-    qg = qsub.add_parser("gen", help="enumerate all quandles of one order")
-    qg.add_argument("--order", type=int, required=True)
-    qg.add_argument("--dedupe", action="store_true", help="keep one table per isomorphism class")
-    qg.add_argument("--out", help="output directory (default quandles<order>)")
-    qg.set_defaults(func=cmd_quandle_gen)
+# The commands in help order: command words -> (help, the name of the cmd_*
+# function that runs the command, or None for a group of commands, and the
+# options as (option strings, keyword arguments of add_argument)).  The
+# function is named, not held, so that one rebound in this module, as a
+# tracer or a test may do, is the one that runs.
+COMMANDS = {
+    ("quandle",): ("validate, describe, or enumerate quandles", None, ()),
+    ("quandle", "check"): ("axiom-check a table file", "cmd_quandle_check", (_FILE,)),
+    ("quandle", "info"): ("order, orbits, connectedness", "cmd_quandle_info", (_FILE,)),
+    ("quandle", "gen"): (
+        "enumerate all quandles of one order",
+        "cmd_quandle_gen",
+        (
+            (("--order",), {"dest": "order", "type": int, "required": True}),
+            (
+                ("--dedupe",),
+                {
+                    "dest": "dedupe",
+                    "action": "store_true",
+                    "default": False,
+                    "help": "keep one table per isomorphism class",
+                },
+            ),
+            (("--out",), {"dest": "out", "help": "output directory (default quandles<order>)"}),
+        ),
+    ),
+    ("cohomology",): (
+        "print one cohomology group",
+        "cmd_cohomology",
+        (
+            _FILE,
+            (("-n",), {"dest": "n", "type": int, "required": True, "help": "degree (1..3)"}),
+            _SIGN,
+            _COEFF,
+            (("--flavor",), {"dest": "flavor", "choices": ("rack", "degenerate", "quandle"), "default": "quandle"}),
+        ),
+    ),
+    ("cocycles",): (
+        "degree-2 cocycle basis",
+        "cmd_cocycles",
+        (_FILE, _SIGN, _COEFF, (("--out",), {"dest": "out", "help": "write one JSON file per basis element"})),
+    ),
+    ("invariant",): (
+        "evaluate a 2-cocycle state sum",
+        "cmd_invariant",
+        (
+            (("-q", "--quandle"), {"dest": "quandle", "required": True}),
+            (("-k", "--diagram"), {"dest": "diagram", "required": True, "help": "corpus name or PD file"}),
+            (("--mode",), {"dest": "mode", "choices": ("neg", "pos"), "required": True}),
+            (("--coeff",), {"dest": "coeff", "help": "must match the cocycle file if given"}),
+            (("--cocycle",), {"dest": "cocycle", "required": True, "help": "cochain JSON file"}),
+            (("--outer-face",), {"dest": "outer_face", "type": int}),
+        ),
+    ),
+    ("verify",): (
+        "run the triviality sweeps and identity checks",
+        "cmd_verify",
+        (
+            (("--max-order",), {"dest": "max_order", "type": int, "default": 4}),
+            _COEFF,
+            (("--mode",), {"dest": "mode", "choices": ("neg", "pos", "both"), "default": "both"}),
+            (
+                ("--expect-nontrivial",),
+                {
+                    "dest": "expect_nontrivial",
+                    "metavar": "DIAGRAM",
+                    "help": "succeed iff the sweep finds a nontrivial value on this diagram",
+                },
+            ),
+        ),
+    ),
+}
+
+# where the parser stores each command word: the command, then the one
+# under a group
+_WORD_DESTS = ("command", "subcommand")
 
 
-def _cohomology_args(ch):
-    ch.add_argument("-f", "--file", required=True)
-    ch.add_argument("-n", type=int, required=True, help="degree (1..3)")
-    ch.add_argument("--sign", choices=("neg", "pos"), required=True)
-    ch.add_argument("--coeff", default="Z")
-    ch.add_argument("--flavor", choices=("rack", "degenerate", "quandle"), default="quandle")
-    ch.set_defaults(func=cmd_cohomology)
+def _plain_args(argv):
+    """What the parser makes of argv, read straight from COMMANDS when argv
+    has the plain form; None for any other argv.
 
-
-def _cocycles_args(cy):
-    cy.add_argument("-f", "--file", required=True)
-    cy.add_argument("--sign", choices=("neg", "pos"), required=True)
-    cy.add_argument("--coeff", default="Z")
-    cy.add_argument("--out", help="write one JSON file per basis element")
-    cy.set_defaults(func=cmd_cocycles)
-
-
-def _invariant_args(inv):
-    inv.add_argument("-q", "--quandle", required=True)
-    inv.add_argument("-k", "--diagram", required=True, help="corpus name or PD file")
-    inv.add_argument("--mode", choices=("neg", "pos"), required=True)
-    inv.add_argument("--coeff", help="must match the cocycle file if given")
-    inv.add_argument("--cocycle", required=True, help="cochain JSON file")
-    inv.add_argument("--outer-face", type=int, dest="outer_face")
-    inv.set_defaults(func=cmd_invariant)
-
-
-def _verify_args(ver):
-    ver.add_argument("--max-order", type=int, default=4)
-    ver.add_argument("--coeff", default="Z")
-    ver.add_argument("--mode", choices=("neg", "pos", "both"), default="both")
-    ver.add_argument(
-        "--expect-nontrivial",
-        metavar="DIAGRAM",
-        help="succeed iff the sweep finds a nontrivial value on this diagram",
-    )
-    ver.set_defaults(func=cmd_verify)
-
-
-def _commands():
-    """The subcommands in help order: name -> (help, the function that adds
-    its arguments).  Made per call, so that a function rebound in this
-    module, as a tracer or a test may do, is the one that runs."""
-    return {
-        "quandle": ("validate, describe, or enumerate quandles", _quandle_args),
-        "cohomology": ("print one cohomology group", _cohomology_args),
-        "cocycles": ("degree-2 cocycle basis", _cocycles_args),
-        "invariant": ("evaluate a 2-cocycle state sum", _invariant_args),
-        "verify": ("run the triviality sweeps and identity checks", _verify_args),
-    }
+    The plain form is a command's words, then its options, each an exact
+    option string, given once, and followed by one value that does not start
+    with "-" (a store_true option takes none).  Every value converts with its
+    type and lies in its choices, and every required option is there.  For
+    these argvs the parser reads each token the same way, so the result has
+    the attributes the parser's namespace has, set to the same values."""
+    words = tuple(argv[:1])
+    if words in COMMANDS and COMMANDS[words][1] is None:  # a group: its command follows
+        words = tuple(argv[:2])
+    _, func, options = COMMANDS.get(words, (None, None, ()))
+    if func is None:
+        return None
+    ns = dict(zip(_WORD_DESTS, words))
+    by_flag = {}
+    for flags, kw in options:
+        ns[kw["dest"]] = kw.get("default")
+        by_flag.update(dict.fromkeys(flags, kw))
+    given = set()
+    rest = argv[len(words):]
+    i = 0
+    while i < len(rest):
+        kw = by_flag.get(rest[i])
+        if kw is None or kw["dest"] in given:
+            return None
+        given.add(kw["dest"])
+        if kw.get("action") == "store_true":
+            ns[kw["dest"]] = True
+            i += 1
+            continue
+        if i + 1 == len(rest) or rest[i + 1].startswith("-"):
+            return None
+        value = rest[i + 1]
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        ns[kw["dest"]] = value
+        i += 2
+    if any(kw.get("required") and kw["dest"] not in given for _, kw in options):
+        return None
+    ns["func"] = globals()[func]
+    return types.SimpleNamespace(**ns)
 
 
 def build_parser(command=None):
-    """The argument parser.  Given a subcommand's name, only that subcommand
-    is configured; the parser then reads that subcommand's arguments, and
-    prints its help and errors, as the full parser does."""
+    """The argument parser, built from COMMANDS.  Given a command's name,
+    only that command is configured; the parser then reads that command's
+    arguments, and prints its help and errors, as the full parser does."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="quandlekit",
         description="finite quandles, their (co)homology, and 2-cocycle knot invariants",
     )
-    commands = _commands()
-    if command not in commands:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        # every name stays in the usage line of an "unrecognized arguments" error
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(commands))
-        commands = {command: commands[command]}
-    for name, (help_text, add_arguments) in commands.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    names = [words[0] for words in COMMANDS if len(words) == 1]
+    one = command in names
+    # every name stays in the usage line of an "unrecognized arguments" error
+    metavar = "{%s}" % ",".join(names) if one else None
+    groups = {(): parser.add_subparsers(dest=_WORD_DESTS[0], required=True, metavar=metavar)}
+    for words, (help_text, func, options) in COMMANDS.items():
+        if one and words[0] != command:
+            continue
+        sub = groups[words[:-1]].add_parser(words[-1], help=help_text)
+        if func is None:
+            groups[words] = sub.add_subparsers(dest=_WORD_DESTS[len(words)], required=True)
+            continue
+        for flags, kw in options:
+            sub.add_argument(*flags, **kw)
+        sub.set_defaults(func=globals()[func])
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RecursionError, ArithmeticError) as exc:

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: documents, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -909,6 +911,8 @@ def test_the_one_command_parser_reads_what_the_full_parser_reads(argv):
     full = cli.build_parser().parse_args(argv)
     assert cli.build_parser(argv[0]).parse_args(argv) == full
     assert full.func is getattr(cli, "cmd_" + "_".join(argv[:2] if argv[0] == "quandle" else argv[:1]))
+    # each of these is in the plain form, which main reads without argparse
+    assert vars(cli._plain_args(argv)) == vars(full)
 
 
 def test_the_one_command_parser_configures_one_subcommand():
@@ -917,6 +921,118 @@ def test_the_one_command_parser_configures_one_subcommand():
     assert list(sub.choices) == ["cocycles"]
     (full,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
     assert list(full.choices) == ["quandle", "cohomology", "cocycles", "invariant", "verify"]
+
+
+# values the plain reader and argparse might read differently
+INT_VALUES = ("0", "-1", "x", "4.0", " 2", "+2", "\u0663", "1_0", "")
+STR_VALUES = ("-q.json", "Z3", "", "a b", "-", "--")
+STRAYS = ("-h", "--help", "--", "extra", "-x", "--bogus")
+RUNNABLE = [words for words, (_, func, _) in cli.COMMANDS.items() if func]
+
+
+def _good(kw):
+    """A value the option takes, as its tokens."""
+    if kw.get("action") == "store_true":
+        return []
+    return [kw["choices"][-1] if "choices" in kw else "3" if "type" in kw else "q.json"]
+
+
+def _odd(rng, kw):
+    if "choices" in kw:
+        return rng.choice(kw["choices"] + ("sideways", "-" + kw["choices"][0]))
+    return rng.choice(INT_VALUES if "type" in kw else STR_VALUES)
+
+
+def _command_line(rng, words):
+    """A line in the plain form (every required option and a random subset
+    of the others, in random order, with good values), then up to two
+    departures from it: an abbreviation, --opt=value, a repeat, an odd value
+    (a bad int, a choice outside the list, one starting with "-"), a dropped
+    option or a stray token."""
+    groups = [
+        [kw, rng.choice(flags)] + _good(kw)
+        for flags, kw in cli.COMMANDS[words][2]
+        if kw.get("required") or rng.random() < 0.5
+    ]
+    strays = []
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        departure = rng.randrange(6)
+        if departure == 0 or not groups:
+            strays.append(rng.choice(STRAYS))
+            continue
+        group = rng.choice(groups)
+        long_flag = group[1].startswith("--") and len(group[1]) > 2
+        if departure == 1 and long_flag:
+            group[1] = group[1][: rng.randint(2, len(group[1]) - 1)]
+        elif departure == 2 and long_flag and len(group) == 3:
+            group[1:] = ["%s=%s" % tuple(group[1:])]
+        elif departure == 3:
+            groups.append(group[:2] + [_odd(rng, group[0])] * (len(group) - 2))
+        elif departure == 4 and len(group) == 3:
+            group[2] = _odd(rng, group[0])
+        else:
+            groups.remove(group)
+    rng.shuffle(groups)
+    argv = list(words) + [token for group in groups for token in group[1:]]
+    for token in strays:
+        argv.insert(rng.randint(len(words), len(argv)), token)
+    return argv
+
+
+def _outcome(parse, argv):
+    """The namespace parse makes of argv, or the exit code, stdout and stderr
+    of a parse that ends the program."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def echoing_commands(monkeypatch):
+    # each command's function hands back what it was given, so main returns
+    # the namespace; a full parser built after this holds the same functions
+    for words in RUNNABLE:
+        monkeypatch.setattr(cli, cli.COMMANDS[words][1], lambda args: args)
+
+
+def _check_reads_as_the_full_parser(argv):
+    """main's outcome is the full parser's; True when the plain reader read
+    argv itself."""
+    want = _outcome(cli.build_parser().parse_args, argv)
+    assert _outcome(main, argv) == want, argv
+    read = cli._plain_args(argv)
+    if read is not None:
+        assert vars(read) == want, argv
+    return read is not None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_main_reads_generated_command_lines_as_the_full_parser_does(echoing_commands, seed):
+    rng = random.Random(seed)
+    lines = [_command_line(rng, rng.choice(RUNNABLE)) for _ in range(80)]
+    # and a few without their first or second word
+    lines += [line[1:] for line in lines[:3]] + [line[:1] + line[2:] for line in lines[3:6]]
+    plain = sum(_check_reads_as_the_full_parser(argv) for argv in lines)
+    assert 20 <= plain <= 70
+
+
+@pytest.mark.parametrize("words", RUNNABLE, ids=" ".join)
+def test_main_reads_each_abbreviation_and_joined_value_as_the_full_parser_does(echoing_commands, words):
+    # every prefix of every long option, ambiguous or not, and every
+    # --opt=value, in a line that gives each option of the command once
+    options = cli.COMMANDS[words][2]
+    groups = [[flags[-1]] + _good(kw) for flags, kw in options]
+    assert _check_reads_as_the_full_parser(list(words) + sum(groups, []))
+    for i, group in enumerate(groups):
+        spellings = [[group[0][:end]] + group[1:] for end in range(2, len(group[0]))]
+        if len(group) == 2:
+            spellings.append(["=".join(group)])
+        for spelling in spellings:
+            argv = list(words) + sum(groups[:i] + [spelling] + groups[i + 1:], [])
+            assert not _check_reads_as_the_full_parser(argv)
 
 
 def test_the_cli_imports_neither_dataclasses_nor_importlib_resources():
@@ -932,3 +1048,27 @@ def test_the_cli_imports_neither_dataclasses_nor_importlib_resources():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_a_plain_command_line_never_imports_argparse(files, tmp_path):
+    # argparse (and its gettext and locale) is loaded only when a command
+    # line needs help, an error or a spelling the plain reader leaves to it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    cocycle = tmp_path / "zero.json"
+    cocycle.write_text(json.dumps({"coeff": "Z", "values": [[0] * 3] * 3}))
+    argv = ["invariant", "-q", files["d3"], "-k", "trefoil", "--mode", "neg", "--cocycle", str(cocycle)]
+    code = (
+        "import sys; sys.path.insert(0, %r); import quandlekit.cli\n"
+        "loaded = lambda: sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))\n"
+        "rc = quandlekit.cli.main(%r)\n"
+        "print('plain', rc, loaded())\n"
+        "try:\n"
+        "    quandlekit.cli.main(['verify', '--mode', 'sideways'])\n"
+        "except SystemExit as exc:\n"
+        "    print('fallback', exc.code, 'argparse' in loaded())\n" % (src, argv)
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    lines = out.stdout.splitlines()
+    assert json.loads("\n".join(lines[:-2]))["colorings"] == 9
+    assert lines[-2:] == ["plain 0 []", "fallback 2 True"]
+    assert "quandlekit verify: error: argument --mode: invalid choice: 'sideways'" in out.stderr
