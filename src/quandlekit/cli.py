@@ -498,24 +498,16 @@ def _plain_args(argv):
     return types.SimpleNamespace(**ns)
 
 
-def build_parser(command=None):
-    """The argument parser, built from COMMANDS.  Given a command's name,
-    only that command is configured; the parser then reads that command's
-    arguments, and prints its help and errors, as the full parser does."""
+def build_parser():
+    """The argument parser, built from COMMANDS."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="quandlekit",
         description="finite quandles, their (co)homology, and 2-cocycle knot invariants",
     )
-    names = [words[0] for words in COMMANDS if len(words) == 1]
-    one = command in names
-    # every name stays in the usage line of an "unrecognized arguments" error
-    metavar = "{%s}" % ",".join(names) if one else None
-    groups = {(): parser.add_subparsers(dest=_WORD_DESTS[0], required=True, metavar=metavar)}
+    groups = {(): parser.add_subparsers(dest=_WORD_DESTS[0], required=True)}
     for words, (help_text, func, options) in COMMANDS.items():
-        if one and words[0] != command:
-            continue
         sub = groups[words[:-1]].add_parser(words[-1], help=help_text)
         if func is None:
             groups[words] = sub.add_subparsers(dest=_WORD_DESTS[len(words)], required=True)
@@ -530,7 +522,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_args(argv)
     if args is None:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RecursionError, ArithmeticError) as exc:

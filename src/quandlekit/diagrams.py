@@ -120,13 +120,12 @@ class PDDiagram(Frozen):
     them out.
     """
 
-    __match_args__ = ("crossings", "loops", "incoming", "components")
+    __match_args__ = ("crossings", "loops", "components")
 
-    def __init__(self, crossings, loops, incoming, components, roles, arc_count, partner):
+    def __init__(self, crossings, loops, components, roles, arc_count, partner):
         vars(self).update(
             crossings=crossings,  # of (a, b, c, d)
             loops=loops,  # O-term edge ids
-            incoming=incoming,  # per crossing, 4 booleans: does that end point in?
             components=components,  # edge-id cycles, one per link component
             roles=roles,
             arc_count=arc_count,
@@ -146,11 +145,6 @@ class PDDiagram(Frozen):
         ends pass under and odd ones over, so every edge must join ends of
         unlike parity, unless it closes a component at one crossing."""
         return all((s ^ u) & 1 or u == s ^ 2 for s, u in enumerate(self.partner))
-
-
-# A crossing's incoming flags by its writhe sign: the under-strand runs
-# a -> c, the over-strand d -> b when w is +1 and b -> d when it is -1.
-_INCOMING = {1: (True, False, False, True), -1: (True, True, False, False)}
 
 
 def _partner(crossings):
@@ -279,7 +273,6 @@ def parse_pd(text):
     return PDDiagram(
         crossings=crossings,
         loops=loops,
-        incoming=tuple(map(_INCOMING.__getitem__, w)),
         components=tuple(sorted(cycles + [(k,) for k in loops])),
         roles=tuple(
             (u, o, v, 1) if x == 1 else (v, o, u, -1)
@@ -334,7 +327,9 @@ def faces(d):
         )
     flat = list(chain.from_iterable(d.crossings))
     first = flat.index(min(flat))  # an end of the least edge; the face at its head
-    head = first if d.incoming[first >> 2][first & 3] else partner[first]
+    # the under-strand runs a -> c, the over-strand d -> b when w is +1 and
+    # b -> d when it is -1: an end points in at position 0 and at 2 + w
+    head = first if (first & 3) in (0, 2 + d.roles[first >> 2][3]) else partner[first]
     return FaceSet(faces=tuple(cycles), outer_default=face[head], face_of=tuple(face))
 
 

@@ -11,10 +11,11 @@ Dropping (Q1) gives a rack.  The dual operation is the inverse of each
 right translation, so (a*b) dual b == a.
 
 The isomorphism classes of order 1 to MAX_ENUMERATION_ORDER are package
-data: quandle_classes.txt lists each class's column-major least table and
-its size, and class_representatives reads the file on first use.  The
-orderly search that made the file lives in the tests, as its reference
-(tests/class_search.py), and regenerates it:
+data: quandle_classes.txt lists each class's row-major least table and
+its size, sorted by table, and class_representatives reads the file on
+first use.  No relabeling search runs here.  The orderly search that made
+the file, and the relabeling pass that canonicalizes its output, live in
+the tests as their reference (tests/class_search.py), and regenerate it:
 
     PYTHONPATH=src python tests/class_search.py > src/quandlekit/quandle_classes.txt
 """
@@ -252,29 +253,6 @@ def _inverse(p):
     return tuple(inv)
 
 
-def _relabelings(n):
-    """Every relabeling p of 0..n-1, with its inverse, one at a time."""
-    return ((p, _inverse(p)) for p in itertools.permutations(range(n)))
-
-
-def _least_relabeling(table, relabelings):
-    """Row-major lex-least relabeling of a table.
-
-    Relabeled row i is p(T[p^-1(i)][p^-1(j)]) for j in order; a relabeling is
-    abandoned at its first row that differs from the best table so far, and
-    kept only if that row is smaller.
-    """
-    best = table  # the identity relabeling
-    for p, inv in relabelings:
-        rows = (tuple(map(p.__getitem__, map(table[a].__getitem__, inv))) for a in inv)
-        for i, row in enumerate(rows):
-            if row != best[i]:
-                if row < best[i]:
-                    best = best[:i] + (row,) + tuple(rows)
-                break
-    return best
-
-
 MAX_ENUMERATION_ORDER = 6
 
 
@@ -292,13 +270,14 @@ def _class_table():
 
 
 def class_representatives(n: int) -> list[tuple[QuandleTable, int]]:
-    """One (column-major least table, class size n!/|Aut X|) per isomorphism
-    class of order n, in column-major order.
+    """One (row-major least table, class size n!/|Aut X|) per isomorphism
+    class of order n, sorted by table.
 
     The classes are read, on the first call, from quandle_classes.txt next
     to this module: a table of the 1, 1, 3, 7, 22 and 73 classes of orders
-    1 to 6.  The orderly search (Read 1978) that made it lives in the tests
-    as its reference; regenerate it with
+    1 to 6.  The orderly search (Read 1978) that made it, and the pass that
+    turns each table it finds into the row-major least one, live in the
+    tests as their reference; regenerate it with
 
         PYTHONPATH=src python tests/class_search.py > src/quandlekit/quandle_classes.txt
     """
@@ -318,15 +297,13 @@ def enumerate_quandles(n: int, dedupe_iso: bool = False) -> list[QuandleTable]:
     """All quandle tables of order n <= MAX_ENUMERATION_ORDER, lexicographically
     sorted: the union of the relabeling orbits of class_representatives(n).
 
-    With dedupe_iso, one table per isomorphism class instead: each of
-    class_representatives(n) turned into its row-major lex-least relabeling
-    by one early-exit pass, sorted.
+    With dedupe_iso, one table per isomorphism class instead: the tables of
+    class_representatives(n), each its class's row-major least table, in the
+    file's order.
     """
     classes = class_representatives(n)
     if dedupe_iso:
-        relabelings = list(_relabelings(n))
-        forms = sorted(_least_relabeling(X.table, relabelings) for X, _ in classes)
-        return [QuandleTable(t) for t in forms]
+        return [X for X, _ in classes]
     return sorted((Y for X, _ in classes for Y in isomorphic_tables(X)), key=lambda Y: Y.table)
 
 

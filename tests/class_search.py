@@ -2,8 +2,10 @@
 
 ``quandlekit.quandles.class_representatives`` reads the classes of each
 order from ``src/quandlekit/quandle_classes.txt``.  This module is the
-reference that made that file and that the tests hold it to.  Regenerate
-the file with
+reference that made that file and that the tests hold it to: the search
+finds each class's column-major least table, and ``canonical_classes``
+turns each into its row-major least relabeling, the one form the file
+stores.  Regenerate the file with
 
     PYTHONPATH=src python tests/class_search.py > src/quandlekit/quandle_classes.txt
 """
@@ -12,16 +14,39 @@ from __future__ import annotations
 
 import itertools
 
-from quandlekit.quandles import MAX_ENUMERATION_ORDER, QuandleTable, _relabelings
+from quandlekit.quandles import MAX_ENUMERATION_ORDER, QuandleTable, _inverse
 
 HEADER = """\
-# The isomorphism classes of quandles of order 1 to %d, one per line, in
-# column-major order within each order: the order n, the class size
-# n!/|Aut X|, and the rows of the class's column-major least table, each
-# row written as its digits.
+# The isomorphism classes of quandles of order 1 to %d, one per line,
+# sorted by table within each order: the order n, the class size
+# n!/|Aut X|, and the rows of the class's row-major least table, each row
+# written as its digits.
 # Made by tests/class_search.py; regenerate with
 #   PYTHONPATH=src python tests/class_search.py > src/quandlekit/quandle_classes.txt
 """
+
+
+def _relabelings(n):
+    """Every relabeling p of 0..n-1, with its inverse, one at a time."""
+    return ((p, _inverse(p)) for p in itertools.permutations(range(n)))
+
+
+def _least_relabeling(table, relabelings):
+    """Row-major lex-least relabeling of a table.
+
+    Relabeled row i is p(T[p^-1(i)][p^-1(j)]) for j in order; a relabeling is
+    abandoned at its first row that differs from the best table so far, and
+    kept only if that row is smaller.
+    """
+    best = table  # the identity relabeling
+    for p, inv in relabelings:
+        rows = (tuple(map(p.__getitem__, map(table[a].__getitem__, inv))) for a in inv)
+        for i, row in enumerate(rows):
+            if row != best[i]:
+                if row < best[i]:
+                    best = best[:i] + (row,) + tuple(rows)
+                break
+    return best
 
 
 def cycle_type(p):
@@ -168,12 +193,20 @@ def search_representatives(n: int) -> list[tuple[QuandleTable, int]]:
     return found
 
 
+def canonical_classes(n: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """One (row-major least table, class size) per isomorphism class of
+    order n >= 1, sorted by table: the search's tables, each relabeled by
+    one early-exit pass over the n! relabelings."""
+    relabelings = list(_relabelings(n))
+    return sorted((_least_relabeling(X.table, relabelings), size) for X, size in search_representatives(n))
+
+
 def table_text(top=MAX_ENUMERATION_ORDER):
     """The class table's text for orders 1..top, header included."""
     lines = [HEADER % top]
     for n in range(1, top + 1):
-        for X, size in search_representatives(n):
-            lines.append("%d %d %s\n" % (n, size, " ".join("".join(map(str, r)) for r in X.table)))
+        for table, size in canonical_classes(n):
+            lines.append("%d %d %s\n" % (n, size, " ".join("".join(map(str, r)) for r in table)))
     return "".join(lines)
 
 

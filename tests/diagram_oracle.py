@@ -9,7 +9,9 @@ by looking each crossing's edges up in ``arc_of``, and the faces dart by
 dart through the ends of each edge.  ``eps_alternates`` checks the
 shading signs along each arc's traversal, as the library's end-walk
 ``check_eps_alternation`` must.  Only the parsed fields of a PDDiagram
-(crossings, loops, incoming, components) are read.  A dart (i, p) is
+(crossings, loops, components) and each crossing's writhe sign w, the last
+entry of its role, are read; ``incoming`` turns w into the flags of which
+ends point in, from a table of its own.  A dart (i, p) is
 written as the end number 4 * i + p only where a FaceSet is built, and
 read back from it the same way.  ``checkerboard`` and ``signs`` shade
 the faces and read the crossing signs into records of their own, which
@@ -74,6 +76,16 @@ Shading = namedtuple("Shading", "faceset outer shaded")
 CrossingSigns = namedtuple("CrossingSigns", "w eps")
 
 
+# A crossing's incoming flags by its writhe sign: the under-strand runs
+# a -> c, the over-strand d -> b when w is +1 and b -> d when it is -1.
+_INCOMING = {1: (True, False, False, True), -1: (True, True, False, False)}
+
+
+def incoming(d):
+    """Per crossing, 4 booleans: does the end at that position point in?"""
+    return tuple(_INCOMING[role[3]] for role in d.roles)
+
+
 def ends(d):
     """edge id -> the one or two (crossing, position) slots it fills."""
     out = {}
@@ -87,7 +99,7 @@ def heads(d):
     """edge id -> the (crossing, position) slot where it arrives."""
     return {
         t[p]: (i, p)
-        for i, (t, flags) in enumerate(zip(d.crossings, d.incoming))
+        for i, (t, flags) in enumerate(zip(d.crossings, incoming(d)))
         for p in range(4)
         if flags[p]
     }
@@ -135,7 +147,7 @@ def crossing_roles(d, arcset):
     """Per crossing: (source arc, over arc, target arc, w)."""
     out = []
     for i, (a, b, c, _) in enumerate(d.crossings):
-        w = 1 if d.incoming[i][3] else -1
+        w = d.roles[i][3]
         under_in = arcset.arc_of[a]
         under_out = arcset.arc_of[c]
         over = arcset.arc_of[b]
@@ -229,7 +241,7 @@ def checkerboard(d, outer_face=None):
 
 
 def signs(d, shading):
-    w = tuple(1 if flags[3] else -1 for flags in d.incoming)
+    w = tuple(role[3] for role in d.roles)
     face_of = shading.faceset.face_of
     eps = tuple(
         1 if face_of[4 * i] in shading.shaded else -1

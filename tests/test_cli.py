@@ -891,8 +891,7 @@ def parse_exit(parse, argv, capsys):
     ["verify", "--bogus"], ["verify", "extra"],
 ])
 def test_main_parses_as_the_full_parser_does(capsys, argv):
-    # main configures only the named subcommand; its help, its errors and
-    # the top level's "unrecognized arguments" error stay the full parser's
+    # help, usage and every error are the full parser's
     want = parse_exit(cli.build_parser().parse_args, argv, capsys)
     assert parse_exit(main, argv, capsys) == want
     assert want[0] in (0, 2)
@@ -909,18 +908,9 @@ def test_main_parses_as_the_full_parser_does(capsys, argv):
 ])
 def test_the_one_command_parser_reads_what_the_full_parser_reads(argv):
     full = cli.build_parser().parse_args(argv)
-    assert cli.build_parser(argv[0]).parse_args(argv) == full
     assert full.func is getattr(cli, "cmd_" + "_".join(argv[:2] if argv[0] == "quandle" else argv[:1]))
     # each of these is in the plain form, which main reads without argparse
     assert vars(cli._plain_args(argv)) == vars(full)
-
-
-def test_the_one_command_parser_configures_one_subcommand():
-    parser = cli.build_parser("cocycles")
-    (sub,) = [a for a in parser._actions if a.dest == "command"]
-    assert list(sub.choices) == ["cocycles"]
-    (full,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
-    assert list(full.choices) == ["quandle", "cohomology", "cocycles", "invariant", "verify"]
 
 
 # values the plain reader and argparse might read differently

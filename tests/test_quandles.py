@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -11,12 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from class_search import least_with_cycle_type, search_representatives
+from class_search import (
+    _least_relabeling,
+    _relabelings,
+    canonical_classes,
+    least_with_cycle_type,
+    search_representatives,
+)
 from quandlekit.quandles import (
     MalformedTableError,
     QuandleTable,
-    _least_relabeling,
-    _relabelings,
     class_representatives,
     dihedral_quandle,
     enumerate_quandles,
@@ -240,17 +245,9 @@ def automorphism_count(X):
     return sum(X.relabeled(p).table == X.table for p in itertools.permutations(range(X.n)))
 
 
-def quandle_classes(n):
-    """One (lex-least table, class size) per class of order n, sorted by
-    table: enumerate_quandles(n, dedupe_iso=True), each table with the size
-    class_representatives gives its class."""
-    size = {_least_relabeling(X.table, _relabelings(n)): s for X, s in class_representatives(n)}
-    return [(X, size[X.table]) for X in enumerate_quandles(n, dedupe_iso=True)]
-
-
 @pytest.mark.parametrize("n,classes,labelled", [(1, 1, 1), (2, 1, 1), (3, 3, 5), (4, 7, 36), (5, 22, 404)])
 def test_quandle_classes_sizes_are_orbit_sizes(n, classes, labelled):
-    found = quandle_classes(n)
+    found = class_representatives(n)
     assert len(found) == classes
     assert sum(size for _, size in found) == labelled == len(enumerate_quandles(n))
     for X, size in found:
@@ -263,16 +260,19 @@ def test_quandle_classes_sizes_are_orbit_sizes(n, classes, labelled):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_class_representatives_are_the_canonical_forms(n):
-    # oracle: the least relabeling of every labelled table, by brute force
+    # oracle: the least relabeling of every labelled table, by brute force;
+    # each form stands for its class, and the tables that share it are the
+    # orbit, so the checked-in table lists each form with its orbit size
     labelled = labelled_quandles(n)
     forms = [canonical_form(t) for t in labelled]
-    assert [X.table for X in enumerate_quandles(n, dedupe_iso=True)] == sorted(set(forms))
-    # the early-exit pass behind the dedupe finds the same least tables
+    orbit_sizes = collections.Counter(forms)
+    assert [(X.table, size) for X, size in class_representatives(n)] == sorted(orbit_sizes.items())
+    # the early-exit pass that canonicalizes the search finds the same least tables
     assert [_least_relabeling(t, _relabelings(n)) for t in labelled] == forms
 
 
 def test_order_6_classes():
-    found = quandle_classes(6)
+    found = class_representatives(6)
     assert len(found) == 73
     assert sum(size for _, size in found) == 6658 == len(enumerate_quandles(6))
     for X, _ in found:
@@ -347,14 +347,26 @@ def test_order_6_representatives():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_class_table_is_the_search(n):
-    # the checked-in table, line by line, against the search that made it
-    table = [(X.table, size) for X, size in class_representatives(n)]
-    assert table == [(X.table, size) for X, size in search_representatives(n)]
+    # the checked-in table, line by line, against the search that made it,
+    # each table turned into its row-major least relabeling, sorted
+    assert [(X.table, size) for X, size in class_representatives(n)] == canonical_classes(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_class_table_matches_the_column_major_oracle(n):
-    assert [(X.table, size) for X, size in class_representatives(n)] == column_major_classes(n)
+    # the checked-in table lists the oracle's classes with the oracle's sizes:
+    # each row-major representative, turned into the column-major least table
+    # of its class, gives the oracle's entry
+    def column_least(t):
+        return min((QuandleTable(t).relabeled(p).table for p in itertools.permutations(range(n))), key=columns)
+
+    found = [(column_least(X.table), size) for X, size in class_representatives(n)]
+    assert sorted(found, key=lambda item: columns(item[0])) == column_major_classes(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_deduplicated_enumeration_is_the_class_table(n):
+    assert enumerate_quandles(n, dedupe_iso=True) == [X for X, _ in class_representatives(n)]
 
 
 def test_class_table_counts_and_sizes():
