@@ -13,10 +13,21 @@ choices, every required option there.  Any other command line (``-h``, an
 error, an abbreviated option, ``--opt=value``, a repeat, a value starting
 with "-") goes to the argparse parser built from the same table, which
 writes all help, usage and error text; argparse is imported only then.
+
+``main`` runs the command with the cyclic garbage collector paused and
+puts it back as it found it, however the command ends.  Reference counting
+still frees every object as it goes; only the search for unreachable
+cycles stops.  That is safe because no command makes cycles in proportion
+to its work.  The one cycle is the 33 objects json's indented encoder
+leaves per document; ``_write_docs``, the one loop that writes many
+documents, collects them after each.  On a 10 000-crossing diagram the
+collector otherwise ran about 80 times, a tenth of the command's time, and
+found nothing to free.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -62,13 +73,18 @@ def _emit(doc, fh=None):
 
 
 def _write_docs(outdir, named_docs):
-    """Write each (file name, document) into outdir; the paths, in order."""
+    """Write each (file name, document) into outdir; the paths, in order.
+
+    Every document leaves json's indented encoder behind as a cycle, and
+    ``main`` pauses the collector, so a young-generation collection after
+    each one keeps memory flat over thousands of files."""
     os.makedirs(outdir, exist_ok=True)
     paths = []
     for name, doc in named_docs:
         paths.append(os.path.join(outdir, name))
         with open(paths[-1], "w", encoding="utf-8") as fh:
             _emit(doc, fh)
+        gc.collect(0)
     return paths
 
 
@@ -523,12 +539,17 @@ def main(argv=None):
     args = _plain_args(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RecursionError, ArithmeticError) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         _note("error: %s" % msg)
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ under-edge ``a`` (so the under-strand runs a -> c and the over-strand joins
 b and d).  ``O[k]`` is a crossingless closed component with the single edge
 id ``k``.  Every X-edge id must occur exactly twice.
 
+A code of X terms only, spaced with JSON whitespace, is read in bulk: one
+``str.translate`` checks its skeleton and one ``json.loads`` reads its ids.
+Any other code is read term by term, which words every syntax error.
+
 Parsing reads a code in one walk over the crossing ends, numbered
 4 * crossing + position.  A walk leaves a crossing by its outgoing
 under-end ``c`` and follows the strand through every crossing it meets,
@@ -33,15 +37,17 @@ has the zero arc sums of ``DiagramEngine.premise`` in plus mode.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from functools import cached_property
 from collections import Counter, namedtuple
-from itertools import chain, repeat
+from itertools import chain
 
 from .quandles import Frozen
 
 _TERM = re.compile(r"\s*(([XO])\s*\[([0-9,\s]*)\])\s*")
+_SKELETON = str.maketrans("", "", "0123456789 \t\n\r")  # what the bulk read deletes
 
 CORPUS_NAMES = (
     "trefoil",
@@ -69,21 +75,25 @@ def _tokenize(text):
     """The X terms and the O terms of a code, each as tuples of edge ids, in
     one pass; whitespace may stand anywhere except inside an edge id.
 
-    A code of X terms only, with no text between them and three commas in
-    every body, is first read in bulk: one ``int`` map over the joined
-    bodies.  Any other code, or one whose ids fail that read, is read term
-    by term, so that an error names its first bad term.
+    A code of X terms only is first read in bulk, in two C-level scans.
+    Its skeleton, the text less every ASCII digit and JSON whitespace
+    (space, tab, newline, carriage return), must be ``X[,,,]`` repeated.
+    The text with its first ``X`` dropped and every other ``X`` made a
+    comma must then read as one JSON list of lists, which keeps each id in
+    its own term: JSON refuses an empty id, a leading zero and a digit
+    outside a body.  Any other code, one that fails that read, or one with
+    a 0 id is read term by term, so that an error names its first bad term.
     """
-    parts = _TERM.split(text)  # text before each term, the term, its kind and body; then the rest
-    bodies = parts[3::4]
-    commas = set(map(str.count, bodies, repeat(",")))
-    if "O" not in parts[2::4] and not any(parts[0::4]) and commas == {3}:
+    skeleton = text.translate(_SKELETON)
+    if skeleton and skeleton == "X[,,,]" * (len(skeleton) // 6):
+        head, _, rest = text.partition("X")
         try:
-            ids = list(map(int, ",".join(bodies).split(",")))
+            ids = json.loads("[%s%s]" % (head, rest.replace("X", ",")))
         except ValueError:
-            ids = [0]  # read term by term below, for the message
-        if 0 not in ids:
-            return list(zip(*[iter(ids)] * 4)), []
+            ids = [[0]]  # read term by term below, for the message
+        if all(map(all, ids)):
+            return list(map(tuple, ids)), []
+    parts = _TERM.split(text)  # text before each term, the term, its kind and body; then the rest
     terms = {"X": [], "O": []}
     for gap, term, kind, body in zip(parts[0::4], parts[1::4], parts[2::4], parts[3::4]):
         if gap:
@@ -196,11 +206,13 @@ def _walk(crossings):
     Arriving at a position 0 passes under that crossing and cuts an arc
     there; a walk from a position 2 ends on such a cut, where it started.
     Arriving at a position 1 or 3 passes over that crossing and fixes its
-    writhe sign: +1 when the over-strand arrives at d.  A component that
-    only passes over is one closed arc.  Returns the writhe signs; the edge
-    cycles, each rotated to start at its lowest edge; each arc's least
-    edge, in walk order; each crossing's (under-in, over, under-out) arc
-    indices in that order; and the partner ends.
+    writhe sign: +1 when the over-strand arrives at d.  An arc's edges are
+    those of the ends it arrives at, so the walk keeps the least of them
+    as it goes.  A component that only passes over is one closed arc.
+    Returns the writhe signs; the edge cycles, each rotated to start at its
+    lowest edge; each arc's least edge, in walk order; each crossing's
+    (under-in, over, under-out) arc indices in that order; and the partner
+    ends.
     """
     flat, partner = _partner(crossings)
     n = len(crossings)
@@ -211,19 +223,22 @@ def _walk(crossings):
         if under_out[seed >> 2] is not None:
             continue
         a = under_out[seed >> 2] = len(least)  # the arc being walked
-        path, cuts = [], [0]  # the ends arrived at; where each arc ends in them
+        path = []  # the ends arrived at
         s = seed
         while True:  # one arc: its over-passages, then the under-passage that ends it
             t = partner[s]
+            lo = flat[t]  # the arc's least edge so far
             while t & 1:
                 over[t >> 2], w[t >> 2] = a, (t & 3) - 2
                 path.append(t)
                 t = partner[t ^ 2]
+                if flat[t] < lo:
+                    lo = flat[t]
             if t & 2:
                 edge = _conflict_edge(flat, partner, t)
                 raise PDStructureError("no consistent orientation (conflict at edge %r)" % (edge,))
             path.append(t)
-            cuts.append(len(path))
+            least.append(lo)
             under_in[t >> 2] = a
             s = t + 2
             if s == seed:
@@ -231,7 +246,6 @@ def _walk(crossings):
             a += 1
             under_out[t >> 2] = a
         cycle = list(map(flat.__getitem__, path))
-        least += map(min, map(cycle.__getitem__, map(slice, cuts, cuts[1:])))
         k = cycle.index(min(cycle))
         cycles.append(tuple(cycle[k:] + cycle[:k]))
     for i in range(n):

@@ -68,6 +68,13 @@ def traversal_labelled(word, strands, rotation=0):
     return [tuple(label[e] for e in t) for t in crossings]
 
 
+def conjugated_word(rng, strands, length, core):
+    """w . core . w^-1 for a random word w of the given length: conjugation
+    keeps the closure's link type, so a long closure is the core's link."""
+    w = [rng.choice((1, -1)) * rng.randrange(1, strands) for _ in range(length)]
+    return w + list(core) + [-g for g in reversed(w)]
+
+
 def pd_text(crossings):
     return " ".join("X[%d,%d,%d,%d]" % tuple(t) for t in crossings)
 

@@ -12,6 +12,7 @@ stores.  Regenerate the file with
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from quandlekit.quandles import MAX_ENUMERATION_ORDER, QuandleTable, _inverse
@@ -78,9 +79,10 @@ def least_with_cycle_type(lengths):
     return tuple(p)
 
 
-def search_representatives(n: int) -> list[tuple[QuandleTable, int]]:
+@functools.cache
+def search_representatives(n: int) -> tuple[tuple[QuandleTable, int], ...]:
     """One (column-major least table, class size) per isomorphism class of
-    order n >= 1, in column-major order.
+    order n >= 1, in column-major order; searched once per order.
 
     An orderly search (Read 1978) over columns yields only tables that are
     column-major least in their class.  The column for b is a permutation
@@ -190,15 +192,16 @@ def search_representatives(n: int) -> list[tuple[QuandleTable, int]]:
     # 0..i-1 tie with the placed ones and whose column i needs column
     # c = p^-1(i); none waits before column 0 is placed
     extend([[] for _ in range(n)])
-    return found
+    return tuple(found)
 
 
-def canonical_classes(n: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+@functools.cache
+def canonical_classes(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
     """One (row-major least table, class size) per isomorphism class of
     order n >= 1, sorted by table: the search's tables, each relabeled by
-    one early-exit pass over the n! relabelings."""
+    one early-exit pass over the n! relabelings; made once per order."""
     relabelings = list(_relabelings(n))
-    return sorted((_least_relabeling(X.table, relabelings), size) for X, size in search_representatives(n))
+    return tuple(sorted((_least_relabeling(X.table, relabelings), size) for X, size in search_representatives(n)))
 
 
 def table_text(top=MAX_ENUMERATION_ORDER):

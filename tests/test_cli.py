@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: documents, exit codes, determinism."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from braids import pd_text, torus_2
+from braids import closure_crossings, conjugated_word, pd_text, torus_2
 from cochains import coboundary_of, indicator
 from coloring_oracle import counts_are_cycles, weights
 from quandlekit import cli, invariants
@@ -862,6 +863,62 @@ def test_internal_arithmetic_and_depth_errors_exit_2(capsys, files, monkeypatch,
     rc, doc, err = run(capsys, ["quandle", "info", "-f", files["d3"]])
     assert rc == 2 and doc is None
     assert err.startswith("error: too deep or too big")
+
+
+@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+def collector(request):
+    """The cyclic collector switched as the parameter says, then restored."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys, files, monkeypatch, collector):
+    assert run(capsys, ["quandle", "info", "-f", files["d3"]])[0] == 0
+    assert gc.isenabled() is collector
+    assert run(capsys, ["quandle", "info", "-f", files["bad"]])[0] == 2
+    assert gc.isenabled() is collector
+
+    def boom(args):
+        assert not gc.isenabled()  # the command runs with the collector paused
+        raise RuntimeError("escapes main")
+
+    monkeypatch.setattr(cli, "cmd_quandle_info", boom)
+    with pytest.raises(RuntimeError, match="escapes main"):
+        main(["quandle", "info", "-f", files["d3"]])
+    assert gc.isenabled() is collector
+
+
+def _cycles_left(capsys, argv):
+    """The unreachable objects one command leaves behind: one collection
+    before it and one after, with the collector off throughout."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == 0
+        capsys.readouterr()
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_no_command_leaves_cycles_that_grow_with_its_work(capsys, tmp_path):
+    # running with the collector paused is safe only while this holds
+    pd = tmp_path / "braid.txt"
+    pd.write_text(pd_text(closure_crossings(conjugated_word(random.Random(1), 3, 4998, [1, -2, 1, -2]), 3)))
+    q = tmp_path / "r5.json"
+    q.write_text(json.dumps({"n": 5, "table": dihedral_quandle(5).table}))
+    phi = tmp_path / "zero.json"
+    phi.write_text(json.dumps({"coeff": "Z2", "values": [[0] * 5] * 5}))
+    small = _cycles_left(capsys, ["verify", "--max-order", "3"])
+    assert _cycles_left(capsys, ["verify", "--max-order", "5", "--mode", "both"]) <= small
+    invariant = ["invariant", "-q", str(q), "-k", str(pd), "--mode", "neg", "--cocycle", str(phi)]
+    assert _cycles_left(capsys, invariant) <= small
+    # 404 documents, each leaving json's encoder behind until collected
+    assert _cycles_left(capsys, ["quandle", "gen", "--order", "5", "--out", str(tmp_path / "q5")]) <= small
 
 
 def test_unknown_command_exits_2():

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import diagram_oracle as oracle
-from braids import braid_words, closure_crossings, pd_text, traversal_labelled
+from braids import braid_words, closure_crossings, conjugated_word, pd_text, traversal_labelled
 from quandlekit.diagrams import (
     CORPUS_NAMES,
     PDStructureError,
@@ -193,6 +193,35 @@ def corrupted(text, rng):
     return text[:i] + ("" if edit == "delete" else c) + text[i + 1:]
 
 
+TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"
+
+# X-only codes that the bulk read must leave to the term reader, which
+# reads or refuses them
+BULK_MISREADS = [
+    # leading zeros, which JSON refuses
+    TREFOIL.replace("X[1,", "X[01,"),
+    "X[1,5,2,4] X[3,1,4,006] X[5,3,6,2]",
+    "X[0,5,2,4] X[3,0,4,6] X[5,3,6,2]",
+    # separators that the term reader takes for whitespace and JSON does not
+    "X[1,5,2,4]\fX[3,1,4,6]\vX[5,3,6,2]",
+    "X[1,\f5,2,4] X[3,1\v,4,6] X[5,3,6,2]\u00a0",
+    "\u00a0" + TREFOIL,
+    # digits glued to an X or after a ]
+    TREFOIL.replace("X[3", "X3[3"),
+    TREFOIL.replace("X[3", "7X[3"),
+    TREFOIL.replace("4] ", "4]7 "),
+    "7" + TREFOIL,
+    TREFOIL + "7",
+    # an id past the default limit of 4 300 digits on int-string conversion
+    TREFOIL.replace("X[1,", "X[%s," % ("1" * 5000)),
+    # empty ids
+    TREFOIL.replace("X[1,", "X[,"),
+    TREFOIL.replace(",2]", ",]"),
+    TREFOIL.replace("3,1,4", "3,,4"),
+    "X[,,,] X[3,1,4,6] X[5,3,6,2]",
+]
+
+
 def test_bulk_reading_matches_the_term_by_term_oracle():
     rng = random.Random(32)
     outcomes = set()
@@ -209,6 +238,17 @@ def test_bulk_reading_matches_the_term_by_term_oracle():
     for bad in ("O[1,2,3,4]", "X[1,5,2,4] O[6,7,8,9] X[3,1,4,6]"):
         assert tokenized(_tokenize, bad) == tokenized(oracle.tokenize, bad)
         assert tokenized(_tokenize, bad)[0] is PDSyntaxError
+    fallbacks = set()
+    for text in BULK_MISREADS:
+        got = tokenized(_tokenize, text)
+        assert got == tokenized(oracle.tokenize, text), text
+        fallbacks.add(got[1].split(" ")[0] if got[0] is PDSyntaxError else "read")
+    assert fallbacks == {"read", "unexpected", "bad", "edge"}
+    # a 10 000-crossing closure, with no whitespace and respaced
+    crossings = closure_crossings(conjugated_word(rng, 3, 4998, [1, -2, 1, -2]), 3)
+    compact = "".join("X[%d,%d,%d,%d]" % t for t in crossings)
+    for text in (compact, respaced(compact, rng)):
+        assert _tokenize(text) == oracle.tokenize(text) == (crossings, [])
 
 
 @by_text(

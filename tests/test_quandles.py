@@ -341,7 +341,7 @@ def test_order_6_representatives():
     assert sum(size for _, size in found) == 6658
     assert [columns(X.table) for X, _ in found] == sorted(columns(X.table) for X, _ in found)
     # the row-major pass turns them into the deduplicated tables
-    forms = sorted(_least_relabeling(X.table, _relabelings(6)) for X, _ in found)
+    forms = [table for table, _ in canonical_classes(6)]
     assert forms == [X.table for X in enumerate_quandles(6, dedupe_iso=True)]
 
 
@@ -349,7 +349,7 @@ def test_order_6_representatives():
 def test_class_table_is_the_search(n):
     # the checked-in table, line by line, against the search that made it,
     # each table turned into its row-major least relabeling, sorted
-    assert [(X.table, size) for X, size in class_representatives(n)] == canonical_classes(n)
+    assert [(X.table, size) for X, size in class_representatives(n)] == list(canonical_classes(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
